@@ -3,18 +3,20 @@
 The covariance over all items decomposes into the covariance of the item
 means plus the expected item covariance:
 
-    K = E_w[m m^T] - mean mean^T + s^2 * E_w[Psi]
+    K(s) = E_w[(m - x_bar)(m - x_bar)^T] + s^2 * E_w[Psi]
 
-where m and Psi are the per-item mean and covariance, E_w is the
-weight-normalized average over items, and s scales the contribution of the
-item uncertainties.  s = 0 recovers ordinary PCA on the item means; the
-s -> infinity limit is the expected-covariance term alone.
+where m and Psi are the per-item mean and covariance, x_bar = E_w[m], E_w
+is the weight-normalized average over items, and s scales the contribution
+of the item uncertainties.  s = 0 recovers ordinary PCA on the item means;
+the s -> infinity limit is the expected-covariance term alone.  The means
+term is accumulated about x_bar (two passes), so K does not depend on where
+the data sits relative to the origin.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,76 +46,67 @@ class CovOptions:
 class GlobalCov:
     """Result of the global covariance accumulation.
 
-    matrix is the covariance actually used for PCA at ``scale_s``;
     term_means is the centered covariance of the item means and
-    term_uncertainty the weighted average of the item covariances, so that
-    matrix == term_means + scale_s^2 * term_uncertainty (for finite s).
-    No eigenvalue clamping is applied here; the matrix is reported raw.
+    term_uncertainty the weighted average of the item covariances; matrix
+    is the covariance actually used for PCA, ``at(scale_s)``.  No
+    eigenvalue clamping is applied here; the matrix is reported raw.
     """
 
     mean: np.ndarray
-    matrix: np.ndarray
+    matrix: np.ndarray = field(init=False)
     term_means: np.ndarray
     term_uncertainty: np.ndarray
     scale_s: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", self.at(self.scale_s))
+
+    def at(self, s: float) -> np.ndarray:
+        """K(s) = term_means + s^2 * term_uncertainty; term_uncertainty alone at s = inf."""
+        if math.isinf(s):
+            return self.term_uncertainty
+        return _readonly(self.term_means + (s * s) * self.term_uncertainty)
 
 
 def _weights(ds: UncertainDataset, opts: CovOptions) -> np.ndarray:
     return ds.weights if opts.use_weights else np.ones(len(ds))
 
 
+def _symmetric(a: np.ndarray) -> np.ndarray:
+    return _readonly((a + a.T) / 2.0)
+
+
 def dataset_mean(ds: UncertainDataset, opts: CovOptions = CovOptions()) -> np.ndarray:
     """Weight-normalized average of the item means."""
     w = _weights(ds, opts)
-    acc = np.zeros(ds.dim)
-    for wi, item in zip(w, ds.items):
-        acc += wi * item.mean()
-    return acc / w.sum()
+    return w @ ds.means() / w.sum()
 
 
 def global_cov(ds: UncertainDataset, opts: CovOptions = CovOptions()) -> GlobalCov:
     """Accumulate the global covariance of a dataset of distributions.
 
-    The accumulation mirrors the two-pass scheme: first the weighted mean of
-    the item means, then one pass adding m m^T + s^2 Psi - mean mean^T per
-    item, finally divided by the weight total.  The centered means term and
-    the uncertainty term are also reported separately so callers can form
-    the matrix at any other s via the scaling law.
+    The means term is the weighted scatter of the item means about their
+    weighted average, (C o w)^T C / sum(w) with C = M - x_bar; the
+    uncertainty term is sum(w_i Psi_i) / sum(w).  Both are reported so
+    callers can form the matrix at any other s with :meth:`GlobalCov.at`.
     """
     w = _weights(ds, opts)
     wsum = w.sum()
-    x_bar = dataset_mean(ds, opts)
-    centering = np.outer(x_bar, x_bar)
+    means = ds.means()
+    x_bar = w @ means / wsum
+    c = means - x_bar
+    t_means = (c * w[:, None]).T @ c / wsum
 
-    s = opts.scale_s
-    d = ds.dim
-    k = np.zeros((d, d))
-    t_means = np.zeros((d, d))
-    t_unc = np.zeros((d, d))
-    s2 = 0.0 if math.isinf(s) else s * s
+    t_unc = np.zeros((ds.dim, ds.dim))
     for wi, item in zip(w, ds.items):
-        m = item.mean()
-        psi = item.cov()
-        k += wi * (np.outer(m, m) + s2 * psi - centering)
-        t_means += wi * (np.outer(m, m) - centering)
-        t_unc += wi * psi
-    k /= wsum
-    t_means /= wsum
+        t_unc += wi * item.cov()
     t_unc /= wsum
 
-    t_means = _readonly((t_means + t_means.T) / 2.0)
-    t_unc = _readonly((t_unc + t_unc.T) / 2.0)
-    if math.isinf(s):
-        # Limit matrix: the means term vanishes relative to s^2 * E[Psi].
-        matrix = t_unc.copy()
-    else:
-        matrix = (k + k.T) / 2.0
     return GlobalCov(
         mean=_readonly(x_bar),
-        matrix=_readonly(matrix),
-        term_means=t_means,
-        term_uncertainty=t_unc,
-        scale_s=s,
+        term_means=_symmetric(t_means),
+        term_uncertainty=_symmetric(t_unc),
+        scale_s=opts.scale_s,
     )
 
 
@@ -121,8 +114,7 @@ def global_cov_from_points(points) -> GlobalCov:
     """Ordinary PCA covariance of plain points, as a GlobalCov.
 
     Reference path for the s = 0 reduction: the population covariance of the
-    rows, accumulated item by item exactly like :func:`global_cov` over point
-    masses.  The uncertainty term is identically zero.
+    rows about their mean.  The uncertainty term is identically zero.
     """
     p = np.asarray(points, dtype=float)
     if p.ndim != 2 or p.shape[0] == 0:
@@ -131,21 +123,12 @@ def global_cov_from_points(points) -> GlobalCov:
         raise ValueError("points contain non-finite entries")
     n, d = p.shape
 
-    acc = np.zeros(d)
-    for row in p:
-        acc += row
-    x_bar = acc / float(n)
-    centering = np.outer(x_bar, x_bar)
-
-    k = np.zeros((d, d))
-    for row in p:
-        k += np.outer(row, row) - centering
-    k /= float(n)
-    k = (k + k.T) / 2.0
+    x_bar = p.mean(axis=0)
+    c = p - x_bar
+    k = c.T @ c / float(n)
     return GlobalCov(
         mean=_readonly(x_bar),
-        matrix=_readonly(k),
-        term_means=_readonly(k.copy()),
+        term_means=_symmetric(k),
         term_uncertainty=_readonly(np.zeros((d, d))),
         scale_s=0.0,
     )

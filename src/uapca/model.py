@@ -150,11 +150,13 @@ class Trapezoid(Scalar1D):
 
     Density rises linearly on [a, b], is constant on [b, c], and falls
     linearly on [c, d].  Requires a <= b <= c <= d; a == d collapses to a
-    point.  Moments come from piecewise polynomial integration:
+    point.  Moments come from piecewise polynomial integration on the
+    support shifted so that a = 0 (b, c, d below are offsets from a), which
+    keeps them free of cancellation however far the support sits from the
+    origin:
 
-        E[X]   = (d^2 + c d + c^2 - b^2 - a b - a^2) / (3 (d + c - b - a))
-        E[X^2] = (d^3 + d^2 c + d c^2 + c^3
-                  - b^3 - b^2 a - b a^2 - a^3) / (6 (d + c - b - a))
+        E[X] - a     = (d^2 + c d + c^2 - b^2) / (3 (d + c - b))
+        E[(X - a)^2] = (d^3 + d^2 c + d c^2 + c^3 - b^3) / (6 (d + c - b))
     """
 
     a: float
@@ -174,23 +176,22 @@ class Trapezoid(Scalar1D):
     def _span(self) -> float:
         return self.d + self.c - self.b - self.a
 
-    def mean(self) -> float:
-        a, b, c, d = self.a, self.b, self.c, self.d
+    def _moments_about_a(self) -> tuple[float, float]:
+        """E[X - a] and E[(X - a)^2], integrated on the support shifted to a = 0."""
         s = self._span()
         if s == 0.0:
-            return a
-        return (d * d + c * d + c * c - b * b - a * b - a * a) / (3.0 * s)
+            return 0.0, 0.0
+        b, c, d = self.b - self.a, self.c - self.a, self.d - self.a
+        first = (d * d + c * d + c * c - b * b) / (3.0 * s)
+        second = (d**3 + d**2 * c + d * c**2 + c**3 - b**3) / (6.0 * s)
+        return first, second
+
+    def mean(self) -> float:
+        return self.a + self._moments_about_a()[0]
 
     def variance(self) -> float:
-        a, b, c, d = self.a, self.b, self.c, self.d
-        s = self._span()
-        if s == 0.0:
-            return 0.0
-        second = (
-            d**3 + d**2 * c + d * c**2 + c**3 - b**3 - b**2 * a - b * a**2 - a**3
-        ) / (6.0 * s)
-        m = self.mean()
-        return max(second - m * m, 0.0)
+        first, second = self._moments_about_a()
+        return max(second - first * first, 0.0)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         a, b, c, d = self.a, self.b, self.c, self.d

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cov import CovOptions, global_cov
+from .cov import global_cov
 from .eigen import PcaModel, eig_sym, select_components
 from .model import UncertainDataset, _readonly
 
@@ -84,27 +84,22 @@ def sweep(
     ds: UncertainDataset,
     q: int,
     schedule: SweepSchedule = SweepSchedule(),
-    use_weights: bool = True,
 ) -> tuple[list[PcaModel], EigenCurves]:
     """Fit one PCA model per schedule step.
 
     The dataset is accumulated once; per step the covariance is formed from
-    the stored terms via the scaling law K(s) = term_means +
+    the stored terms by :meth:`GlobalCov.at`, K(s) = term_means +
     s^2 * term_uncertainty, with the final step using term_uncertainty
     alone.  Eigenvalue curves across all steps are returned alongside the
     models, with avoided-crossing flags filled in for schedules of at least
     three steps.
     """
-    g = global_cov(ds, CovOptions(scale_s=1.0, use_weights=use_weights))
+    g = global_cov(ds)
     s_values = schedule.s_values()
     models: list[PcaModel] = []
     curves_rows = np.empty((schedule.steps, ds.dim))
     for k, s in enumerate(s_values):
-        if math.isinf(s):
-            matrix = g.term_uncertainty
-        else:
-            matrix = g.term_means + (s * s) * g.term_uncertainty
-        pairs = eig_sym(matrix)
+        pairs = eig_sym(g.at(s))
         models.append(select_components(pairs, g.mean, q))
         curves_rows[k] = pairs.values
     curves = EigenCurves(s_values=_readonly(s_values), values=_readonly(curves_rows))

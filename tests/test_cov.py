@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uapca.cov import CovOptions, dataset_mean, global_cov, global_cov_from_points
 from uapca.model import Gaussian, Point, ProductOf1D, Interval, Trapezoid, UncertainDataset
@@ -72,6 +74,28 @@ def test_weight_duplication_equivalence():
     gl = global_cov(listed)
     assert np.abs(gd.matrix - gl.matrix).max() <= 1e-12
     assert np.abs(gd.mean - gl.mean).max() <= 1e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_items=st.integers(20, 200),
+    dim=st.integers(2, 6),
+    data=st.data(),
+)
+def test_translation_leaves_matrix_unchanged(seed, n_items, dim, data):
+    # Shifting every item by a constant moves only the mean; K is accumulated
+    # about the mean, so offsets up to 1e8 change it by input rounding alone.
+    offset = data.draw(st.lists(st.floats(-1e8, 1e8), min_size=dim, max_size=dim))
+    rng = np.random.default_rng(seed)
+    items = tuple(
+        Gaussian(rng.normal(0, 1, dim), random_psd(rng, dim)) for _ in range(n_items)
+    )
+    ds = UncertainDataset(items, weights=rng.uniform(0.5, 3.0, n_items))
+    shifted = ds.rescale(np.ones(dim), np.array(offset))
+    k = global_cov(ds).matrix
+    k_shifted = global_cov(shifted).matrix
+    assert np.abs(k_shifted - k).max() <= 1e-7 * np.abs(k).max()
 
 
 def test_use_weights_false_ignores_weights():

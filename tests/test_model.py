@@ -88,6 +88,15 @@ def test_trapezoid_moments_property(raw):
     assert t.variance() == pytest.approx(v_q, rel=1e-6, abs=1e-7)
 
 
+@pytest.mark.parametrize("offset", [1e6, 1e8])
+def test_trapezoid_moments_on_a_far_support(offset):
+    # Unit-step trapezoid moved far from the origin: mean 1.5 + a, variance
+    # 5/12, with no cancellation from the size of the offset.
+    t = Trapezoid(offset, offset + 1.0, offset + 2.0, offset + 3.0)
+    assert abs(t.mean() - (1.5 + offset)) <= 1e-9
+    assert abs(t.variance() - 5.0 / 12.0) <= 1e-9
+
+
 def test_degenerate_interval_and_trapezoid_are_points():
     assert Interval(3.0, 3.0).variance() == 0.0
     assert Interval(3.0, 3.0).mean() == 3.0

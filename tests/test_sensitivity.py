@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from uapca.cov import CovOptions, global_cov
-from uapca.eigen import principal_angles
+from uapca.eigen import eig_sym, principal_angles
 from uapca.model import Gaussian, Point, UncertainDataset
 from uapca.sensitivity import (
     EigenCurves,
@@ -82,6 +82,9 @@ def test_sweep_matches_direct_covariances():
         ref = np.linalg.eigvalsh(g.matrix)[::-1]
         assert np.abs(curves.values[k] - ref).max() <= 1e-10 * max(1.0, ref[0])
         assert np.array_equal(models[k].mean, g.mean)
+        pairs = eig_sym(g.matrix)
+        assert np.array_equal(curves.values[k], pairs.values)
+        assert np.array_equal(models[k].components, pairs.vectors[:, :2])
 
 
 def test_leading_component_flips_at_the_crossing():
