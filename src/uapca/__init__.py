@@ -45,7 +45,7 @@ from .model import (
     affine_mean,
     cov_matrix,
 )
-from .project import ellipse_outline, project_distribution, project_point
+from .project import ellipse_outline, project_distribution, project_items, project_point
 from .sensitivity import (
     EigenCurves,
     FactorTrace,
@@ -68,7 +68,7 @@ __all__ = [
     "Distribution", "EmpiricalCluster", "Gaussian", "Interval", "Normal1D",
     "Number", "Point", "ProductOf1D", "Trapezoid", "UncertainDataset",
     "affine_cov", "affine_mean", "cov_matrix",
-    "ellipse_outline", "project_distribution", "project_point",
+    "ellipse_outline", "project_distribution", "project_items", "project_point",
     "EigenCurves", "FactorTrace", "SweepSchedule", "detect_avoided_crossings",
     "factor_traces", "sweep",
     "__version__",

@@ -38,8 +38,7 @@ from .metrics import (
     run_convergence_experiment,
     samples_to_reach,
 )
-from .model import Gaussian
-from .project import project_distribution
+from .project import project_items
 from .sensitivity import SweepSchedule, factor_traces, sweep
 from .svg import render_eigencurves_svg, render_projection_svg, render_traces_svg
 
@@ -48,24 +47,46 @@ class UsageError(Exception):
     """A flag combination or flag value that cannot be honored."""
 
 
-def _positive_int(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return v
+def _int_at_least(lo: int, too_small: str):
+    """An argparse type: an integer >= lo; too_small is formatted with text= and value=."""
+
+    def parse(text: str) -> int:
+        try:
+            v = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if v < lo:
+            raise argparse.ArgumentTypeError(too_small.format(text=text, value=v))
+        return v
+
+    return parse
 
 
-def _steps_value(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if v < 2:
-        raise argparse.ArgumentTypeError(f"--steps needs at least 2 steps, got {v}")
-    return v
+def _positive_int_list(invalid: str, ranges: bool = False):
+    """An argparse type: comma-separated positive integers, or LO..HI when ranges."""
+
+    def parse(text: str) -> tuple[int, ...]:
+        try:
+            if ranges and ".." in text:
+                lo, hi = (int(p) for p in text.split("..", 1))
+                values = tuple(range(lo, hi + 1))
+            else:
+                values = tuple(int(p) for p in text.split(","))
+            if not values or min(values) < 1:
+                raise ValueError
+            return values
+        except ValueError:
+            raise argparse.ArgumentTypeError(invalid.format(text))
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "expected a positive integer, got {text}")
+_steps_value = _int_at_least(2, "--steps needs at least 2 steps, got {value}")
+_dims_list = _positive_int_list(
+    "invalid dimension list {!r}; use forms like 4 or 2..12 or 2,4,8,12", ranges=True
+)
+_counts_list = _positive_int_list("invalid sample-count list {!r}; use e.g. 16,64,256")
 
 
 def _scale_value(text: str) -> float:
@@ -76,36 +97,6 @@ def _scale_value(text: str) -> float:
     if math.isnan(v) or v < 0.0:
         raise argparse.ArgumentTypeError(f"--scale must be >= 0 (or inf), got {text}")
     return v
-
-
-def _dims_list(text: str) -> tuple[int, ...]:
-    try:
-        if ".." in text:
-            lo_s, hi_s = text.split("..", 1)
-            lo, hi = int(lo_s), int(hi_s)
-            if lo < 1 or hi < lo:
-                raise ValueError
-            return tuple(range(lo, hi + 1))
-        dims = tuple(int(p) for p in text.split(","))
-        if not dims or any(d < 1 for d in dims):
-            raise ValueError
-        return dims
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid dimension list {text!r}; use forms like 4 or 2..12 or 2,4,8,12"
-        )
-
-
-def _counts_list(text: str) -> tuple[int, ...]:
-    try:
-        counts = tuple(int(p) for p in text.split(","))
-        if not counts or any(c < 1 for c in counts):
-            raise ValueError
-        return counts
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid sample-count list {text!r}; use e.g. 16,64,256"
-        )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -203,22 +194,15 @@ def _cmd_project(args) -> int:
     pairs = eig_sym(g.matrix)
     model = select_components(pairs, g.mean, args.dims)
 
-    labels = (
-        list(ds.labels) if ds.labels is not None
-        else [f"item{i + 1}" for i in range(len(ds))]
-    )
-    cov_scale = 1.0 if math.isinf(s) else s * s
-    projected = []
-    for item in ds.items:
-        image = project_distribution(model, item)
-        projected.append(Gaussian(image.mean(), image.cov() * cov_scale))
+    labels = list(ds.labels or (f"item{i + 1}" for i in range(len(ds))))
+    means, covs = project_items(model, ds.items, cov_scale=1.0 if math.isinf(s) else s * s)
 
     csv_path = f"{args.out_prefix}.projection.csv"
-    write_projection_csv(csv_path, labels, projected)
+    write_projection_csv(csv_path, labels, means, covs)
     written = [csv_path]
     if args.dims == 2:
         svg_path = f"{args.out_prefix}.projection.svg"
-        _write_text(svg_path, render_projection_svg(list(zip(projected, labels))))
+        _write_text(svg_path, render_projection_svg(labels, means, covs))
         written.append(svg_path)
     print("eigenvalues: " + " ".join(repr(float(v)) for v in pairs.values))
     print("wrote " + ", ".join(written))

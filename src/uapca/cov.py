@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import UncertainDataset, _readonly
+from .model import UncertainDataset, _population_moments, _readonly
 
 
 @dataclass(frozen=True)
@@ -121,14 +121,10 @@ def global_cov_from_points(points) -> GlobalCov:
         raise ValueError(f"points must be a non-empty (n, D) array, got shape {p.shape}")
     if not np.all(np.isfinite(p)):
         raise ValueError("points contain non-finite entries")
-    n, d = p.shape
-
-    x_bar = p.mean(axis=0)
-    c = p - x_bar
-    k = c.T @ c / float(n)
+    x_bar, k = _population_moments(p)
     return GlobalCov(
         mean=_readonly(x_bar),
-        term_means=_symmetric(k),
-        term_uncertainty=_readonly(np.zeros((d, d))),
+        term_means=_readonly(k),
+        term_uncertainty=_readonly(np.zeros_like(k)),
         scale_s=0.0,
     )

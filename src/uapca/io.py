@@ -39,6 +39,7 @@ from .model import (
     ProductOf1D,
     Trapezoid,
     UncertainDataset,
+    _population_moments,
     _readonly,
 )
 from .sensitivity import EigenCurves, FactorTrace, SweepSchedule
@@ -296,10 +297,7 @@ def aggregate_by_label(pts: PointsData, kind: str = "gaussian") -> UncertainData
                     f"class {lab!r} has fewer than 2 points; "
                     f"gaussian aggregation needs at least 2"
                 )
-            mean = rows.mean(axis=0)
-            centered = rows - mean
-            cov = centered.T @ centered / rows.shape[0]
-            items.append(Gaussian(mean, (cov + cov.T) / 2.0))
+            items.append(Gaussian(*_population_moments(rows)))
         else:
             items.append(EmpiricalCluster(rows))
         weights.append(float(rows.shape[0]))
@@ -385,26 +383,21 @@ def write_eigencurves_csv(path, curves: EigenCurves) -> None:
     _write_csv(path, ["step", "s", "index", "lambda"], rows)
 
 
-def write_projection_csv(path, labels: list[str], projected: list[Gaussian]) -> None:
-    """One row per item: label, projected mean, projected covariance entries."""
-    if not projected:
+def write_projection_csv(path, labels: list[str], means, covs) -> None:
+    """One row per item: label, then its row of means (N, q) and of covs (N, q, q)."""
+    if not len(labels):
         raise ValueError("nothing to write")
-    q = projected[0].dim
+    n, q = means.shape
+    if len(labels) != n or covs.shape != (n, q, q):
+        raise ValueError(f"{len(labels)} labels, means {means.shape}, covs {covs.shape}")
     header = (
         ["label"]
         + [f"mean_{i + 1}" for i in range(q)]
         + [f"cov_{i + 1}_{j + 1}" for i in range(q) for j in range(q)]
     )
-    rows = []
-    for label, g in zip(labels, projected):
-        mean = g.mean()
-        cov = g.cov()
-        rows.append(
-            [label]
-            + [_num(v) for v in mean]
-            + [_num(cov[i, j]) for i in range(q) for j in range(q)]
-        )
-    _write_csv(path, header, rows)
+    # + 0.0 folds -0.0 into 0.0, as _num does, over the whole table at once.
+    values = (np.hstack([means, covs.reshape(n, q * q)]) + 0.0).tolist()
+    _write_csv(path, header, ([label, *map(repr, row)] for label, row in zip(labels, values)))
 
 
 def write_experiment_csv(path, rows: list[ExperimentRow]) -> None:

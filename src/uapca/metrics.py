@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cov import CovOptions, GlobalCov, global_cov
-from .model import Gaussian, UncertainDataset, _as_vector, _readonly
+from .model import Gaussian, UncertainDataset, _as_vector, _population_moments, _readonly
 
 _REG_EPS = 1e-12
 _TARGET_H = 0.1
@@ -112,10 +112,7 @@ def sampled_pca(
     if not isinstance(samples_per_item, (int, np.integer)) or samples_per_item < 1:
         raise ValueError(f"samples_per_item must be a positive integer, got {samples_per_item!r}")
     pooled = np.vstack([item.sample(int(samples_per_item), rng) for item in ds.items])
-    mean = pooled.mean(axis=0)
-    centered = pooled - mean
-    cov = centered.T @ centered / pooled.shape[0]
-    return PcaSummary(mean=mean, cov=cov)
+    return PcaSummary(*_population_moments(pooled))
 
 
 # ---------------------------------------------------------------------------

@@ -50,14 +50,30 @@ def cov_matrix(entries, name: str = "covariance") -> np.ndarray:
     if float(np.abs(k - k.T).max()) > SYM_RTOL * max(1.0, scale):
         raise ValueError(f"{name} is not symmetric")
     k = (k + k.T) / 2.0
-    evals = np.linalg.eigvalsh(k)
-    lam_scale = float(np.abs(evals).max())
-    if evals[0] < -PSD_RTOL * lam_scale:
-        raise ValueError(
-            f"{name} is not positive semi-definite "
-            f"(min eigenvalue {evals[0]:.3e}, scale {lam_scale:.3e})"
-        )
+    _require_psd(k, name)
     return _readonly(k)
+
+
+def _require_psd(k: np.ndarray, name: str) -> None:
+    """Raise unless each matrix of the symmetric (..., D, D) stack k has no
+    eigenvalue below -PSD_RTOL times its largest magnitude (one eigvalsh)."""
+    evals = np.linalg.eigvalsh(k).reshape(-1, k.shape[-1])
+    lam_scale = np.abs(evals).max(axis=1)
+    bad = np.flatnonzero(evals[:, 0] < -PSD_RTOL * lam_scale)
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(
+            f"{name}{f' {i}' if k.ndim > 2 else ''} is not positive semi-definite "
+            f"(min eigenvalue {evals[i, 0]:.3e}, scale {lam_scale[i]:.3e})"
+        )
+
+
+def _population_moments(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and symmetrized population (1/n) covariance of (n, D) rows; no validation."""
+    mean = rows.mean(axis=0)
+    centered = rows - mean
+    k = centered.T @ centered / rows.shape[0]
+    return mean, (k + k.T) / 2.0
 
 
 def affine_mean(a: np.ndarray, b: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -413,9 +429,7 @@ class EmpiricalCluster(Distribution):
         return self.points.mean(axis=0)
 
     def cov(self) -> np.ndarray:
-        centered = self.points - self.points.mean(axis=0)
-        k = centered.T @ centered / self.points.shape[0]
-        return (k + k.T) / 2.0
+        return _population_moments(self.points)[1]
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         idx = rng.integers(0, self.points.shape[0], size=n)

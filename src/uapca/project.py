@@ -2,35 +2,65 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from .eigen import PcaModel, eig_sym
-from .model import Distribution, Gaussian, _as_vector, affine_cov
+from .model import Distribution, Gaussian, Point, _require_psd, affine_cov
 
 
 def project_point(model: PcaModel, x) -> np.ndarray:
     """Project a point: A^T (x - mean)."""
-    v = _as_vector(x, "point")
-    if v.size != model.mean.size:
-        raise ValueError(f"point length {v.size} does not match model dimension {model.mean.size}")
-    return model.components.T @ (v - model.mean)
+    return project_items(model, [Point(x)])[0][0]
+
+
+def project_items(
+    model: PcaModel, items: Sequence[Distribution], cov_scale: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Project every item's moments into the component basis in one pass.
+
+    Returns the means A^T (E[d] - mean) stacked (N, q) and the covariances
+    cov_scale * A^T Cov[d] A stacked (N, q, q): the exact moments of the
+    projected items, since affine maps commute with taking moments.  Points
+    give exact zeros without forming a covariance.  The stack is checked
+    once: finite, and each covariance PSD up to ``PSD_RTOL``.
+    """
+    means = np.stack([d.mean() for d in items])
+    if means.shape[1] != model.mean.size:
+        raise ValueError(
+            f"distribution dimension {means.shape[1]} does not match "
+            f"model dimension {model.mean.size}"
+        )
+    a_t = model.components.T
+    # A stacked matrix-vector product rounds each row as a_t @ v does;
+    # (means - mean) @ A differs in the last bit and would change output bytes.
+    out_means = np.matmul(a_t, (means - model.mean)[..., None])[..., 0]
+    covs = np.zeros((len(means), a_t.shape[0], a_t.shape[0]))
+    for i, d in enumerate(items):
+        if not isinstance(d, Point):
+            covs[i] = affine_cov(a_t, d.cov())
+    covs *= cov_scale
+    if not (np.all(np.isfinite(out_means)) and np.all(np.isfinite(covs))):
+        raise ValueError("projected moments contain non-finite entries")
+    _require_psd(covs, "projected covariance of item")
+    return out_means, covs
 
 
 def project_distribution(model: PcaModel, d: Distribution) -> Gaussian:
-    """Project a distribution's moments into the component basis.
+    """``project_items`` on one item, returned as a Gaussian."""
+    means, covs = project_items(model, [d])
+    return Gaussian(means[0], covs[0])
 
-    The image is summarized as the Gaussian with mean A^T (E[d] - mean) and
-    covariance A^T Cov[d] A; affine maps commute with taking moments, so
-    these are the exact moments of the projected distribution.
-    """
-    if d.dim != model.mean.size:
-        raise ValueError(
-            f"distribution dimension {d.dim} does not match model dimension {model.mean.size}"
-        )
-    a_t = model.components.T
-    mean = a_t @ (d.mean() - model.mean)
-    cov = affine_cov(a_t, d.cov())
-    return Gaussian(mean, cov)
+
+def _ellipse_outlines(mean, cov, k_sigmas, segments: int) -> list[np.ndarray]:
+    """Closed isolines of N(mean, cov) at each of k_sigmas, from one eigen factor."""
+    pairs = eig_sym(cov)
+    factor = pairs.vectors * np.sqrt(pairs.values)
+    theta = np.linspace(0.0, 2.0 * np.pi, segments, endpoint=False)
+    ring = (factor @ np.stack([np.cos(theta), np.sin(theta)])).T
+    outlines = [mean + k_sigma * ring for k_sigma in k_sigmas]
+    return [np.vstack([pts, pts[:1]]) for pts in outlines]
 
 
 def ellipse_outline(g: Gaussian, k_sigma: float, segments: int = 64) -> np.ndarray:
@@ -46,9 +76,4 @@ def ellipse_outline(g: Gaussian, k_sigma: float, segments: int = 64) -> np.ndarr
         raise ValueError(f"k_sigma must be positive, got {k_sigma}")
     if segments < 8:
         raise ValueError(f"segments must be >= 8, got {segments}")
-    pairs = eig_sym(g.cov())
-    factor = pairs.vectors * np.sqrt(pairs.values)
-    theta = np.linspace(0.0, 2.0 * np.pi, segments, endpoint=False)
-    circle = np.stack([np.cos(theta), np.sin(theta)])
-    pts = g.mean() + k_sigma * (factor @ circle).T
-    return np.vstack([pts, pts[:1]])
+    return _ellipse_outlines(g.mean(), g.cov(), (k_sigma,), segments)[0]

@@ -11,8 +11,7 @@ import math
 
 import numpy as np
 
-from .model import Gaussian
-from .project import ellipse_outline
+from .project import _ellipse_outlines
 from .sensitivity import EigenCurves, FactorTrace
 
 SIZE = 800
@@ -24,8 +23,13 @@ PALETTE = (
 _HEADER = (
     '<?xml version="1.0" encoding="UTF-8"?>\n'
     '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-    f'width="{SIZE}" height="{SIZE}" viewBox="0 0 {SIZE} {SIZE}">'
+    f'width="{SIZE}" height="{SIZE}" viewBox="0 0 {SIZE} {SIZE}">\n'
+    f'<rect width="{SIZE}" height="{SIZE}" fill="#ffffff"/>'
 )
+
+
+def _document(parts: list[str]) -> str:
+    return "\n".join([*parts, "</svg>"]) + "\n"
 
 
 def _fmt(v: float) -> str:
@@ -33,9 +37,17 @@ def _fmt(v: float) -> str:
     return "0.000" if s == "-0.000" else s
 
 
+def _coords(points) -> str:
+    """"x,y x,y ..." with three decimals, formatted in one % pass."""
+    flat = np.asarray(points, dtype=float).ravel().tolist()
+    text = " ".join(["%.3f,%.3f"] * (len(flat) // 2)) % tuple(flat)
+    # A fixed three-decimal number can contain "-0.000" only as a whole token.
+    return text.replace("-0.000", "0.000")
+
+
 def _poly(points, color: str, width: float = 1.5, dash: str | None = None,
           opacity: float | None = None) -> str:
-    coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
+    coords = _coords(points)
     extra = f' stroke-dasharray="{dash}"' if dash else ""
     if opacity is not None:
         extra += f' stroke-opacity="{_fmt(opacity)}"'
@@ -46,12 +58,20 @@ def _poly(points, color: str, width: float = 1.5, dash: str | None = None,
 
 
 def _polygon(points, color: str, opacity: float) -> str:
-    coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
-    return f'<polygon fill="{color}" fill-opacity="{_fmt(opacity)}" points="{coords}"/>'
+    return f'<polygon fill="{color}" fill-opacity="{_fmt(opacity)}" points="{_coords(points)}"/>'
 
 
 def _dot(x: float, y: float, color: str, r: float = 3.0) -> str:
     return f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(r)}" fill="{color}"/>'
+
+
+def _line(x1: float, y1: float, x2: float, y2: float, color: str,
+          dash: str | None = None) -> str:
+    extra = f' stroke-dasharray="{dash}"' if dash else ""
+    return (
+        f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
+        f'stroke="{color}" stroke-width="1"{extra}/>'
+    )
 
 
 def _text(x: float, y: float, content: str, color: str = "#333333", size: int = 14) -> str:
@@ -74,8 +94,7 @@ def _arrowhead(tip, prev, color: str) -> str:
         (base_x + 4.0 * px, base_y + 4.0 * py),
         (base_x - 4.0 * px, base_y - 4.0 * py),
     ]
-    coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
-    return f'<polygon fill="{color}" points="{coords}"/>'
+    return f'<polygon fill="{color}" points="{_coords(pts)}"/>'
 
 
 def render_traces_svg(traces: list[FactorTrace], dim_names: tuple[str, ...]) -> str:
@@ -96,15 +115,8 @@ def render_traces_svg(traces: list[FactorTrace], dim_names: tuple[str, ...]) -> 
         return cx + radius * p[0], cy - radius * p[1]
 
     parts = [_HEADER]
-    parts.append(f'<rect width="{SIZE}" height="{SIZE}" fill="#ffffff"/>')
-    parts.append(
-        f'<line x1="{_fmt(cx - radius)}" y1="{_fmt(cy)}" x2="{_fmt(cx + radius)}" '
-        f'y2="{_fmt(cy)}" stroke="#dddddd" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<line x1="{_fmt(cx)}" y1="{_fmt(cy - radius)}" x2="{_fmt(cx)}" '
-        f'y2="{_fmt(cy + radius)}" stroke="#dddddd" stroke-width="1"/>'
-    )
+    parts.append(_line(cx - radius, cy, cx + radius, cy, "#dddddd"))
+    parts.append(_line(cx, cy - radius, cx, cy + radius, "#dddddd"))
     parts.append(
         f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(radius)}" '
         f'fill="none" stroke="#888888" stroke-width="1"/>'
@@ -133,8 +145,7 @@ def render_traces_svg(traces: list[FactorTrace], dim_names: tuple[str, ...]) -> 
         label_px = to_px(pts[0])
         parts.append(_text(label_px[0] + 6.0, label_px[1] - 6.0,
                            dim_names[trace.axis_index], color=color))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _document(parts)
 
 
 def render_eigencurves_svg(curves: EigenCurves) -> str:
@@ -160,18 +171,12 @@ def render_eigencurves_svg(curves: EigenCurves) -> str:
         return top + plot_h * (1.0 - v)
 
     parts = [_HEADER]
-    parts.append(f'<rect width="{SIZE}" height="{SIZE}" fill="#ffffff"/>')
     parts.append(
         f'<rect x="{_fmt(left)}" y="{_fmt(top)}" width="{_fmt(plot_w)}" '
         f'height="{_fmt(plot_h)}" fill="none" stroke="#888888" stroke-width="1"/>'
     )
     for k, _pair in curves.avoided_crossing_flags:
-        x = x_at(k)
-        parts.append(
-            f'<line x1="{_fmt(x)}" y1="{_fmt(top)}" x2="{_fmt(x)}" '
-            f'y2="{_fmt(top + plot_h)}" stroke="#aaaaaa" stroke-width="1" '
-            f'stroke-dasharray="4 4"/>'
-        )
+        parts.append(_line(x_at(k), top, x_at(k), top + plot_h, "#aaaaaa", dash="4 4"))
     for i in range(d):
         color = PALETTE[i % len(PALETTE)]
         pts = [(x_at(k), y_at(shares[k, i])) for k in range(n_steps)]
@@ -180,64 +185,50 @@ def render_eigencurves_svg(curves: EigenCurves) -> str:
     # s=1 sits at t=0.5 exactly, independent of the grid parity.
     ticks = [(left, "s=0"), (left + plot_w * 0.5, "s=1"), (left + plot_w, "s=inf")]
     for x, label in ticks:
-        parts.append(
-            f'<line x1="{_fmt(x)}" y1="{_fmt(top + plot_h)}" x2="{_fmt(x)}" '
-            f'y2="{_fmt(top + plot_h + 6.0)}" stroke="#333333" stroke-width="1"/>'
-        )
+        parts.append(_line(x, top + plot_h, x, top + plot_h + 6.0, "#333333"))
         parts.append(_text(x - 14.0, top + plot_h + 24.0, label))
     parts.append(_text(left, top - 12.0, "share of total variance"))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _document(parts)
 
 
-def render_projection_svg(entries: list[tuple[Gaussian, str]]) -> str:
+def render_projection_svg(labels: list[str], means, covs) -> str:
     """Projected items in component space: means plus 1 and 2 sigma ellipses.
 
+    Takes the stacked projected means (N, 2) and covariances (N, 2, 2).
     Items are colored by label (first-appearance order); items with zero
     covariance render as a plain dot.
     """
-    if not entries:
+    if not len(labels):
         raise ValueError("nothing to render")
-    for g, _label in entries:
-        if g.dim != 2:
-            raise ValueError("projection rendering is defined for q = 2")
+    if means.shape[1:] != (2,) or covs.shape[1:] != (2, 2):
+        raise ValueError("projection rendering is defined for q = 2")
 
-    outlines: list[tuple[int, float, np.ndarray]] = []  # (entry, k_sigma, points)
-    bounds_pts = [g.mean() for g, _ in entries]
-    for i, (g, _label) in enumerate(entries):
-        if float(np.abs(g.cov()).max()) == 0.0:
-            continue
-        for k_sigma in (1.0, 2.0):
-            outline = ellipse_outline(g, k_sigma)
-            outlines.append((i, k_sigma, outline))
-            bounds_pts.append(outline)
-    stacked = np.vstack([np.atleast_2d(p) for p in bounds_pts])
-    lo = stacked.min(axis=0)
-    hi = stacked.max(axis=0)
+    outlines: list[tuple[int, float, np.ndarray]] = []  # (item, k_sigma, points)
+    spread = np.abs(covs).reshape(len(covs), -1).max(axis=1)
+    for i in np.flatnonzero(spread != 0.0):
+        pair = _ellipse_outlines(means[i], covs[i], (1.0, 2.0), 64)
+        outlines.extend((i, k_sigma, pts) for k_sigma, pts in zip((1.0, 2.0), pair))
+    stacked = np.vstack([means, *(pts for _, _, pts in outlines)])
+    lo, hi = stacked.min(axis=0), stacked.max(axis=0)
     span = np.maximum(hi - lo, 1e-12)
     margin = 70.0
     scale = min((SIZE - 2 * margin) / span[0], (SIZE - 2 * margin) / span[1])
     mid = (lo + hi) / 2.0
 
-    def to_px(p):
-        return SIZE / 2.0 + (p[0] - mid[0]) * scale, SIZE / 2.0 - (p[1] - mid[1]) * scale
+    def to_px(p: np.ndarray) -> np.ndarray:
+        return np.column_stack([SIZE / 2.0 + (p[:, 0] - mid[0]) * scale,
+                                SIZE / 2.0 - (p[:, 1] - mid[1]) * scale])
 
-    color_of: dict[str, str] = {}
-    for _, label in entries:
-        if label not in color_of:
-            color_of[label] = PALETTE[len(color_of) % len(PALETTE)]
+    color_of = {label: PALETTE[j % len(PALETTE)]
+                for j, label in enumerate(dict.fromkeys(labels))}
 
     parts = [_HEADER]
-    parts.append(f'<rect width="{SIZE}" height="{SIZE}" fill="#ffffff"/>')
-    for i, k_sigma, outline in outlines:
-        color = color_of[entries[i][1]]
-        px = [to_px(p) for p in outline]
-        parts.append(_poly(px, color, width=1.5, opacity=0.9 if k_sigma == 1.0 else 0.45))
-    for g, label in entries:
-        x, y = to_px(g.mean())
+    for i, k_sigma, pts in outlines:
+        parts.append(_poly(to_px(pts), color_of[labels[i]], width=1.5,
+                           opacity=0.9 if k_sigma == 1.0 else 0.45))
+    for (x, y), label in zip(to_px(means).tolist(), labels):
         parts.append(_dot(x, y, color_of[label], r=3.5))
     for j, (label, color) in enumerate(color_of.items()):
         parts.append(_dot(24.0, 24.0 + 18.0 * j, color, r=4.0))
         parts.append(_text(34.0, 28.0 + 18.0 * j, label))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _document(parts)

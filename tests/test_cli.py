@@ -77,6 +77,31 @@ def test_project_points_and_aggregation(tmp_path, iris_path, capsys):
     assert _read_lines(tmp_path / "agg.projection.csv") == _read_lines(tmp_path / "emp.projection.csv")
 
 
+def test_project_points_shifted_by_1e8_match_unshifted(tmp_path, iris_path, capsys):
+    rows = [line.split(",") for line in _read_lines(iris_path)]
+    shifted = tmp_path / "shifted.csv"
+    shifted.write_text(
+        "\n".join([",".join(rows[0])] + [
+            ",".join([repr(float(v) + 1e8) for v in row[:-1]] + row[-1:]) for row in rows[1:]
+        ]) + "\n",
+        encoding="utf-8",
+    )
+    for name, path in (("plain", iris_path), ("shifted", shifted)):
+        assert main(["project", "--input", str(path), "--points",
+                     "--out-prefix", str(tmp_path / name)]) == 0
+    plain = [r.split(",") for r in _read_lines(tmp_path / "plain.projection.csv")]
+    moved = [r.split(",") for r in _read_lines(tmp_path / "shifted.projection.csv")]
+    assert [r[0] for r in moved] == [r[0] for r in plain]
+    a = np.array([[float(v) for v in r[1:]] for r in plain[1:]])
+    b = np.array([[float(v) for v in r[1:]] for r in moved[1:]])
+    # Reading x + 1e8 rounds each coordinate by up to ulp(1e8)/2, and the
+    # column mean adds as much again, so each centred coordinate is off by at
+    # most one ulp(1e8).  A unit component sums 4 such errors with |a|_1 <= 2,
+    # giving 2 ulp; the bound allows 4x that for the basis turning with K.
+    assert np.abs(b - a).max() <= 8 * np.spacing(1e8)
+    assert np.array_equal(b[:, 2:], a[:, 2:])  # points project to zero covariance
+
+
 def test_project_standardize_points(tmp_path, iris_path):
     code = main([
         "project", "--input", str(iris_path), "--points", "--standardize",

@@ -98,6 +98,39 @@ def test_translation_leaves_matrix_unchanged(seed, n_items, dim, data):
     assert np.abs(k_shifted - k).max() <= 1e-7 * np.abs(k).max()
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_items=st.integers(5, 60),
+    dim=st.integers(2, 6),
+    data=st.data(),
+)
+def test_diagonal_rescale_maps_matrix_to_s_k_s(seed, n_items, dim, data):
+    # x -> S x with S = diag(scale) > 0 maps every item mean to S m and every
+    # item covariance to S Psi S, so K(s) goes to S K(s) S for every s.
+    scale = np.array(
+        data.draw(st.lists(st.floats(1e-3, 1e3), min_size=dim, max_size=dim))
+    )
+    rng = np.random.default_rng(seed)
+    kinds = (
+        lambda: Gaussian(rng.normal(0, 1, dim), random_psd(rng, dim)),
+        lambda: Point(rng.normal(0, 1, dim)),
+        lambda: ProductOf1D(
+            Trapezoid(*np.sort(rng.normal(0, 1, 4))) if j % 2 else Interval(-abs(x), abs(x))
+            for j, x in enumerate(rng.normal(0, 1, dim))
+        ),
+    )
+    items = tuple(kinds[i % 3]() for i in range(n_items))
+    ds = UncertainDataset(items, weights=rng.uniform(0.5, 3.0, n_items))
+    scaled = ds.rescale(scale, np.zeros(dim))
+    for s in (0.0, 1.0, math.inf):
+        k = global_cov(ds, CovOptions(scale_s=s)).matrix
+        k_scaled = global_cov(scaled, CovOptions(scale_s=s)).matrix
+        # Compare in the original units: S^-1 K' S^-1 against K.
+        back = k_scaled / np.outer(scale, scale)
+        assert np.abs(back - k).max() <= 1e-12 * np.abs(k).max()
+
+
 def test_use_weights_false_ignores_weights():
     rng = np.random.default_rng(7)
     ds = random_gaussian_dataset(rng, 5, 3, weighted=True)

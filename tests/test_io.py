@@ -260,24 +260,21 @@ def test_traces_csv_requires_two_components(tmp_path, students_path):
 
 
 def test_projection_csv_layout(tmp_path):
-    projected = [
-        Gaussian([1.0, 2.0], np.array([[1.0, 0.25], [0.25, 2.0]])),
-        Gaussian([0.0, 0.0], np.zeros((2, 2))),
-    ]
+    means = np.array([[1.0, 2.0], [0.0, 0.0]])
+    covs = np.array([[[1.0, 0.25], [0.25, 2.0]], np.zeros((2, 2))])
     path = tmp_path / "p.csv"
-    write_projection_csv(path, ["a", "b"], projected)
+    write_projection_csv(path, ["a", "b"], means, covs)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "label,mean_1,mean_2,cov_1_1,cov_1_2,cov_2_1,cov_2_2"
     assert lines[1] == "a,1.0,2.0,1.0,0.25,0.25,2.0"
     assert lines[2] == "b,0.0,0.0,0.0,0.0,0.0,0.0"
     with pytest.raises(ValueError, match="nothing to write"):
-        write_projection_csv(tmp_path / "n.csv", [], [])
+        write_projection_csv(tmp_path / "n.csv", [], np.empty((0, 2)), np.empty((0, 2, 2)))
 
 
 def test_csv_numbers_fold_negative_zero(tmp_path):
-    g = Gaussian([0.0, -0.0], np.zeros((2, 2)))
     path = tmp_path / "z.csv"
-    write_projection_csv(path, ["z"], [g])
+    write_projection_csv(path, ["z"], np.array([[0.0, -0.0]]), -np.zeros((1, 2, 2)))
     text = path.read_text(encoding="utf-8")
     assert "-0.0" not in text
 

@@ -1,10 +1,23 @@
+import math
+
 import numpy as np
 import pytest
 
-from uapca.cov import global_cov
+from uapca.cov import CovOptions, global_cov
 from uapca.eigen import eig_sym, select_components
-from uapca.model import Gaussian, Point, UncertainDataset
-from uapca.project import ellipse_outline, project_distribution, project_point
+from uapca.model import (
+    Distribution,
+    EmpiricalCluster,
+    Gaussian,
+    Interval,
+    Normal1D,
+    Number,
+    Point,
+    ProductOf1D,
+    Trapezoid,
+    UncertainDataset,
+)
+from uapca.project import ellipse_outline, project_distribution, project_items, project_point
 
 from conftest import random_psd
 
@@ -63,6 +76,73 @@ def test_dimension_mismatch_raises():
         project_point(model, np.ones(4))
     with pytest.raises(ValueError, match="does not match model dimension"):
         project_distribution(model, Gaussian(np.zeros(4), np.eye(4)))
+
+
+def _mixed_items(rng, dim=4):
+    """Every item kind: points, Gaussians, products of 1-d cells, clusters."""
+    items = []
+    for i in range(24):
+        centre = rng.normal(0, 2, dim)
+        kind = i % 4
+        if kind == 0:
+            items.append(Point(centre))
+        elif kind == 1:
+            items.append(Gaussian(centre, random_psd(rng, dim)))
+        elif kind == 2:
+            cells = [Number(centre[0]), Interval(centre[1] - 1.0, centre[1] + 0.5),
+                     Trapezoid(*(centre[2] + np.array([-2.0, -0.5, 0.25, 1.0]))),
+                     Normal1D(centre[3], 0.7)]
+            items.append(ProductOf1D(cells[:dim]))
+        else:
+            items.append(EmpiricalCluster(centre + rng.normal(0, 1, (9, dim))))
+    return tuple(items)
+
+
+@pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 3.0, math.inf])
+def test_batched_projection_matches_per_item_formula(s):
+    rng = np.random.default_rng(11)
+    ds = UncertainDataset(_mixed_items(rng), weights=rng.uniform(0.5, 2.0, 24))
+    g = global_cov(ds, CovOptions(scale_s=s))
+    model = select_components(eig_sym(g.matrix), g.mean, 2)
+    cov_scale = 1.0 if math.isinf(s) else s * s
+    means, covs = project_items(model, ds.items, cov_scale)
+    assert means.shape == (24, 2) and covs.shape == (24, 2, 2)
+
+    a, x_bar = model.components, model.mean
+    for i, item in enumerate(ds.items):
+        if isinstance(item, EmpiricalCluster):
+            m, psi = item.points.mean(axis=0), np.cov(item.points.T, bias=True)
+        else:
+            m, psi = item.mean(), item.cov()
+        want_mean = a.T @ (m - x_bar)
+        want_cov = cov_scale * (a.T @ psi @ a)
+        assert np.abs(means[i] - want_mean).max() <= 1e-12 * max(1.0, np.abs(want_mean).max())
+        assert np.abs(covs[i] - want_cov).max() <= 1e-12 * max(1.0, np.abs(want_cov).max())
+        if isinstance(item, Point):
+            assert np.array_equal(covs[i], np.zeros((2, 2)))
+        # The one-item call is the same computation.
+        image = project_distribution(model, item)
+        assert np.array_equal(image.mean(), project_items(model, [item])[0][0])
+
+
+class _Indefinite(Distribution):
+    dim = 2
+
+    def mean(self):
+        return np.zeros(2)
+
+    def cov(self):
+        return np.diag([1.0, -1.0])
+
+
+def test_batched_projection_checks_the_stack():
+    model = _fitted_model(UncertainDataset((Point([0.0, 0.0]), Point([1.0, 2.0]))), 2)
+    with pytest.raises(ValueError, match="projected covariance of item 1 is not positive"):
+        project_items(model, [Point([0.0, 1.0]), _Indefinite()])
+    with pytest.raises(ValueError, match="non-finite"):
+        # A point's zero covariance times an overflowed s^2 is NaN.
+        with np.errstate(invalid="ignore"):
+            project_items(model, [Point([0.0, 1.0])], cov_scale=math.inf)
 
 
 def test_unit_circle_outline():

@@ -165,6 +165,18 @@ def test_near_crossing_is_flagged():
     assert s[28] <= 0.8498 <= s[30]
 
 
+@pytest.mark.parametrize("c", [1e-3, 0.37, 2.0, 7.5, 1e4])
+def test_whole_dataset_scale_keeps_crossing_flags(c):
+    # Scaling every axis by c scales each K(s) by c^2, so every gap scales
+    # alike and the flags, which compare gaps with each other, stay put.
+    ds = near_crossing_dataset()
+    sched = SweepSchedule(steps=64)
+    _, curves = sweep(ds, q=2, schedule=sched)
+    _, scaled = sweep(ds.rescale(np.full(ds.dim, c), np.zeros(ds.dim)), q=2, schedule=sched)
+    assert scaled.avoided_crossing_flags == curves.avoided_crossing_flags
+    assert np.abs(scaled.values / c**2 - curves.values).max() <= 1e-12 * curves.values.max()
+
+
 def test_fine_grid_localizes_the_gap_minimum():
     ds = near_crossing_dataset()
     g = global_cov(ds)

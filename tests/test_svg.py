@@ -97,14 +97,23 @@ def test_eigencurves_svg_handles_zero_total_step():
     assert "nan" not in doc
 
 
+def _stacked(entries):
+    """(Gaussian, label) pairs as the renderer's labels, means and covariances."""
+    return (
+        [label for _, label in entries],
+        np.stack([g.mean() for g, _ in entries]),
+        np.stack([g.cov() for g, _ in entries]),
+    )
+
+
 def test_projection_svg_layout():
     entries = [
         (Gaussian([0.0, 0.0], np.eye(2)), "a"),
         (Gaussian([3.0, 1.0], np.diag([2.0, 0.5])), "b"),
         (Gaussian([1.0, 4.0], np.eye(2) * 0.2), "a"),
     ]
-    doc = render_projection_svg(entries)
-    assert doc == render_projection_svg(entries)
+    doc = render_projection_svg(*_stacked(entries))
+    assert doc == render_projection_svg(*_stacked(entries))
     # 1 and 2 sigma outlines per item.
     assert doc.count("<polyline") == 2 * len(entries)
     assert doc.count('stroke-opacity="0.450"') == len(entries)
@@ -120,15 +129,15 @@ def test_projection_svg_zero_covariance_is_a_dot():
         (Gaussian([0.0, 0.0], np.zeros((2, 2))), "p"),
         (Gaussian([1.0, 1.0], np.eye(2)), "q"),
     ]
-    doc = render_projection_svg(entries)
+    doc = render_projection_svg(*_stacked(entries))
     assert doc.count("<polyline") == 2  # only the nonzero item gets outlines
 
 
 def test_projection_svg_validation():
     with pytest.raises(ValueError, match="nothing to render"):
-        render_projection_svg([])
+        render_projection_svg([], np.empty((0, 2)), np.empty((0, 2, 2)))
     with pytest.raises(ValueError, match="q = 2"):
-        render_projection_svg([(Gaussian(np.zeros(3), np.eye(3)), "x")])
+        render_projection_svg(*_stacked([(Gaussian(np.zeros(3), np.eye(3)), "x")]))
 
 
 def test_negative_zero_never_appears(students_path):
