@@ -5,7 +5,7 @@ writes the projected items, ``trace`` sweeps the scale and writes factor
 traces plus eigenvalue curves, ``compare-sampling`` runs the convergence
 experiment against the Monte-Carlo oracle.  Machine-readable results go to
 files; stdout carries short human summaries.  Exit codes: 0 on success, 1
-on input or validation failures, 2 on bad flags.
+on input or validation failures (out of memory included), 2 on bad flags.
 """
 
 from __future__ import annotations
@@ -283,6 +283,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (DatasetFormatError, OSError, ValueError) as exc:
         print(f"uapca: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"uapca: error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 1
 
 

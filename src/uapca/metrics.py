@@ -20,6 +20,8 @@ correctness argument for the accumulation scheme.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,19 +102,44 @@ def hellinger(p: PcaSummary, q: PcaSummary) -> float:
 
 
 def sampled_pca(
-    ds: UncertainDataset, samples_per_item: int, rng: np.random.Generator
+    ds: UncertainDataset,
+    samples_per_item: int,
+    rng: np.random.Generator,
+    *,
+    scratch: np.ndarray | None = None,
 ) -> PcaSummary:
     """Monte-Carlo counterpart of the closed-form global covariance.
 
-    Draws ``samples_per_item`` samples from every item in order, pools them,
-    and returns the pooled mean and population (1/M) covariance.  Weights
-    are ignored: every item contributes the same number of draws.
-    Deterministic for a seeded generator.
+    Draws ``samples_per_item`` samples from every item in order straight
+    into one pooled (M, D) array, centres it in place, and returns the
+    pooled mean and population (1/M) covariance.  Weights are ignored:
+    every item contributes the same number of draws.  Deterministic for a
+    seeded generator.
+
+    ``scratch`` is an optional contiguous 1-d float64 array of at least
+    (len(ds) + 1) * samples_per_item * D entries; the pooled rows and the
+    Gaussian normal draws are written into it instead of fresh arrays, so a
+    caller making many passes (one buffer per thread) allocates no sample
+    arrays per pass.  Its old contents do not matter, the result does not
+    alias it, and the result is the same bits with or without it.
     """
     if not isinstance(samples_per_item, (int, np.integer)) or samples_per_item < 1:
         raise ValueError(f"samples_per_item must be a positive integer, got {samples_per_item!r}")
-    pooled = np.vstack([item.sample(int(samples_per_item), rng) for item in ds.items])
-    return PcaSummary(*_population_moments(pooled))
+    n, dim = int(samples_per_item), ds.dim
+    rows = len(ds) * n
+    size = (rows + n) * dim
+    if scratch is None:
+        scratch = np.empty(size)
+    elif (scratch.dtype != np.float64 or scratch.ndim != 1
+          or not scratch.flags.c_contiguous or scratch.size < size):
+        raise ValueError(
+            f"scratch must be a contiguous 1-d float64 array of at least {size} entries"
+        )
+    pooled = scratch[: rows * dim].reshape(rows, dim)
+    draws = scratch[rows * dim : size].reshape(n, dim)
+    for i, item in enumerate(ds.items):
+        item.sample(n, rng, out=pooled[i * n : (i + 1) * n], draws=draws)
+    return PcaSummary(*_population_moments(pooled, overwrite=True))
 
 
 # ---------------------------------------------------------------------------
@@ -190,39 +217,74 @@ def _experiment_dataset(dim: int, n_items: int, seed: int) -> UncertainDataset:
     return UncertainDataset(tuple(Gaussian(mu, psi) for mu in means))
 
 
+def _worker_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 def run_convergence_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
     """Median Hellinger between sampled and closed-form PCA summaries.
 
     For every (dim, sample count) cell the experiment runs ``cfg.runs``
     independent sampling passes with derived seeds and reports the median
     Hellinger distance to the closed-form summary at s = 1.  Rows come out
-    ordered by dim, then sample count.  Fully deterministic given the
-    config.
+    ordered by dim, then sample count.
+
+    The passes run on a thread pool with one worker per CPU this process
+    may use.  Each pass has its own generator, seeded from (seed, dim,
+    count, run), and each worker reuses one ``sampled_pca`` scratch buffer
+    across its passes, so the rows are fully determined by the config and
+    do not depend on the worker count.
     """
-    rows: list[ExperimentRow] = []
+    # Imported here, not at module top: it would add to every CLI start-up.
+    from concurrent.futures import ThreadPoolExecutor
+
+    cells = []
     for dim in cfg.dims:
         ds = _experiment_dataset(dim, cfg.n_items, cfg.rng_seed)
+        for item in ds.items:
+            item._sampling_factor()  # cached now, so the workers only read it
         closed = summary_of(global_cov(ds, CovOptions(scale_s=1.0)))
-        for count in cfg.sample_counts:
-            dists = [
-                hellinger(
-                    sampled_pca(
-                        ds, count, np.random.default_rng([cfg.rng_seed, dim, count, run])
-                    ),
-                    closed,
-                )
-                for run in range(cfg.runs)
-            ]
-            rows.append(
-                ExperimentRow(
-                    dim=dim,
-                    samples=count,
-                    median_hellinger=float(np.median(dists)),
-                    runs=cfg.runs,
-                    seed=cfg.rng_seed,
-                )
-            )
-    return rows
+        cells.extend((dim, count, ds, closed) for count in cfg.sample_counts)
+    tasks = [(cell, run) for cell in cells for run in range(cfg.runs)]
+    dists = [0.0] * len(tasks)
+    scratch_size = (cfg.n_items + 1) * max(cfg.sample_counts) * max(cfg.dims)
+    workers = min(_worker_count(), len(tasks))
+    stop = threading.Event()
+
+    def work(first: int) -> None:
+        try:
+            scratch = np.empty(scratch_size)
+            for i in range(first, len(tasks), workers):
+                if stop.is_set():
+                    return
+                (dim, count, ds, closed), run = tasks[i]
+                rng = np.random.default_rng([cfg.rng_seed, dim, count, run])
+                dists[i] = hellinger(sampled_pca(ds, count, rng, scratch=scratch), closed)
+        except BaseException:
+            stop.set()  # the other workers stop after the pass they are in
+            raise
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(work, first) for first in range(workers)]
+        try:
+            for future in futures:
+                future.result()
+        finally:
+            stop.set()  # on an interrupt, too, no worker starts another pass
+    return [
+        ExperimentRow(
+            dim=dim,
+            samples=count,
+            median_hellinger=float(np.median(dists[c * cfg.runs : (c + 1) * cfg.runs])),
+            runs=cfg.runs,
+            seed=cfg.rng_seed,
+        )
+        for c, (dim, count, _, _) in enumerate(cells)
+    ]
 
 
 def samples_to_reach(rows: list[ExperimentRow], dim: int, target: float = _TARGET_H) -> int | None:

@@ -68,10 +68,16 @@ def _require_psd(k: np.ndarray, name: str) -> None:
         )
 
 
-def _population_moments(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and symmetrized population (1/n) covariance of (n, D) rows; no validation."""
+def _population_moments(
+    rows: np.ndarray, overwrite: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and symmetrized population (1/n) covariance of (n, D) rows; no validation.
+
+    With ``overwrite`` the rows are centred in place instead of in a copy;
+    the result is the same bits either way.
+    """
     mean = rows.mean(axis=0)
-    centered = rows - mean
+    centered = np.subtract(rows, mean, out=rows if overwrite else None)
     k = centered.T @ centered / rows.shape[0]
     return mean, (k + k.T) / 2.0
 
@@ -114,6 +120,10 @@ class Scalar1D:
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
+    def rescale(self, scale: float, offset: float) -> "Scalar1D":
+        """The distribution of scale * x + offset (scale > 0)."""
+        raise NotImplementedError
+
 
 @dataclass(frozen=True)
 class Number(Scalar1D):
@@ -133,6 +143,9 @@ class Number(Scalar1D):
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return np.full(n, float(self.value))
+
+    def rescale(self, scale: float, offset: float) -> "Number":
+        return Number(scale * self.value + offset)
 
 
 @dataclass(frozen=True)
@@ -158,6 +171,9 @@ class Interval(Scalar1D):
         if self.hi == self.lo:
             return np.full(n, self.lo)
         return rng.uniform(self.lo, self.hi, size=n)
+
+    def rescale(self, scale: float, offset: float) -> "Interval":
+        return Interval(scale * self.lo + offset, scale * self.hi + offset)
 
 
 @dataclass(frozen=True)
@@ -228,6 +244,9 @@ class Trapezoid(Scalar1D):
         out[fall] = d - np.sqrt((1.0 - u[fall]) * s * (d - c))
         return out
 
+    def rescale(self, scale: float, offset: float) -> "Trapezoid":
+        return Trapezoid(*(scale * v + offset for v in (self.a, self.b, self.c, self.d)))
+
 
 @dataclass(frozen=True)
 class Normal1D(Scalar1D):
@@ -251,6 +270,9 @@ class Normal1D(Scalar1D):
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.normal(self.loc, self.sd, size=n)
 
+    def rescale(self, scale: float, offset: float) -> "Normal1D":
+        return Normal1D(scale * self.loc + offset, scale * self.sd)
+
 
 # ---------------------------------------------------------------------------
 # Multivariate distributions.
@@ -269,13 +291,32 @@ class Distribution:
     def cov(self) -> np.ndarray:
         raise NotImplementedError
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw n samples, returned as an (n, D) array."""
+    def sample(
+        self, n: int, rng: np.random.Generator, out: np.ndarray | None = None,
+        draws: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Draw n samples as an (n, D) array, written into ``out`` when given.
+
+        ``draws`` is an optional (n, D) buffer for intermediate standard
+        normal draws (only Gaussian items use it), so a caller that samples
+        repeatedly into its own buffers allocates nothing per call.  The
+        generator is consumed the same way, and the samples are the same
+        bits, whether or not the buffers are given.
+        """
         raise NotImplementedError
 
     def rescale(self, scale: np.ndarray, offset: np.ndarray) -> "Distribution":
         """Apply the per-axis map x -> scale * x + offset (scale > 0)."""
         raise NotImplementedError
+
+
+def _sample_buffer(buf: np.ndarray | None, n: int, dim: int) -> np.ndarray:
+    """A fresh (n, dim) array, or buf after checking that it has that shape."""
+    if buf is None:
+        return np.empty((n, dim))
+    if buf.shape != (n, dim):
+        raise ValueError(f"sample buffer has shape {buf.shape}, expected {(n, dim)}")
+    return buf
 
 
 def _check_rescale_args(scale, offset, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -304,8 +345,10 @@ class Point(Distribution):
     def cov(self) -> np.ndarray:
         return np.zeros((self.dim, self.dim))
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return np.tile(self._x, (n, 1))
+    def sample(self, n: int, rng: np.random.Generator, out=None, draws=None) -> np.ndarray:
+        out = _sample_buffer(out, n, self.dim)
+        out[...] = self._x
+        return out
 
     def rescale(self, scale, offset) -> "Point":
         s, o = _check_rescale_args(scale, offset, self.dim)
@@ -339,14 +382,23 @@ class Gaussian(Distribution):
     def cov(self) -> np.ndarray:
         return self._cov
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+    def _sampling_factor(self) -> np.ndarray:
+        """F with F F^T = cov, computed on first use and cached.
+
+        The eigen factor handles rank-deficient covariances; tiny negative
+        eigenvalues from round-off are clamped to zero.  Call it once before
+        sampling one item from several threads, so they only read it.
+        """
         if self._factor is None:
-            # Eigen factor handles rank-deficient covariances; tiny negative
-            # eigenvalues from round-off are clamped to zero.
             evals, evecs = np.linalg.eigh(self._cov)
             self._factor = evecs * np.sqrt(np.clip(evals, 0.0, None))
-        z = rng.standard_normal((n, self.dim))
-        return self._mean + z @ self._factor.T
+        return self._factor
+
+    def sample(self, n: int, rng: np.random.Generator, out=None, draws=None) -> np.ndarray:
+        z = rng.standard_normal(out=_sample_buffer(draws, n, self.dim))
+        out = np.matmul(z, self._sampling_factor().T, out=_sample_buffer(out, n, self.dim))
+        out += self._mean
+        return out
 
     def rescale(self, scale, offset) -> "Gaussian":
         s, o = _check_rescale_args(scale, offset, self.dim)
@@ -378,29 +430,15 @@ class ProductOf1D(Distribution):
     def cov(self) -> np.ndarray:
         return np.diag([c.variance() for c in self.cells])
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return np.column_stack([c.sample(n, rng) for c in self.cells])
+    def sample(self, n: int, rng: np.random.Generator, out=None, draws=None) -> np.ndarray:
+        out = _sample_buffer(out, n, self.dim)
+        for j, cell in enumerate(self.cells):
+            out[:, j] = cell.sample(n, rng)
+        return out
 
     def rescale(self, scale, offset) -> "ProductOf1D":
         s, o = _check_rescale_args(scale, offset, self.dim)
-        out: list[Scalar1D] = []
-        for cell, si, oi in zip(self.cells, s, o):
-            if isinstance(cell, Number):
-                out.append(Number(si * cell.value + oi))
-            elif isinstance(cell, Interval):
-                out.append(Interval(si * cell.lo + oi, si * cell.hi + oi))
-            elif isinstance(cell, Trapezoid):
-                out.append(
-                    Trapezoid(
-                        si * cell.a + oi, si * cell.b + oi,
-                        si * cell.c + oi, si * cell.d + oi,
-                    )
-                )
-            elif isinstance(cell, Normal1D):
-                out.append(Normal1D(si * cell.loc + oi, si * cell.sd))
-            else:  # pragma: no cover - sealed by the constructor check
-                raise TypeError(f"cannot rescale cell {cell!r}")
-        return ProductOf1D(out)
+        return ProductOf1D(cell.rescale(si, oi) for cell, si, oi in zip(self.cells, s, o))
 
     def __repr__(self) -> str:
         return f"ProductOf1D({list(self.cells)!r})"
@@ -431,9 +469,12 @@ class EmpiricalCluster(Distribution):
     def cov(self) -> np.ndarray:
         return _population_moments(self.points)[1]
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+    def sample(self, n: int, rng: np.random.Generator, out=None, draws=None) -> np.ndarray:
         idx = rng.integers(0, self.points.shape[0], size=n)
-        return self.points[idx]
+        # Indices are in range, so "clip" changes nothing; it spares the
+        # temporary that take() makes for out= under the default "raise".
+        out = _sample_buffer(out, n, self.dim)
+        return np.take(self.points, idx, axis=0, out=out, mode="clip")
 
     def rescale(self, scale, offset) -> "EmpiricalCluster":
         s, o = _check_rescale_args(scale, offset, self.dim)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import uapca.cli
 from uapca.cli import main
 from uapca.io import load_dataset
 
@@ -269,6 +271,49 @@ def test_compare_sampling_rejects_unordered_counts(tmp_path, capsys, monkeypatch
     ])
     assert code == 2
     assert "strictly increasing" in capsys.readouterr().err
+
+
+def test_compare_sampling_csv_bytes_are_pinned(tmp_path, capsys, monkeypatch):
+    # Recorded from the serial implementation; the thread pool must not move a bit.
+    monkeypatch.delenv("UAPCA_SEED", raising=False)
+    out = tmp_path / "pin.csv"
+    code = main([
+        "compare-sampling", "--dims", "2,5", "--runs", "4",
+        "--samples", "16,256", "--seed", "3", "--out", str(out),
+    ])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "97426ac853b50594c60ebb7aa48bf49a3b406bdf5b7b5f0f312655549f862d7a"
+    )
+
+
+def test_out_of_memory_is_a_one_line_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("UAPCA_SEED", raising=False)
+
+    def exhausted(cfg):
+        raise MemoryError("Unable to allocate 16.0 TiB for an array")
+
+    monkeypatch.setattr(uapca.cli, "run_convergence_experiment", exhausted)
+    code = main(["compare-sampling", "--dims", "2", "--runs", "1",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "uapca: error: out of memory: Unable to allocate 16.0 TiB for an array"
+    ]
+    assert "Traceback" not in err
+
+
+def test_cli_import_leaves_the_thread_pool_unloaded():
+    # concurrent.futures is imported when the experiment runs, so it adds
+    # nothing to the start-up of the other commands.
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import uapca.cli, sys; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def test_module_entry_point(tmp_path, students_path):

@@ -1,7 +1,11 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
+import uapca.metrics
 from uapca.cov import CovOptions, global_cov
 from uapca.metrics import (
     DEFAULT_SAMPLE_COUNTS,
@@ -15,7 +19,18 @@ from uapca.metrics import (
     samples_to_reach,
     summary_of,
 )
-from uapca.model import Gaussian, Point, UncertainDataset
+from uapca.model import (
+    EmpiricalCluster,
+    Gaussian,
+    Interval,
+    Normal1D,
+    Number,
+    Point,
+    ProductOf1D,
+    Trapezoid,
+    UncertainDataset,
+    _population_moments,
+)
 
 from conftest import random_psd
 
@@ -158,6 +173,98 @@ def test_sampled_pca_validation():
     ds = UncertainDataset(items=(Point([0.0]), Point([1.0])))
     with pytest.raises(ValueError):
         sampled_pca(ds, 0, np.random.default_rng(0))
+
+
+def _mixed_dataset():
+    rng = np.random.default_rng(12)
+    basis = rng.standard_normal((3, 1))
+    return UncertainDataset(items=(
+        Point([1.0, 2.0, -1.0]),
+        Gaussian(rng.normal(0, 1, 3), basis @ basis.T),  # rank 1
+        ProductOf1D([Number(0.5), Interval(-1.0, 1.0), Trapezoid(0.0, 1.0, 2.0, 4.0)]),
+        ProductOf1D([Normal1D(3.0, 0.2), Number(-4.0), Interval(2.0, 2.5)]),
+        EmpiricalCluster(rng.normal(0, 1, (5, 3))),
+    ))
+
+
+def test_pooled_sampling_is_bit_identical_to_stacked_draws():
+    ds = _mixed_dataset()
+
+    def reference(n, seed):
+        rng = np.random.default_rng(seed)
+        return _population_moments(np.vstack([item.sample(n, rng) for item in ds.items]))
+
+    scratch = np.empty((len(ds) + 1) * 200 * ds.dim)
+    for n, seed in [(200, 1), (33, 2), (1, 3)]:
+        mean, cov = reference(n, seed)
+        # The first pass uses a fresh buffer; the later ones reuse the
+        # scratch that the earlier, larger passes left dirty.
+        for kwargs in ({}, {"scratch": scratch}):
+            got = sampled_pca(ds, n, np.random.default_rng(seed), **kwargs)
+            assert np.array_equal(got.mean, mean)
+            assert np.array_equal(got.cov, cov)
+
+
+def test_sampled_pca_rejects_an_unusable_scratch():
+    ds = _mixed_dataset()
+    size = (len(ds) + 1) * 8 * ds.dim
+    for bad in (np.empty(size - 1), np.empty(size, dtype=np.float32),
+                np.empty(2 * size)[::2], np.empty((size, 1))):
+        with pytest.raises(ValueError, match="scratch"):
+            sampled_pca(ds, 8, np.random.default_rng(0), scratch=bad)
+
+
+def _serial_rows(cfg):
+    """The experiment, one pass after another, from the public pieces."""
+    rows = []
+    for dim in cfg.dims:
+        ds = uapca.metrics._experiment_dataset(dim, cfg.n_items, cfg.rng_seed)
+        closed = summary_of(global_cov(ds, CovOptions(scale_s=1.0)))
+        for count in cfg.sample_counts:
+            dists = [
+                hellinger(
+                    sampled_pca(ds, count, np.random.default_rng([cfg.rng_seed, dim, count, run])),
+                    closed,
+                )
+                for run in range(cfg.runs)
+            ]
+            rows.append(ExperimentRow(dim, count, float(np.median(dists)), cfg.runs, cfg.rng_seed))
+    return rows
+
+
+@pytest.mark.parametrize("workers", [1, 3, 8])
+def test_rows_do_not_depend_on_the_worker_count(monkeypatch, workers):
+    cfg = ExperimentConfig(dims=(2, 4, 5), sample_counts=(8, 64), n_items=3, runs=5, rng_seed=11)
+    monkeypatch.setattr(uapca.metrics, "_worker_count", lambda: workers)
+    # More workers than cores and a short switch interval, so that a pass
+    # result written to the wrong slot or lost would change a median.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rows = run_convergence_experiment(cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert rows == _serial_rows(cfg)
+
+
+def test_a_failing_pass_stops_the_pool(monkeypatch):
+    cfg = ExperimentConfig(dims=(2, 3), sample_counts=(8, 16), n_items=3, runs=20, rng_seed=0)
+    calls = []
+    lock = threading.Lock()
+
+    def failing(ds, n, rng, **kwargs):
+        with lock:
+            calls.append(n)
+            if len(calls) == 3:
+                raise MemoryError("no room")
+        return sampled_pca(ds, n, rng, **kwargs)
+
+    monkeypatch.setattr(uapca.metrics, "_worker_count", lambda: 2)
+    monkeypatch.setattr(uapca.metrics, "sampled_pca", failing)
+    with pytest.raises(MemoryError, match="no room"):
+        run_convergence_experiment(cfg)
+    # The other worker stops after the pass it is in, well short of all 80.
+    assert len(calls) < 10
 
 
 def test_experiment_config_validation():

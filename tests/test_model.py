@@ -261,6 +261,54 @@ def test_rescale_moments_follow_affine_laws():
         dists[0].rescale([1.0, -1.0, 1.0], offset)
 
 
+@pytest.mark.parametrize("scale, offset", [(2.5, -1.0), (1e-3, 1e6), (7.0, 0.0)])
+def test_cell_rescale_maps_mean_and_variance(scale, offset):
+    cells = [Number(3.0), Interval(-1.0, 2.0), Trapezoid(0.0, 1.0, 3.0, 6.0), Normal1D(-2.0, 1.5)]
+    # Each rescaled parameter is rounded once, to within ulp of its size,
+    # and a standard deviation moves by no more than its parameters do.
+    ulp = np.spacing(abs(offset) + 10.0 * scale)
+    for cell in cells:
+        r = cell.rescale(scale, offset)
+        var = scale**2 * cell.variance()
+        assert type(r) is type(cell)
+        assert r.mean() == pytest.approx(scale * cell.mean() + offset, rel=1e-15, abs=4 * ulp)
+        assert r.variance() == pytest.approx(var, rel=1e-12, abs=4 * ulp * np.sqrt(var))
+
+
+def _every_kind():
+    rng = np.random.default_rng(31)
+    basis = rng.standard_normal((4, 2))
+    return [
+        Point([1.0, -2.0, 0.5, 4.0]),
+        Gaussian(rng.normal(0, 1, 4), basis @ basis.T),  # rank 2
+        ProductOf1D([Number(2.0), Interval(0.0, 3.0), Trapezoid(1.0, 2.0, 4.0, 5.0),
+                     Normal1D(-1.0, 0.5)]),
+        EmpiricalCluster(rng.normal(0, 1, (7, 4))),
+    ]
+
+
+def test_sampling_into_buffers_matches_fresh_arrays():
+    n = 37
+    for item in _every_kind():
+        fresh = item.sample(n, np.random.default_rng(5))
+        out = np.full((n, 4), np.nan)
+        draws = np.full((n, 4), np.nan)
+        got = item.sample(n, np.random.default_rng(5), out=out, draws=draws)
+        assert got is out
+        assert fresh.shape == (n, 4)
+        assert np.array_equal(got, fresh)
+        with pytest.raises(ValueError, match="shape"):
+            item.sample(n, np.random.default_rng(5), out=np.empty((n + 1, 4)))
+
+
+def test_gaussian_sample_is_mean_plus_factored_draws():
+    g = _every_kind()[1]
+    evals, evecs = np.linalg.eigh(g.cov())
+    factor = evecs * np.sqrt(np.clip(evals, 0.0, None))
+    z = np.random.default_rng(8).standard_normal((50, 4))
+    assert np.array_equal(g.sample(50, np.random.default_rng(8)), g.mean() + z @ factor.T)
+
+
 def test_dataset_validation():
     items = (Point([0.0, 1.0]), Point([1.0, 0.0]))
     ds = UncertainDataset(items)
