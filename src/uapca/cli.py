@@ -163,7 +163,7 @@ def _cmd_project(args) -> int:
         pts = load_points(args.input)
         if args.standardize:
             pts = PointsData(
-                points=standardize_points(pts.points),
+                points=standardize_points(pts.points, pts.dim_names),
                 dim_names=pts.dim_names,
                 labels=pts.labels,
             )

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import UncertainDataset, _population_moments, _readonly
+from .model import Point, UncertainDataset, _population_moments, _readonly
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,8 @@ def global_cov(ds: UncertainDataset, opts: CovOptions = CovOptions()) -> GlobalC
 
     t_unc = np.zeros((ds.dim, ds.dim))
     for wi, item in zip(w, ds.items):
-        t_unc += wi * item.cov()
+        if not isinstance(item, Point):  # a point adds exact zeros
+            t_unc += wi * item.cov()
     t_unc /= wsum
 
     return GlobalCov(

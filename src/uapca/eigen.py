@@ -17,7 +17,11 @@ from .model import PSD_RTOL, SYM_RTOL, _as_vector, _readonly
 
 @dataclass(frozen=True)
 class EigenPairs:
-    """Eigenvalues in descending order with matching eigenvector columns."""
+    """Eigenvalues in descending order with matching eigenvector columns.
+
+    For a stack of matrices both are stacked: values (..., D), vectors
+    (..., D, D).
+    """
 
     values: np.ndarray
     vectors: np.ndarray
@@ -34,7 +38,8 @@ class PcaModel:
 
 
 def eig_sym(k) -> EigenPairs:
-    """Eigendecompose a symmetric PSD matrix with LAPACK ``eigh``.
+    """Eigendecompose a symmetric PSD matrix, or a (..., D, D) stack of them,
+    with LAPACK ``eigh``.
 
     Eigenvalues are sorted in descending order; exact ties keep the solver's
     emission order (stable sort), which is deterministic but otherwise
@@ -43,37 +48,48 @@ def eig_sym(k) -> EigenPairs:
     since it signals a non-PSD input.  Each eigenvector is flipped so its
     largest-magnitude entry is positive (magnitude ties resolved by the
     lowest index).
+
+    Every rule applies to each matrix of a stack on its own, and ``eigh``
+    solves a stack one matrix at a time with the same LAPACK routine, so
+    each slice of the result has the same bits as a call on that matrix
+    alone.  The result is stacked the same way: values (..., D), vectors
+    (..., D, D).  The non-PSD error of a stack names the first bad matrix by
+    its index in the flattened stack.
     """
     a = np.asarray(k, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains non-finite entries")
-    scale = float(np.abs(a).max())
-    if float(np.abs(a - a.T).max()) > SYM_RTOL * max(1.0, scale):
+    d = a.shape[-1]
+    flat = a.reshape(-1, d, d)
+    n = len(flat)
+    flat_t = flat.transpose(0, 2, 1)
+    scale = np.abs(flat).reshape(n, d * d).max(axis=1, initial=1.0)
+    if np.any(np.abs(flat - flat_t).reshape(n, d * d).max(axis=1) > SYM_RTOL * scale):
         raise ValueError("matrix is not symmetric")
 
-    values, vectors = np.linalg.eigh((a + a.T) / 2.0)
-    order = np.argsort(-values, kind="stable")
-    values = values[order]
-    vectors = vectors[:, order]
+    values, vectors = np.linalg.eigh((flat + flat_t) / 2.0)
+    stack = np.arange(n)[:, None]
+    order = np.argsort(-values, axis=1, kind="stable")
+    values = values[stack, order]
+    rows = vectors.transpose(0, 2, 1)[stack, order]  # row j: eigenvector j
 
-    lam_max = values[0]
-    floor = -PSD_RTOL * max(lam_max, 0.0)
-    negative = values < 0.0
-    if np.any(values < floor):
-        worst = float(values.min())
+    # Sorted descending, so only the last eigenvalue can be below the floor.
+    bad = np.flatnonzero(values[:, -1] < -PSD_RTOL * np.maximum(values[:, 0], 0.0))
+    if bad.size:
+        i = int(bad[0])
         raise ValueError(
-            f"matrix is not positive semi-definite (eigenvalue {worst:.3e} "
-            f"below the -1e-9 * lambda_max floor)"
+            f"matrix{f' {i}' if a.ndim > 2 else ''} is not positive semi-definite "
+            f"(eigenvalue {values[i, -1]:.3e} below the -1e-9 * lambda_max floor)"
         )
-    values[negative] = 0.0
+    values[values < 0.0] = 0.0
 
-    cols = np.arange(vectors.shape[1])
-    lead = vectors[np.argmax(np.abs(vectors), axis=0), cols]
-    vectors[:, lead < 0.0] *= -1.0
-
-    return EigenPairs(values=_readonly(values), vectors=_readonly(vectors))
+    lead = rows[stack, np.arange(d), np.argmax(np.abs(rows), axis=2)]
+    rows[lead < 0.0] *= -1.0
+    vectors = np.ascontiguousarray(rows.transpose(0, 2, 1))
+    return EigenPairs(values=_readonly(values.reshape(a.shape[:-1])),
+                      vectors=_readonly(vectors.reshape(a.shape)))
 
 
 def select_components(pairs: EigenPairs, mean, q: int) -> PcaModel:

@@ -162,18 +162,6 @@ def load_dataset(path) -> UncertainDataset:
         raise DatasetFormatError(f"{path}: {exc}") from exc
 
 
-def _cell_to_json(cell):
-    if isinstance(cell, Number):
-        return {"number": cell.value}
-    if isinstance(cell, Interval):
-        return {"interval": [cell.lo, cell.hi]}
-    if isinstance(cell, Trapezoid):
-        return {"trapezoid": [cell.a, cell.b, cell.c, cell.d]}
-    if isinstance(cell, Normal1D):
-        return {"normal": {"mean": cell.loc, "sd": cell.sd}}
-    raise ValueError(f"cannot serialize cell {cell!r}")
-
-
 def dataset_to_json(ds: UncertainDataset) -> dict:
     """Serialize a dataset; cluster items come out as moment-equal Gaussians."""
     items = []
@@ -183,7 +171,7 @@ def dataset_to_json(ds: UncertainDataset) -> dict:
             obj["label"] = ds.labels[i]
         obj["weight"] = float(ds.weights[i])
         if isinstance(item, ProductOf1D):
-            obj["values"] = [_cell_to_json(c) for c in item.cells]
+            obj["values"] = [c.to_json() for c in item.cells]
         elif isinstance(item, Point):
             obj["values"] = [{"number": float(v)} for v in item.mean()]
         else:
@@ -313,15 +301,21 @@ def aggregate_by_label(pts: PointsData, kind: str = "gaussian") -> UncertainData
 # Standardization.
 
 
-def standardize_points(points: np.ndarray) -> np.ndarray:
-    """Z-score columns with the population standard deviation."""
+def standardize_points(points: np.ndarray, dim_names=None) -> np.ndarray:
+    """Z-score columns with the population standard deviation.
+
+    A zero-variance column is an error that names the column by its entry
+    in ``dim_names`` when given, else by its index.
+    """
     p = np.asarray(points, dtype=float)
     mean = p.mean(axis=0)
     sigma = p.std(axis=0)
     bad = np.flatnonzero(sigma == 0.0)
     if bad.size:
+        col = int(bad[0])
         raise DatasetFormatError(
-            f"column {int(bad[0])} has zero variance; cannot standardize"
+            f"column {col if dim_names is None else repr(dim_names[col])} "
+            f"has zero variance; cannot standardize"
         )
     return (p - mean) / sigma
 

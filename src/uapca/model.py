@@ -124,6 +124,10 @@ class Scalar1D:
         """The distribution of scale * x + offset (scale > 0)."""
         raise NotImplementedError
 
+    def to_json(self) -> dict:
+        """The cell as a dataset-file value, e.g. {"interval": [lo, hi]}."""
+        raise NotImplementedError
+
 
 @dataclass(frozen=True)
 class Number(Scalar1D):
@@ -146,6 +150,9 @@ class Number(Scalar1D):
 
     def rescale(self, scale: float, offset: float) -> "Number":
         return Number(scale * self.value + offset)
+
+    def to_json(self) -> dict:
+        return {"number": self.value}
 
 
 @dataclass(frozen=True)
@@ -174,6 +181,9 @@ class Interval(Scalar1D):
 
     def rescale(self, scale: float, offset: float) -> "Interval":
         return Interval(scale * self.lo + offset, scale * self.hi + offset)
+
+    def to_json(self) -> dict:
+        return {"interval": [self.lo, self.hi]}
 
 
 @dataclass(frozen=True)
@@ -247,6 +257,9 @@ class Trapezoid(Scalar1D):
     def rescale(self, scale: float, offset: float) -> "Trapezoid":
         return Trapezoid(*(scale * v + offset for v in (self.a, self.b, self.c, self.d)))
 
+    def to_json(self) -> dict:
+        return {"trapezoid": [self.a, self.b, self.c, self.d]}
+
 
 @dataclass(frozen=True)
 class Normal1D(Scalar1D):
@@ -272,6 +285,9 @@ class Normal1D(Scalar1D):
 
     def rescale(self, scale: float, offset: float) -> "Normal1D":
         return Normal1D(scale * self.loc + offset, scale * self.sd)
+
+    def to_json(self) -> dict:
+        return {"normal": {"mean": self.loc, "sd": self.sd}}
 
 
 # ---------------------------------------------------------------------------

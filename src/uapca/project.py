@@ -53,14 +53,29 @@ def project_distribution(model: PcaModel, d: Distribution) -> Gaussian:
     return Gaussian(means[0], covs[0])
 
 
-def _ellipse_outlines(mean, cov, k_sigmas, segments: int) -> list[np.ndarray]:
-    """Closed isolines of N(mean, cov) at each of k_sigmas, from one eigen factor."""
-    pairs = eig_sym(cov)
-    factor = pairs.vectors * np.sqrt(pairs.values)
+def _ellipse_outlines(means, covs, k_sigmas, segments: int) -> np.ndarray:
+    """Closed isolines of N(means[i], covs[i]) at each of k_sigmas, for all i at once.
+
+    Takes means (N, 2) and covariances (N, 2, 2) and returns (N, k,
+    segments + 1, 2): ring j of item i is means[i] + k_sigmas[j] * L_i (cos t,
+    sin t), with the eigen factors L_i of the whole stack from one
+    ``eig_sym`` call.  Each ring is scaled and shifted as a whole array and
+    written into one preallocated result; the last vertex of each ring
+    repeats the first.
+    """
+    pairs = eig_sym(covs)
+    factors = pairs.vectors * np.sqrt(pairs.values)[..., None, :]
     theta = np.linspace(0.0, 2.0 * np.pi, segments, endpoint=False)
-    ring = (factor @ np.stack([np.cos(theta), np.sin(theta)])).T
-    outlines = [mean + k_sigma * ring for k_sigma in k_sigmas]
-    return [np.vstack([pts, pts[:1]]) for pts in outlines]
+    # (N, 2, segments): x and y rows, so scaling and the mean shift run along
+    # the long axis before one transposed copy into the result.
+    rings = np.matmul(factors, np.stack([np.cos(theta), np.sin(theta)]))
+    out = np.empty((len(means), len(k_sigmas), segments + 1, 2))
+    for j, k_sigma in enumerate(k_sigmas):
+        ring = k_sigma * rings
+        ring += means[..., None]
+        out[:, j, :segments] = ring.swapaxes(-1, -2)
+    out[:, :, segments] = out[:, :, 0]
+    return out
 
 
 def ellipse_outline(g: Gaussian, k_sigma: float, segments: int = 64) -> np.ndarray:
@@ -76,4 +91,4 @@ def ellipse_outline(g: Gaussian, k_sigma: float, segments: int = 64) -> np.ndarr
         raise ValueError(f"k_sigma must be positive, got {k_sigma}")
     if segments < 8:
         raise ValueError(f"segments must be >= 8, got {segments}")
-    return _ellipse_outlines(g.mean(), g.cov(), (k_sigma,), segments)[0]
+    return _ellipse_outlines(g.mean()[None], g.cov()[None], (k_sigma,), segments)[0, 0]

@@ -196,37 +196,45 @@ def render_projection_svg(labels: list[str], means, covs) -> str:
 
     Takes the stacked projected means (N, 2) and covariances (N, 2, 2).
     Items are colored by label (first-appearance order); items with zero
-    covariance render as a plain dot.
+    covariance render as a plain dot.  The outlines of every other item
+    come from one stacked eigensolve (``_ellipse_outlines``); the view
+    bounds are read from the means and that outline array, which is then
+    mapped to pixels in place.
     """
     if not len(labels):
         raise ValueError("nothing to render")
     if means.shape[1:] != (2,) or covs.shape[1:] != (2, 2):
         raise ValueError("projection rendering is defined for q = 2")
 
-    outlines: list[tuple[int, float, np.ndarray]] = []  # (item, k_sigma, points)
-    spread = np.abs(covs).reshape(len(covs), -1).max(axis=1)
-    for i in np.flatnonzero(spread != 0.0):
-        pair = _ellipse_outlines(means[i], covs[i], (1.0, 2.0), 64)
-        outlines.extend((i, k_sigma, pts) for k_sigma, pts in zip((1.0, 2.0), pair))
-    stacked = np.vstack([means, *(pts for _, _, pts in outlines)])
-    lo, hi = stacked.min(axis=0), stacked.max(axis=0)
+    drawn = np.flatnonzero(np.abs(covs).reshape(len(covs), -1).max(axis=1) != 0.0)
+    outlines = _ellipse_outlines(means[drawn], covs[drawn], (1.0, 2.0), 64)
+    # One reduction per axis: reducing an (n, 2) array over axis 0 is many
+    # times slower than reducing each strided column.
+    lo = np.array([min(means[:, c].min(), outlines[..., c].min(initial=np.inf))
+                   for c in (0, 1)])
+    hi = np.array([max(means[:, c].max(), outlines[..., c].max(initial=-np.inf))
+                   for c in (0, 1)])
     span = np.maximum(hi - lo, 1e-12)
     margin = 70.0
     scale = min((SIZE - 2 * margin) / span[0], (SIZE - 2 * margin) / span[1])
     mid = (lo + hi) / 2.0
 
     def to_px(p: np.ndarray) -> np.ndarray:
-        return np.column_stack([SIZE / 2.0 + (p[:, 0] - mid[0]) * scale,
-                                SIZE / 2.0 - (p[:, 1] - mid[1]) * scale])
+        """(..., 2) coordinates to pixels, in place."""
+        p -= mid
+        p *= scale
+        p[..., 0] += SIZE / 2.0
+        np.subtract(SIZE / 2.0, p[..., 1], out=p[..., 1])
+        return p
 
     color_of = {label: PALETTE[j % len(PALETTE)]
                 for j, label in enumerate(dict.fromkeys(labels))}
 
     parts = [_HEADER]
-    for i, k_sigma, pts in outlines:
-        parts.append(_poly(to_px(pts), color_of[labels[i]], width=1.5,
-                           opacity=0.9 if k_sigma == 1.0 else 0.45))
-    for (x, y), label in zip(to_px(means).tolist(), labels):
+    for i, rings in zip(drawn, to_px(outlines)):
+        for ring, opacity in zip(rings, (0.9, 0.45)):  # 1 and 2 sigma
+            parts.append(_poly(ring, color_of[labels[i]], width=1.5, opacity=opacity))
+    for (x, y), label in zip(to_px(np.array(means, dtype=float)).tolist(), labels):
         parts.append(_dot(x, y, color_of[label], r=3.5))
     for j, (label, color) in enumerate(color_of.items()):
         parts.append(_dot(24.0, 24.0 + 18.0 * j, color, r=4.0))

@@ -142,6 +142,17 @@ def test_missing_and_malformed_inputs(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+def test_standardize_names_a_flat_column_by_its_header(tmp_path, capsys):
+    flat = tmp_path / "flat.csv"
+    flat.write_text("w,x,y\n1.0,2.0,3.0\n4.0,2.0,5.0\n0.5,2.0,1.0\n", encoding="utf-8")
+    code = main(["project", "--input", str(flat), "--points", "--standardize",
+                 "--out-prefix", str(tmp_path / "x")])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "uapca: error: column 'x' has zero variance; cannot standardize"
+    ]
+
+
 def test_unwritable_output_exits_1(tmp_path, students_path, capsys):
     code = main([
         "project", "--input", str(students_path),
@@ -330,3 +341,43 @@ def test_module_entry_point(tmp_path, students_path):
         capture_output=True, text=True,
     )
     assert result.returncode == 2
+
+
+_PINNED_DATASET = {
+    "dims": ["a", "b", "c"],
+    "items": [
+        {"label": "g1", "weight": 2.5,
+         "mvn": {"mean": [1.0, -2.0, 0.5], "cov": [[2.0, 0.3, 0.1], [0.3, 1.0, -0.2],
+                                                    [0.1, -0.2, 0.5]]}},
+        {"label": "g2", "weight": 0.75,
+         "mvn": {"mean": [-3.0, 1.5, 2.0], "cov": [[0.5, -0.4, 0.0], [-0.4, 1.5, 0.2],
+                                                    [0.0, 0.2, 0.8]]}},
+        {"label": "cells", "weight": 1.5,
+         "values": [{"number": 4.0}, {"interval": [-1.0, 3.0]},
+                    {"trapezoid": [0.0, 1.0, 2.5, 4.0]}]},
+        {"label": "cells", "weight": 3.0,
+         "values": [{"normal": {"mean": 0.5, "sd": 1.2}}, {"number": -2.5},
+                    {"interval": [1.0, 1.5]}]},
+        {"label": "fixed", "weight": 1.25,
+         "mvn": {"mean": [2.0, 2.0, -1.0], "cov": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0],
+                                                   [0.0, 0.0, 0.0]]}},
+    ],
+}
+
+
+def test_project_output_bytes_are_pinned(tmp_path, capsys):
+    # Recorded before the ellipses were drawn from one stacked eigensolve;
+    # batching the outlines and the pixel mapping must not move a bit.
+    data = tmp_path / "pin.json"
+    data.write_text(json.dumps(_PINNED_DATASET), encoding="utf-8")
+    prefix = tmp_path / "pin"
+    code = main(["project", "--input", str(data), "--dims", "2", "--out-prefix", str(prefix)])
+    assert code == 0
+    digest = {
+        ext: hashlib.sha256((tmp_path / f"pin.projection.{ext}").read_bytes()).hexdigest()
+        for ext in ("csv", "svg")
+    }
+    assert digest == {
+        "csv": "4001dbd11c550fcfb613560dee4423382ded91391507108f7c16c7a1cdf7756e",
+        "svg": "c3348ca98028fd464e1fd2ec8a19990d213c796a5a11af2ab37a3b40b9b36ec3",
+    }

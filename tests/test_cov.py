@@ -6,7 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uapca.cov import CovOptions, dataset_mean, global_cov, global_cov_from_points
-from uapca.model import Gaussian, Point, ProductOf1D, Interval, Trapezoid, UncertainDataset
+from uapca.model import (
+    EmpiricalCluster,
+    Gaussian,
+    Interval,
+    Normal1D,
+    Number,
+    Point,
+    ProductOf1D,
+    Trapezoid,
+    UncertainDataset,
+)
 
 from conftest import random_psd
 
@@ -206,3 +216,37 @@ def test_from_points_validation():
         global_cov_from_points(np.empty((0, 3)))
     with pytest.raises(ValueError):
         global_cov_from_points(np.array([[1.0, np.nan]]))
+
+
+@pytest.mark.parametrize("s", [0.0, 1.0, math.inf])
+def test_skipping_points_keeps_the_matrix_bits(s):
+    # Points interleaved with the other three kinds; the reference adds every
+    # item's covariance, the points' exact zeros included.
+    rng = np.random.default_rng(21)
+    dim, items = 3, []
+    for i in range(24):
+        kind = i % 4
+        if kind == 0:
+            items.append(Point(rng.normal(0, 2, dim)))
+        elif kind == 1:
+            items.append(Gaussian(rng.normal(0, 2, dim), random_psd(rng, dim)))
+        elif kind == 2:
+            items.append(ProductOf1D([Number(1.5), Interval(-1.0, 2.0),
+                                      Normal1D(float(rng.normal()), 0.7)]))
+        else:
+            items.append(EmpiricalCluster(rng.normal(0, 1, (5, dim))))
+    w = rng.uniform(0.5, 3.0, len(items))
+    ds = UncertainDataset(tuple(items), weights=w)
+
+    means = ds.means()
+    x_bar = w @ means / w.sum()
+    c = means - x_bar
+    t_means = (c * w[:, None]).T @ c / w.sum()
+    t_unc = np.zeros((dim, dim))
+    for wi, item in zip(w, items):
+        t_unc += wi * item.cov()
+    t_unc /= w.sum()
+    t_means, t_unc = (t_means + t_means.T) / 2.0, (t_unc + t_unc.T) / 2.0
+    expected = t_unc if math.isinf(s) else t_means + (s * s) * t_unc
+
+    assert np.array_equal(global_cov(ds, CovOptions(scale_s=s)).matrix, expected)

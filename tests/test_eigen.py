@@ -102,6 +102,70 @@ def test_reconstruction_property(seed, dim):
     assert np.abs(rebuilt - k).max() <= 1e-10 * max(1.0, pairs.values[0])
 
 
+def _stack_member(draw_kind, rng, dim):
+    """A PSD matrix of one of the shapes the stacked solver must treat alike."""
+    if draw_kind == 0:
+        return random_psd(rng, dim)
+    if draw_kind == 1:  # rank-deficient
+        a = rng.standard_normal((dim, int(rng.integers(1, dim))))
+        m = a @ a.T
+        return (m + m.T) / 2.0
+    if draw_kind == 2:  # exact ties
+        return float(rng.uniform(0.1, 5.0)) * np.eye(dim)
+    return np.zeros((dim, dim))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 6),
+       st.lists(st.integers(0, 3), min_size=1, max_size=12))
+def test_stack_slices_match_single_calls(seed, dim, kinds):
+    rng = np.random.default_rng(seed)
+    stack = np.stack([_stack_member(kind, rng, dim) for kind in kinds])
+    pairs = eig_sym(stack)
+    assert pairs.values.shape == (len(kinds), dim)
+    assert pairs.vectors.shape == (len(kinds), dim, dim)
+    for i, k in enumerate(stack):
+        single = eig_sym(k)
+        assert np.array_equal(pairs.values[i], single.values)
+        assert np.array_equal(pairs.vectors[i], single.vectors)
+    nested = eig_sym(stack.reshape(1, *stack.shape))
+    assert np.array_equal(nested.values[0], pairs.values)
+    assert np.array_equal(nested.vectors[0], pairs.vectors)
+
+
+def test_empty_stack():
+    pairs = eig_sym(np.zeros((0, 2, 2)))
+    assert pairs.values.shape == (0, 2)
+    assert pairs.vectors.shape == (0, 2, 2)
+
+
+def test_stack_validation():
+    good = np.stack([np.eye(3), 2.0 * np.eye(3)])
+    with pytest.raises(ValueError, match="square"):
+        eig_sym(np.ones((2, 2, 3)))
+    with pytest.raises(ValueError, match="square"):
+        eig_sym(np.ones(4))
+    nan = good.copy()
+    nan[1, 0, 2] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        eig_sym(nan)
+    skew = good.copy()
+    skew[1, 0, 2] = 0.3
+    with pytest.raises(ValueError, match="symmetric"):
+        eig_sym(skew)
+
+
+def test_non_psd_slice_is_named():
+    stack = np.stack([np.eye(2), np.diag([1.0, 2.0]), np.diag([1.0, -0.1])])
+    with pytest.raises(ValueError, match=r"^matrix 2 is not positive semi-definite "
+                                         r"\(eigenvalue -1\.000e-01 below"):
+        eig_sym(stack)
+    with pytest.raises(ValueError, match=r"^matrix 3 is not positive semi-definite"):
+        eig_sym(np.stack([stack[[0, 1, 0]], stack[::-1]]))  # flat index 3
+    with pytest.raises(ValueError, match=r"^matrix is not positive semi-definite"):
+        eig_sym(stack[2])
+
+
 def test_select_components():
     rng = np.random.default_rng(11)
     k = random_psd(rng, 5)

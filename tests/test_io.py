@@ -60,6 +60,16 @@ def test_save_load_roundtrip_preserves_moments(tmp_path, students_path):
         assert np.array_equal(a.cov(), b.cov())
 
 
+def test_save_load_roundtrip_returns_equal_cells(tmp_path):
+    cells = [Number(-2.5), Interval(0.1, 0.7), Trapezoid(1.0, 1.5, 2.25, 4.0),
+             Normal1D(3.3, 0.2)]
+    ds = UncertainDataset(items=(ProductOf1D(cells), ProductOf1D(cells[::-1])))
+    out = tmp_path / "cells.json"
+    save_dataset(ds, out)
+    back = load_dataset(out)
+    assert [list(item.cells) for item in back.items] == [cells, cells[::-1]]
+
+
 def test_cluster_items_serialize_as_gaussians(tmp_path):
     cluster = EmpiricalCluster([[0.0, 0.0], [2.0, 0.0], [1.0, 3.0]])
     ds = UncertainDataset(items=(cluster, Gaussian([0.0, 1.0], np.eye(2))))

@@ -17,7 +17,13 @@ from uapca.model import (
     Trapezoid,
     UncertainDataset,
 )
-from uapca.project import ellipse_outline, project_distribution, project_items, project_point
+from uapca.project import (
+    _ellipse_outlines,
+    ellipse_outline,
+    project_distribution,
+    project_items,
+    project_point,
+)
 
 from conftest import random_psd
 
@@ -190,3 +196,26 @@ def test_ellipse_outline_validation():
         ellipse_outline(g, k_sigma=0.0)
     with pytest.raises(ValueError, match="segments"):
         ellipse_outline(g, k_sigma=1.0, segments=4)
+
+
+def test_stacked_outlines_match_one_item_at_a_time():
+    # Each item's rings from one 2-d eigensolve, built as mean + k * (L @ trig),
+    # must come out of the stacked pass bit for bit.
+    rng = np.random.default_rng(17)
+    v = np.array([0.6, 0.8])
+    covs = np.stack([random_psd(rng, 2), np.outer(v, v), 3.0 * np.eye(2),
+                     *(random_psd(rng, 2) * 10.0 ** rng.uniform(-3, 3) for _ in range(20))])
+    means = rng.normal(0.0, 5.0, (len(covs), 2))
+    k_sigmas, segments = (1.0, 2.0, 2.5), 64
+    out = _ellipse_outlines(means, covs, k_sigmas, segments)
+    assert out.shape == (len(covs), len(k_sigmas), segments + 1, 2)
+    theta = np.linspace(0.0, 2.0 * np.pi, segments, endpoint=False)
+    trig = np.stack([np.cos(theta), np.sin(theta)])
+    for i, (mean, cov) in enumerate(zip(means, covs)):
+        pairs = eig_sym(cov)
+        ring = ((pairs.vectors * np.sqrt(pairs.values)) @ trig).T
+        for j, k_sigma in enumerate(k_sigmas):
+            pts = mean + k_sigma * ring
+            assert np.array_equal(out[i, j], np.vstack([pts, pts[:1]]))
+    assert _ellipse_outlines(means[:0], covs[:0], k_sigmas, segments).shape == (
+        0, len(k_sigmas), segments + 1, 2)

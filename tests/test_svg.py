@@ -133,6 +133,16 @@ def test_projection_svg_zero_covariance_is_a_dot():
     assert doc.count("<polyline") == 2  # only the nonzero item gets outlines
 
 
+def test_projection_svg_of_points_only_has_no_outlines():
+    entries = [(Gaussian([0.0, 0.0], np.zeros((2, 2))), "p"),
+               (Gaussian([2.0, 1.0], np.zeros((2, 2))), "p")]
+    doc = render_projection_svg(*_stacked(entries))
+    assert "<polyline" not in doc
+    # The two means span the view: x from 70 to 730 at the centre height.
+    assert '<circle cx="70.000" cy="565.000" r="3.500"' in doc
+    assert '<circle cx="730.000" cy="235.000" r="3.500"' in doc
+
+
 def test_projection_svg_validation():
     with pytest.raises(ValueError, match="nothing to render"):
         render_projection_svg([], np.empty((0, 2)), np.empty((0, 2, 2)))
