@@ -195,7 +195,7 @@ def _cmd_project(args) -> int:
     model = select_components(pairs, g.mean, args.dims)
 
     labels = list(ds.labels or (f"item{i + 1}" for i in range(len(ds))))
-    means, covs = project_items(model, ds.items, cov_scale=1.0 if math.isinf(s) else s * s)
+    means, covs = project_items(model, ds, cov_scale=1.0 if math.isinf(s) else s * s)
 
     csv_path = f"{args.out_prefix}.projection.csv"
     write_projection_csv(csv_path, labels, means, covs)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Point, UncertainDataset, _population_moments, _readonly
+from .model import Point, UncertainDataset, _readonly
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,8 @@ class GlobalCov:
         """K(s) = term_means + s^2 * term_uncertainty; term_uncertainty alone at s = inf."""
         if math.isinf(s):
             return self.term_uncertainty
-        return _readonly(self.term_means + (s * s) * self.term_uncertainty)
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite K: eig_sym rejects it
+            return _readonly(self.term_means + (s * s) * self.term_uncertainty)
 
 
 def _weights(ds: UncertainDataset, opts: CovOptions) -> np.ndarray:
@@ -83,49 +84,60 @@ def dataset_mean(ds: UncertainDataset, opts: CovOptions = CovOptions()) -> np.nd
 
 
 def global_cov(ds: UncertainDataset, opts: CovOptions = CovOptions()) -> GlobalCov:
-    """Accumulate the global covariance of a dataset of distributions.
+    """Accumulate the global covariance from the dataset's moment columns.
 
     The means term is the weighted scatter of the item means about their
     weighted average, (C o w)^T C / sum(w) with C = M - x_bar; the
     uncertainty term is sum(w_i Psi_i) / sum(w).  Both are reported so
     callers can form the matrix at any other s with :meth:`GlobalCov.at`.
+
+    The uncertainty sum adds the items in their order, block by block: the
+    off-diagonal entries from the full block, then the diagonal from one
+    pass over the diagonals of every item that is not a point.  Points and
+    the off-diagonal zeros of diagonal items are skipped; they would add
+    exact zeros, so the result has the bits of a loop over every item.
+    Overflow gives non-finite entries and no numpy warning; ``eig_sym``
+    rejects them.
     """
     w = _weights(ds, opts)
-    wsum = w.sum()
-    means = ds.means()
-    x_bar = w @ means / wsum
-    c = means - x_bar
-    t_means = (c * w[:, None]).T @ c / wsum
+    d = ds.dim
+    with np.errstate(over="ignore", invalid="ignore"):
+        wsum = w.sum()
+        means = ds.means()
+        x_bar = w @ means / wsum
+        c = means - x_bar
+        t_means = (c * w[:, None]).T @ c / wsum
 
-    t_unc = np.zeros((ds.dim, ds.dim))
-    for wi, item in zip(w, ds.items):
-        if not isinstance(item, Point):  # a point adds exact zeros
-            t_unc += wi * item.cov()
-    t_unc /= wsum
-
-    return GlobalCov(
-        mean=_readonly(x_bar),
-        term_means=_symmetric(t_means),
-        term_uncertainty=_symmetric(t_unc),
-        scale_s=opts.scale_s,
-    )
+        full = w[ds.full_index, None, None] * ds.full_covs
+        diag = np.concatenate([np.diagonal(full, axis1=1, axis2=2),
+                               w[ds.diag_index, None] * ds.diag_vars])
+        diag = diag[np.argsort(np.concatenate([ds.full_index, ds.diag_index]))]
+        # 0.0 + sum, as a loop from zeros adds: a sum of -0.0 entries is +0.0.
+        t_unc = 0.0 + np.add.reduce(full, axis=0)
+        if len(diag):
+            # accumulate, not reduce: numpy reduces one column (D = 1)
+            # pairwise instead of in item order.
+            t_unc[np.diag_indices(d)] = 0.0 + np.add.accumulate(diag, axis=0)[-1]
+        t_unc /= wsum
+        return GlobalCov(
+            mean=_readonly(x_bar),
+            term_means=_symmetric(t_means),
+            term_uncertainty=_symmetric(t_unc),
+            scale_s=opts.scale_s,
+        )
 
 
 def global_cov_from_points(points) -> GlobalCov:
-    """Ordinary PCA covariance of plain points, as a GlobalCov.
+    """Ordinary PCA covariance of plain points, as a GlobalCov at s = 0.
 
-    Reference path for the s = 0 reduction: the population covariance of the
-    rows about their mean.  The uncertainty term is identically zero.
+    ``global_cov`` of the rows as equally weighted point items: the
+    population covariance of the rows about their mean.  The uncertainty
+    term is identically zero.
     """
     p = np.asarray(points, dtype=float)
     if p.ndim != 2 or p.shape[0] == 0:
         raise ValueError(f"points must be a non-empty (n, D) array, got shape {p.shape}")
     if not np.all(np.isfinite(p)):
         raise ValueError("points contain non-finite entries")
-    x_bar, k = _population_moments(p)
-    return GlobalCov(
-        mean=_readonly(x_bar),
-        term_means=_readonly(k),
-        term_uncertainty=_readonly(np.zeros_like(k)),
-        scale_s=0.0,
-    )
+    ds = UncertainDataset._from_table(p, items=lambda: map(Point, p))
+    return global_cov(ds, CovOptions(scale_s=0.0))

@@ -65,11 +65,17 @@ def eig_sym(k) -> EigenPairs:
     flat = a.reshape(-1, d, d)
     n = len(flat)
     flat_t = flat.transpose(0, 2, 1)
-    scale = np.abs(flat).reshape(n, d * d).max(axis=1, initial=1.0)
-    if np.any(np.abs(flat - flat_t).reshape(n, d * d).max(axis=1) > SYM_RTOL * scale):
+    # In place where it can be, so a long stack makes few temporaries.
+    entries = flat.reshape(n, d * d)
+    scale = np.maximum(np.maximum(entries.max(axis=1), -entries.min(axis=1)), 1.0)
+    diff = flat - flat_t
+    if np.any(np.abs(diff, out=diff).reshape(n, d * d).max(axis=1) > SYM_RTOL * scale):
         raise ValueError("matrix is not symmetric")
-
-    values, vectors = np.linalg.eigh((flat + flat_t) / 2.0)
+    del diff
+    sym = flat + flat_t
+    sym /= 2.0
+    values, vectors = np.linalg.eigh(sym)
+    del sym
     stack = np.arange(n)[:, None]
     order = np.argsort(-values, axis=1, kind="stable")
     values = values[stack, order]

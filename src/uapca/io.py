@@ -37,8 +37,10 @@ from .model import (
     Number,
     Point,
     ProductOf1D,
+    Scalar1D,
     Trapezoid,
     UncertainDataset,
+    _cov_stack,
     _population_moments,
     _readonly,
 )
@@ -55,7 +57,14 @@ class DatasetFormatError(ValueError):
 _CELL_KEYS = ("number", "interval", "trapezoid", "normal")
 
 
-def _parse_cell(spec, where: str):
+def _cell_number(x) -> float:
+    if isinstance(x, bool):  # float() would take true as 1.0
+        raise ValueError(f"expected a number, got {json.dumps(x)}")
+    return float(x)
+
+
+def _parse_cell(spec, where: str) -> tuple[Scalar1D, float, float]:
+    """The cell of a value spec with its mean and variance, both finite."""
     if not isinstance(spec, dict) or len(spec) != 1:
         raise DatasetFormatError(
             f"{where}: each value must be an object with exactly one of {_CELL_KEYS}"
@@ -63,23 +72,35 @@ def _parse_cell(spec, where: str):
     (kind, payload), = spec.items()
     try:
         if kind == "number":
-            return Number(float(payload))
-        if kind == "interval":
+            cell: Scalar1D = Number(_cell_number(payload))
+        elif kind == "interval":
             lo, hi = payload
-            return Interval(float(lo), float(hi))
-        if kind == "trapezoid":
+            cell = Interval(_cell_number(lo), _cell_number(hi))
+        elif kind == "trapezoid":
             a, b, c, d = payload
-            return Trapezoid(float(a), float(b), float(c), float(d))
-        if kind == "normal":
-            return Normal1D(float(payload["mean"]), float(payload["sd"]))
+            cell = Trapezoid(*map(_cell_number, (a, b, c, d)))
+        elif kind == "normal":
+            cell = Normal1D(_cell_number(payload["mean"]), _cell_number(payload["sd"]))
+        else:
+            raise DatasetFormatError(f"{where}: unknown value kind {kind!r}")
+        mean, var = cell.mean(), cell.variance()
     except DatasetFormatError:
         raise
+    except OverflowError:
+        mean = var = math.inf
     except (TypeError, ValueError, KeyError) as exc:
         raise DatasetFormatError(f"{where}: {exc}") from exc
-    raise DatasetFormatError(f"{where}: unknown value kind {kind!r}")
+    if not (math.isfinite(mean) and math.isfinite(var)):
+        raise DatasetFormatError(
+            f"{where}: the mean or variance of {json.dumps(spec)} is not finite"
+        )
+    return cell, mean, var
 
 
-def _parse_item(obj, index: int, dim: int) -> tuple[Distribution, float, str | None]:
+def _parse_item(obj, index: int, dim: int):
+    """One item as (weight, label, mean, spread, cells): a values item has the
+    variances of its cells as spread, an mvn item its covariance (checked
+    for shape only) and cells None."""
     where = f"item {index}"
     if not isinstance(obj, dict):
         raise DatasetFormatError(f"{where}: expected an object, got {type(obj).__name__}")
@@ -94,35 +115,42 @@ def _parse_item(obj, index: int, dim: int) -> tuple[Distribution, float, str | N
     has_mvn = "mvn" in obj
     if has_values == has_mvn:
         raise DatasetFormatError(f"{where}: exactly one of 'values' or 'mvn' is required")
-    try:
-        if has_values:
-            values = obj["values"]
-            if not isinstance(values, list) or len(values) != dim:
-                raise DatasetFormatError(
-                    f"{where}: 'values' must list {dim} entries to match 'dims'"
-                )
-            cells = [
-                _parse_cell(spec, f"{where}, value {j}") for j, spec in enumerate(values)
-            ]
-            dist: Distribution = ProductOf1D(cells)
-        else:
-            mvn = obj["mvn"]
-            if not isinstance(mvn, dict) or "mean" not in mvn or "cov" not in mvn:
-                raise DatasetFormatError(f"{where}: 'mvn' needs 'mean' and 'cov'")
-            dist = Gaussian(mvn["mean"], mvn["cov"])
-            if dist.dim != dim:
-                raise DatasetFormatError(
-                    f"{where}: mvn dimension {dist.dim} does not match 'dims' length {dim}"
-                )
-    except DatasetFormatError:
-        raise
-    except ValueError as exc:
-        raise DatasetFormatError(f"{where}: {exc}") from exc
-    return dist, float(weight), label
+    if has_values:
+        values = obj["values"]
+        if not isinstance(values, list) or len(values) != dim:
+            raise DatasetFormatError(
+                f"{where}: 'values' must list {dim} entries to match 'dims'"
+            )
+        cells, means, variances = zip(
+            *(_parse_cell(spec, f"{where}, value {j}") for j, spec in enumerate(values))
+        )
+        return float(weight), label, means, variances, cells
+    mvn = obj["mvn"]
+    if not isinstance(mvn, dict) or "mean" not in mvn or "cov" not in mvn:
+        raise DatasetFormatError(f"{where}: 'mvn' needs 'mean' and 'cov'")
+    arrays = []
+    for key, shape in (("mean", (dim,)), ("cov", (dim, dim))):
+        try:
+            arrays.append(np.asarray(mvn[key], dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise DatasetFormatError(
+                f"{where}: mvn {key!r} must be an array of numbers with rows of equal length"
+            ) from exc
+        if arrays[-1].shape != shape:
+            raise DatasetFormatError(f"{where}: mvn {key!r} has shape {arrays[-1].shape}, "
+                                     f"which does not match 'dims' length {dim}")
+    return float(weight), label, arrays[0], arrays[1], None
 
 
 def load_dataset(path) -> UncertainDataset:
-    """Read a JSON dataset file into an UncertainDataset."""
+    """Read a JSON dataset file into an UncertainDataset.
+
+    Items are parsed one by one into rows of the moment table: a values
+    item gives its cells' means and variances, an mvn item its mean and
+    covariance.  The mvn covariances are then checked as one stack
+    (finite, symmetric, PSD with one ``eigvalsh``), and an error names the
+    item.  The Distribution items are built only when ``items`` is read.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -139,27 +167,44 @@ def load_dataset(path) -> UncertainDataset:
     if not items_doc:
         raise DatasetFormatError(f"{path}: empty dataset")
 
-    items: list[Distribution] = []
-    weights: list[float] = []
-    labels: list[str | None] = []
+    n, dim = len(items_doc), len(dims)
+    # Rows go straight into arrays, so no per-item tuples of floats stay alive.
+    means, variances = np.empty((n, dim)), np.empty((n, dim))
+    weights, labels, cells, full_index, full_covs, diag_index = [], [], [], [], [], []
     for i, obj in enumerate(items_doc):
         try:
-            dist, weight, label = _parse_item(obj, i, len(dims))
+            weight, label, means[i], spread, item_cells = _parse_item(obj, i, dim)
         except DatasetFormatError as exc:
             raise DatasetFormatError(f"{path}: {exc}") from exc
-        items.append(dist)
         weights.append(weight)
         labels.append(label)
+        cells.append(item_cells)
+        if item_cells is None:
+            full_index.append(i)
+            full_covs.append(spread)
+        else:
+            diag_index.append(i)
+            variances[i] = spread
+    full_covs = np.array(full_covs).reshape(-1, dim, dim)
+
+    def build_items():
+        covs = iter(full_covs)
+        return [ProductOf1D(c) if c else Gaussian(m, next(covs))
+                for c, m in zip(cells, table.means())]
 
     use_labels = tuple(
         lab if lab is not None else f"item{i + 1}" for i, lab in enumerate(labels)
     ) if any(lab is not None for lab in labels) else None
     try:
-        return UncertainDataset(
-            tuple(items), weights=np.array(weights), dim_names=tuple(dims), labels=use_labels
+        full_covs = _cov_stack(full_covs, lambda g: f"item {full_index[g]}: Gaussian covariance")
+        table = UncertainDataset._from_table(
+            means, full_index, full_covs, diag_index, variances[diag_index],
+            items=build_items, weights=np.array(weights), dim_names=tuple(dims),
+            labels=use_labels,
         )
     except ValueError as exc:
         raise DatasetFormatError(f"{path}: {exc}") from exc
+    return table
 
 
 def dataset_to_json(ds: UncertainDataset) -> dict:
@@ -205,53 +250,86 @@ class PointsData:
 
 
 def load_points(path) -> PointsData:
-    """Read a CSV of points: D numeric columns, optional trailing label."""
+    """Read a CSV of points: one header row, D numeric columns, optional trailing label.
+
+    One csv pass reads the header, the field count of each non-blank row and
+    the labels; one ``np.loadtxt`` over the first D columns reads the
+    numbers.  If a row has the wrong field count, loadtxt rejects a cell, or
+    a value is not finite, ``_scan_points`` reads the file again cell by
+    cell with ``float()``: it raises the error for the first bad cell ("row
+    r, column 'x': ...", counting non-blank rows) or returns what float()
+    reads from cells that loadtxt does not take, such as ``1_0``.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        rows = [row for row in reader if row]
-    if len(rows) < 2:
+        header = next(filter(None, reader), None)
+        header_lines = reader.line_num
+        rows = [(len(row), row[-1]) for row in reader if row]
+    if not rows:
         raise DatasetFormatError(f"{path}: need a header row and at least one data row")
-    header = [h.strip() for h in rows[0]]
-    has_labels = bool(header) and header[-1] == LABEL_COLUMN
+    header = [h.strip() for h in header]
+    has_labels = header[-1] == LABEL_COLUMN
     dim = len(header) - 1 if has_labels else len(header)
     if dim < 1:
         raise DatasetFormatError(f"{path}: no numeric columns found")
 
-    points = np.empty((len(rows) - 1, dim))
-    labels: list[str] = []
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise DatasetFormatError(
-                f"{path}: row {r} has {len(row)} fields, expected {len(header)}"
-            )
-        for c in range(dim):
-            try:
-                value = float(row[c])
-            except ValueError as exc:
-                raise DatasetFormatError(
-                    f"{path}: row {r}, column {header[c]!r}: "
-                    f"could not parse {row[c]!r} as a number"
-                ) from exc
-            if not math.isfinite(value):
-                raise DatasetFormatError(
-                    f"{path}: row {r}, column {header[c]!r}: non-finite value"
-                )
-            points[r - 2, c] = value
-        if has_labels:
-            labels.append(row[-1].strip())
+    points = None
+    if all(width == len(header) for width, _ in rows):
+        try:
+            points = np.loadtxt(path, delimiter=",", comments=None, skiprows=header_lines,
+                                usecols=range(dim), ndmin=2, encoding="utf-8")
+        except ValueError:
+            pass
+    if points is None or points.shape != (len(rows), dim) or not np.isfinite(points).all():
+        points = _scan_points(path, header, dim)
     return PointsData(
         points=_readonly(points),
         dim_names=tuple(header[:dim]),
-        labels=tuple(labels) if has_labels else None,
+        labels=tuple(label.strip() for _, label in rows) if has_labels else None,
     )
 
 
+def _scan_points(path, header: list[str], dim: int) -> np.ndarray:
+    """The first D cells of every data row, read one by one with ``float()``.
+
+    Raises for the first row with the wrong field count or the first cell
+    that is not a finite number, naming its row among the non-blank rows.
+    """
+    values = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = filter(None, csv.reader(fh))
+        next(rows)
+        for r, row in enumerate(rows, start=2):
+            if len(row) != len(header):
+                raise DatasetFormatError(
+                    f"{path}: row {r} has {len(row)} fields, expected {len(header)}"
+                )
+            values.append([])
+            for c in range(dim):
+                try:
+                    value = float(row[c])
+                except ValueError as exc:
+                    raise DatasetFormatError(
+                        f"{path}: row {r}, column {header[c]!r}: "
+                        f"could not parse {row[c]!r} as a number"
+                    ) from exc
+                if not math.isfinite(value):
+                    raise DatasetFormatError(
+                        f"{path}: row {r}, column {header[c]!r}: non-finite value"
+                    )
+                values[-1].append(value)
+    return np.array(values).reshape(-1, dim)
+
+
 def points_dataset(pts: PointsData) -> UncertainDataset:
-    """Each row as a point-mass item (ordinary PCA input)."""
-    return UncertainDataset(
-        tuple(Point(row) for row in pts.points),
-        dim_names=pts.dim_names,
-        labels=pts.labels,
+    """Each row as a point-mass item (ordinary PCA input).
+
+    The table is the points array itself, with no covariance block; the
+    ``Point`` items are built only when ``items`` is first read.
+    """
+    return UncertainDataset._from_table(
+        pts.points, items=lambda: map(Point, pts.points),
+        dim_names=pts.dim_names, labels=pts.labels,
     )
 
 

@@ -9,7 +9,7 @@ All covariance bookkeeping uses population (1/N) normalization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,26 +44,46 @@ def cov_matrix(entries, name: str = "covariance") -> np.ndarray:
     k = np.asarray(entries, dtype=float)
     if k.ndim != 2 or k.shape[0] != k.shape[1] or k.shape[0] == 0:
         raise ValueError(f"{name} must be a square matrix, got shape {k.shape}")
-    if not np.all(np.isfinite(k)):
-        raise ValueError(f"{name} contains non-finite entries")
-    scale = float(np.abs(k).max())
-    if float(np.abs(k - k.T).max()) > SYM_RTOL * max(1.0, scale):
-        raise ValueError(f"{name} is not symmetric")
-    k = (k + k.T) / 2.0
-    _require_psd(k, name)
-    return _readonly(k)
+    return _cov_stack(k[None], lambda i: name)[0]
 
 
-def _require_psd(k: np.ndarray, name: str) -> None:
+def _cov_stack(k: np.ndarray, name) -> np.ndarray:
+    """``cov_matrix`` on a (G, D, D) stack, with one ``eigvalsh`` for every PSD check.
+
+    Returns the symmetrized stack, read-only.  Each rule is checked on the
+    whole stack in turn, and its error names the first matrix that breaks
+    it as ``name(index)``.  An entry that overflows when symmetrized counts
+    as non-finite.
+    """
+    n, d = len(k), k.shape[-1]
+    flat, k_t = k.reshape(n, d * d), k.swapaxes(1, 2)
+    # In place where it can be, so a large stack makes few temporaries.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym = k + k_t
+        sym /= 2.0
+        diff = k - k_t
+        scale = np.maximum(np.maximum(flat.max(axis=1), -flat.min(axis=1)), 1.0)
+        asym = np.abs(diff, out=diff).reshape(n, d * d).max(axis=1) > SYM_RTOL * scale
+    del diff
+    finite = np.isfinite(sym).reshape(n, d * d).all(axis=1)
+    for bad, rule in ((~finite, "contains non-finite entries"), (asym, "is not symmetric")):
+        if bad.any():
+            raise ValueError(f"{name(int(np.argmax(bad)))} {rule}")
+    _require_psd(sym, name)
+    return _readonly(sym)
+
+
+def _require_psd(k: np.ndarray, name) -> None:
     """Raise unless each matrix of the symmetric (..., D, D) stack k has no
-    eigenvalue below -PSD_RTOL times its largest magnitude (one eigvalsh)."""
+    eigenvalue below -PSD_RTOL times its largest magnitude (one eigvalsh).
+    The error names the first bad matrix as ``name(flat index)``."""
     evals = np.linalg.eigvalsh(k).reshape(-1, k.shape[-1])
     lam_scale = np.abs(evals).max(axis=1)
     bad = np.flatnonzero(evals[:, 0] < -PSD_RTOL * lam_scale)
     if bad.size:
         i = int(bad[0])
         raise ValueError(
-            f"{name}{f' {i}' if k.ndim > 2 else ''} is not positive semi-definite "
+            f"{name(i)} is not positive semi-definite "
             f"(min eigenvalue {evals[i, 0]:.3e}, scale {lam_scale[i]:.3e})"
         )
 
@@ -504,69 +524,128 @@ class EmpiricalCluster(Distribution):
 # Dataset container.
 
 
-@dataclass(frozen=True)
 class UncertainDataset:
-    """An ordered collection of distribution items over a shared R^D.
+    """An ordered table of distribution items over a shared R^D.
 
-    Weights are non-negative with a positive total and default to ones;
-    they enter all dataset-level expectations after normalization.  Labels
-    are optional display names carried through aggregation and rendering.
+    Each row is one item, reduced to its weight and first two moments, and
+    the moments are stored in columns:
+
+    - ``means()``: the (N, D) item means, built once;
+    - ``weights``: non-negative with a positive total, ones by default;
+      they enter all dataset-level expectations after normalization;
+    - ``full_covs`` (G, D, D) with the item rows ``full_index``: the
+      covariances of Gaussian, cluster and any other full-covariance items;
+    - ``diag_vars`` (P, D) with the item rows ``diag_index``: the variances
+      of ``ProductOf1D`` items, whose covariance is that diagonal;
+    - nothing for points: a row in neither block has zero covariance.
+
+    ``items`` gives the rows as Distribution objects.  A dataset made from
+    items keeps them; one made by the loaders or ``rescale`` builds them on
+    first read and caches them.  Labels are optional display names carried
+    through aggregation and rendering.
     """
 
-    items: tuple[Distribution, ...]
-    weights: np.ndarray = field(default=None)  # type: ignore[assignment]
-    dim_names: tuple[str, ...] = field(default=None)  # type: ignore[assignment]
-    labels: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        items = tuple(self.items)
-        if not items:
-            raise ValueError("empty dataset")
-        d = items[0].dim
+    def __init__(self, items, weights=None, dim_names=None, labels=None):
+        items = tuple(items)
         for i, it in enumerate(items):
             if not isinstance(it, Distribution):
                 raise ValueError(f"item {i} is not a Distribution: {it!r}")
-            if it.dim != d:
-                raise ValueError(f"item {i} has dimension {it.dim}, expected {d}")
-        object.__setattr__(self, "items", items)
+            if it.dim != items[0].dim:
+                raise ValueError(f"item {i} has dimension {it.dim}, expected {items[0].dim}")
+        d = items[0].dim if items else 0
+        full = [i for i, it in enumerate(items) if not isinstance(it, (Point, ProductOf1D))]
+        diag = [i for i, it in enumerate(items) if isinstance(it, ProductOf1D)]
+        self._fill(
+            np.array([it.mean() for it in items]).reshape(len(items), d),
+            full, np.array([items[i].cov() for i in full]).reshape(len(full), d, d),
+            diag, np.array([[c.variance() for c in items[i].cells] for i in diag]).reshape(
+                len(diag), d),
+            weights, dim_names, labels, items,
+        )
 
-        w = self.weights
-        w = np.ones(len(items)) if w is None else np.asarray(w, dtype=float)
-        if w.shape != (len(items),):
-            raise ValueError(f"weights must have shape ({len(items)},), got {w.shape}")
+    @classmethod
+    def _from_table(cls, means, full_index=(), full_covs=None, diag_index=(), diag_vars=None,
+                    *, items, weights=None, dim_names=None, labels=None) -> "UncertainDataset":
+        """A dataset from its columns, with no covariance block where none is
+        given; ``items`` is a function that builds the items."""
+        ds = cls.__new__(cls)
+        ds._fill(means, full_index, full_covs, diag_index, diag_vars,
+                 weights, dim_names, labels, items)
+        return ds
+
+    def _fill(self, means, full_index, full_covs, diag_index, diag_vars,
+              weights, dim_names, labels, items) -> None:
+        n, d = means.shape
+        full_covs = np.empty((0, d, d)) if full_covs is None else full_covs
+        diag_vars = np.empty((0, d)) if diag_vars is None else diag_vars
+        if not n:
+            raise ValueError("empty dataset")
+        bad = np.flatnonzero(~np.isfinite(means).all(axis=1))
+        if bad.size:
+            raise ValueError(f"item {bad[0]}: mean contains non-finite entries")
+        self._means = _readonly(means.view())  # not the caller's array's flag
+        self.full_index = _readonly(np.asarray(full_index, dtype=np.intp))
+        self.full_covs = _readonly(full_covs)
+        self.diag_index = _readonly(np.asarray(diag_index, dtype=np.intp))
+        self.diag_vars = _readonly(diag_vars)
+        # A tuple of items, or a function that builds them when first read.
+        self._items, self._build_items = ((items, None) if isinstance(items, tuple)
+                                          else (None, items))
+
+        w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+        if w.shape != (n,):
+            raise ValueError(f"weights must have shape ({n},), got {w.shape}")
         if not np.all(np.isfinite(w)) or np.any(w < 0.0):
             raise ValueError("weights must be finite and non-negative")
-        if w.sum() <= 0.0:
+        with np.errstate(over="ignore"):  # an infinite total fails in global_cov
+            total = w.sum()
+        if total <= 0.0:
             raise ValueError("weights must have a positive total")
-        object.__setattr__(self, "weights", _readonly(w))
+        self.weights = _readonly(w)
 
-        names = self.dim_names
-        names = tuple(f"x{i + 1}" for i in range(d)) if names is None else tuple(names)
+        names = tuple(f"x{i + 1}" for i in range(d)) if dim_names is None else tuple(dim_names)
         if len(names) != d:
             raise ValueError(f"dim_names length {len(names)} does not match dimension {d}")
-        object.__setattr__(self, "dim_names", names)
+        self.dim_names = names
 
-        if self.labels is not None:
-            labels = tuple(str(x) for x in self.labels)
-            if len(labels) != len(items):
+        if labels is not None:
+            labels = tuple(str(x) for x in labels)
+            if len(labels) != n:
                 raise ValueError("labels length does not match item count")
-            object.__setattr__(self, "labels", labels)
+        self.labels = labels
+
+    @property
+    def items(self) -> tuple[Distribution, ...]:
+        """The rows as Distribution objects, built on first read and then cached."""
+        if self._items is None:
+            self._items = tuple(self._build_items())
+            self._build_items = None
+        return self._items
 
     @property
     def dim(self) -> int:
-        return self.items[0].dim
+        return self._means.shape[1]
 
     def __len__(self) -> int:
-        return len(self.items)
+        return self._means.shape[0]
 
     def means(self) -> np.ndarray:
-        """Item means stacked into an (N, D) array."""
-        return np.stack([it.mean() for it in self.items])
+        """Item means as an (N, D) array (the stored column; read-only)."""
+        return self._means
 
     def rescale(self, scale, offset) -> "UncertainDataset":
-        return UncertainDataset(
-            tuple(it.rescale(scale, offset) for it in self.items),
-            weights=self.weights.copy(),
-            dim_names=self.dim_names,
-            labels=self.labels,
+        """The dataset under the per-axis map x -> scale * x + offset (scale > 0).
+
+        The moment columns are mapped as arrays: means to scale * m + offset,
+        covariances to S Psi S with S = diag(scale).  The items, when read,
+        are the items' own ``rescale``; a product or cluster item's moments
+        can then differ from the table's in the last bit.
+        """
+        s, o = _check_rescale_args(scale, offset, self.dim)
+        return UncertainDataset._from_table(
+            s * self._means + o,
+            self.full_index, self.full_covs * np.outer(s, s),
+            self.diag_index, self.diag_vars * (s * s),
+            items=lambda: (it.rescale(s, o) for it in self.items),
+            weights=self.weights.copy(), dim_names=self.dim_names, labels=self.labels,
         )

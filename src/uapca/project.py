@@ -7,7 +7,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .eigen import PcaModel, eig_sym
-from .model import Distribution, Gaussian, Point, _require_psd, affine_cov
+from .model import Distribution, Gaussian, Point, UncertainDataset, _require_psd
 
 
 def project_point(model: PcaModel, x) -> np.ndarray:
@@ -16,17 +16,22 @@ def project_point(model: PcaModel, x) -> np.ndarray:
 
 
 def project_items(
-    model: PcaModel, items: Sequence[Distribution], cov_scale: float = 1.0
+    model: PcaModel, ds: UncertainDataset | Sequence[Distribution], cov_scale: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Project every item's moments into the component basis in one pass.
 
-    Returns the means A^T (E[d] - mean) stacked (N, q) and the covariances
-    cov_scale * A^T Cov[d] A stacked (N, q, q): the exact moments of the
-    projected items, since affine maps commute with taking moments.  Points
-    give exact zeros without forming a covariance.  The stack is checked
-    once: finite, and each covariance PSD up to ``PSD_RTOL``.
+    Takes a dataset, or a sequence of items made into one.  Returns the
+    means A^T (E[d] - mean) stacked (N, q) and the covariances cov_scale *
+    A^T Cov[d] A stacked (N, q, q): the exact moments of the projected
+    items, since affine maps commute with taking moments.  Each covariance
+    block of the dataset is projected as one stack: the full block as
+    A^T F A, the diagonal block as (A^T scaled by each row of variances) A,
+    with no D x D matrix per item, and points give exact zeros.  The result
+    is checked once: finite, and each covariance PSD up to ``PSD_RTOL``.
     """
-    means = np.stack([d.mean() for d in items])
+    if not isinstance(ds, UncertainDataset):
+        ds = UncertainDataset(ds)
+    means = ds.means()
     if means.shape[1] != model.mean.size:
         raise ValueError(
             f"distribution dimension {means.shape[1]} does not match "
@@ -37,13 +42,13 @@ def project_items(
     # (means - mean) @ A differs in the last bit and would change output bytes.
     out_means = np.matmul(a_t, (means - model.mean)[..., None])[..., 0]
     covs = np.zeros((len(means), a_t.shape[0], a_t.shape[0]))
-    for i, d in enumerate(items):
-        if not isinstance(d, Point):
-            covs[i] = affine_cov(a_t, d.cov())
+    for index, block in ((ds.full_index, a_t @ ds.full_covs @ a_t.T),
+                         (ds.diag_index, (a_t * ds.diag_vars[:, None, :]) @ a_t.T)):
+        covs[index] = (block + block.swapaxes(1, 2)) / 2.0
     covs *= cov_scale
     if not (np.all(np.isfinite(out_means)) and np.all(np.isfinite(covs))):
         raise ValueError("projected moments contain non-finite entries")
-    _require_psd(covs, "projected covariance of item")
+    _require_psd(covs, lambda i: f"projected covariance of item {i}")
     return out_means, covs
 
 

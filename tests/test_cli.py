@@ -381,3 +381,35 @@ def test_project_output_bytes_are_pinned(tmp_path, capsys):
         "csv": "4001dbd11c550fcfb613560dee4423382ded91391507108f7c16c7a1cdf7756e",
         "svg": "c3348ca98028fd464e1fd2ec8a19990d213c796a5a11af2ab37a3b40b9b36ec3",
     }
+
+
+@pytest.mark.parametrize("name, text, fragment", [
+    ("sd_overflow.json",
+     '{"dims": ["a"], "items": [{"values": [{"normal": {"mean": 0, "sd": 1e160}}]}]}',
+     'item 0, value 0: the mean or variance of {"normal": {"mean": 0, "sd": 1e+160}}'),
+    ("bool_cell.json", '{"dims": ["a"], "items": [{"values": [{"number": true}]}]}',
+     "item 0, value 0: expected a number, got true"),
+    ("ragged_cov.json",
+     '{"dims": ["a", "b"], "items": [{"mvn": {"mean": [0, 0], "cov": [[1, 0], [0]]}}]}',
+     "item 0: mvn 'cov' must be an array of numbers with rows of equal length"),
+    ("huge_weights.json",
+     '{"dims": ["a", "b"], "items": [{"weight": 1e308, "values": [{"number": 1}, {"number": 2}]},'
+     ' {"weight": 1e308, "values": [{"number": 2}, {"number": 0}]}]}',
+     "matrix contains non-finite entries"),
+    ("huge_means.csv", "x,y\n1e308,1e308\n-1e308,-1e308\n1e308,-1e308\n",
+     "matrix contains non-finite entries"),
+])
+def test_bad_input_is_a_one_line_error(tmp_path, capsys, name, text, fragment):
+    import warnings
+
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    commands = [["project", "--points"]] if name.endswith(".csv") else [["project"], ["trace"]]
+    for command in commands:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would escape as an exception
+            code = main([*command, "--input", str(path), "--out-prefix", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("uapca: error:"), err
+        assert fragment in err[0]

@@ -250,3 +250,71 @@ def test_skipping_points_keeps_the_matrix_bits(s):
     expected = t_unc if math.isinf(s) else t_means + (s * s) * t_unc
 
     assert np.array_equal(global_cov(ds, CovOptions(scale_s=s)).matrix, expected)
+
+
+def _item_of_kind(rng, kind: int, dim: int):
+    centre = rng.normal(0, 2, dim)
+    if kind == 0:
+        return Point(centre)
+    if kind == 1:
+        return Gaussian(centre, random_psd(rng, dim))
+    if kind == 2:
+        cells = [Number(float(centre[0])), Interval(-1.0, float(rng.uniform(-1.0, 3.0))),
+                 Trapezoid(*np.sort(rng.normal(0, 2, 4))), Normal1D(float(centre[-1]), 0.7)]
+        return ProductOf1D([cells[int(rng.integers(4))] for _ in range(dim)])
+    return EmpiricalCluster(centre + rng.normal(0, 1, (int(rng.integers(1, 6)), dim)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    dim=st.integers(1, 5),
+    kinds=st.lists(st.integers(0, 3), min_size=1, max_size=30),
+)
+def test_table_matches_the_per_item_formulas(seed, dim, kinds):
+    from uapca.eigen import eig_sym, select_components
+    from uapca.project import project_items
+
+    rng = np.random.default_rng(seed)
+    items = [_item_of_kind(rng, kind, dim) for kind in kinds]
+    w = rng.uniform(0.1, 4.0, len(items))
+    ds = UncertainDataset(items, weights=w)
+    assert ds.full_covs.shape[0] + ds.diag_vars.shape[0] == sum(k != 0 for k in kinds)
+
+    # The loop over items that the block sums replace.
+    means = np.stack([it.mean() for it in items])
+    x_bar = w @ means / w.sum()
+    c = means - x_bar
+    t_means = (c * w[:, None]).T @ c / w.sum()
+    t_unc = np.zeros((dim, dim))
+    for wi, item in zip(w, items):
+        t_unc += wi * item.cov()
+    t_unc /= w.sum()
+    t_means, t_unc = (t_means + t_means.T) / 2.0, (t_unc + t_unc.T) / 2.0
+    for s in (0.0, 1.0, math.inf):
+        g = global_cov(ds, CovOptions(scale_s=s))
+        expected = t_unc if math.isinf(s) else t_means + (s * s) * t_unc
+        assert np.array_equal(g.matrix, expected)
+
+    g = global_cov(ds)
+    model = select_components(eig_sym(g.matrix), g.mean, min(2, dim))
+    got_means, got_covs = project_items(model, ds, 2.0)
+    a_t = model.components.T
+    for i, item in enumerate(items):
+        assert np.array_equal(got_means[i], a_t @ (item.mean() - model.mean))
+        k = a_t @ item.cov() @ a_t.T
+        assert np.array_equal(got_covs[i], 2.0 * ((k + k.T) / 2.0))
+
+
+def test_one_axis_sums_the_items_in_order():
+    # At D = 1 each block is a single column; numpy reduces a column
+    # pairwise, so only an in-order sum matches the loop over items.
+    rng = np.random.default_rng(5)
+    items = [_item_of_kind(rng, kind, 1) for kind in rng.integers(0, 4, 200)]
+    w = rng.uniform(0.1, 4.0, len(items))
+    ds = UncertainDataset(items, weights=w)
+    t_unc = np.zeros((1, 1))
+    for wi, item in zip(w, items):
+        t_unc += wi * item.cov()
+    t_unc /= w.sum()
+    assert np.array_equal(global_cov(ds, CovOptions(scale_s=math.inf)).matrix, t_unc)

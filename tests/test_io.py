@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from uapca.io import (
     DatasetFormatError,
@@ -26,6 +28,7 @@ from uapca.model import (
     Interval,
     Normal1D,
     Number,
+    Point,
     ProductOf1D,
     Trapezoid,
     UncertainDataset,
@@ -291,3 +294,165 @@ def test_csv_numbers_fold_negative_zero(tmp_path):
 
 def test_label_column_name():
     assert LABEL_COLUMN == "label"
+
+
+def _reference_load_points(path) -> PointsData:
+    """The cell-by-cell parser that ``load_points`` must agree with: every
+    numeric cell through float(), rows counted among the non-blank ones."""
+    import csv
+    import math
+
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    if len(rows) < 2:
+        raise DatasetFormatError(f"{path}: need a header row and at least one data row")
+    header = [h.strip() for h in rows[0]]
+    has_labels = bool(header) and header[-1] == LABEL_COLUMN
+    dim = len(header) - 1 if has_labels else len(header)
+    if dim < 1:
+        raise DatasetFormatError(f"{path}: no numeric columns found")
+    points = np.empty((len(rows) - 1, dim))
+    labels = []
+    for r, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise DatasetFormatError(
+                f"{path}: row {r} has {len(row)} fields, expected {len(header)}"
+            )
+        for c in range(dim):
+            try:
+                value = float(row[c])
+            except ValueError as exc:
+                raise DatasetFormatError(
+                    f"{path}: row {r}, column {header[c]!r}: "
+                    f"could not parse {row[c]!r} as a number"
+                ) from exc
+            if not math.isfinite(value):
+                raise DatasetFormatError(
+                    f"{path}: row {r}, column {header[c]!r}: non-finite value"
+                )
+            points[r - 2, c] = value
+        if has_labels:
+            labels.append(row[-1].strip())
+    return PointsData(points, tuple(header[:dim]), tuple(labels) if has_labels else None)
+
+
+_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from([
+        "nan", "inf", "-Infinity", "1e400", "-1e400", "1e-400", " 1.5 ", "\t-2\t", "1_0",
+        "１２", "", " ", "abc", "1 5", "0x10", '"3.5"', '"1,5"', "+.5", "5.",
+        "1.00000000000000000000001",
+    ]),
+)
+_LABELS = st.sampled_from(
+    ["a", " padded ", '"x,y"', '"multi\nline"', '""', '"say ""hi"""', "#hash", "label"]
+)
+
+
+@st.composite
+def _points_csv(draw):
+    dim = draw(st.integers(1, 3))
+    labelled = draw(st.booleans())
+    header = [f"c{j}" for j in range(dim)] + (["label"] if labelled else [])
+    lines = [",".join(f" {h} " if draw(st.booleans()) else h for h in header)]
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("")  # a blank line
+            continue
+        fields = [draw(_CELLS) for _ in range(dim)] + ([draw(_LABELS)] if labelled else [])
+        extra = draw(st.integers(-1, 1)) if draw(st.integers(0, 7)) == 0 else 0
+        if extra > 0:
+            fields.append("9")
+        elif extra < 0 and len(fields) > 1:
+            fields.pop()
+        lines.append(",".join(fields))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + (newline if draw(st.booleans()) else "")
+
+
+def _outcome(parse, path):
+    try:
+        pts = parse(path)
+    except DatasetFormatError as exc:
+        return "error", str(exc)
+    return "ok", (pts.points.shape, pts.points.tobytes(), pts.dim_names, pts.labels)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_points_csv())
+def test_load_points_agrees_with_the_cell_by_cell_parser(tmp_path, text):
+    path = tmp_path / "pts.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(load_points, path) == _outcome(_reference_load_points, path)
+
+
+@pytest.mark.parametrize("text", [
+    "x,y,label\n1,2,a\n\n3,4,\"b,c\"\n",         # blank line, quoted comma
+    "x,y,label\n1,2,\"a\n3,4,b\"\n5,6,c\n",      # a label over two lines
+    "x,y\n1_0,2\n３,4\n",                    # float() takes these, loadtxt does not
+    "x,y\n 1.5 ,\t2\t\n",
+    "x,y,label\n1,2,a,extra\n",
+    "x,y,label\n1,2\n",
+    "x,y\n1,nan\n", "x,y\n1,2\n3,inf\n", "x,y\n1e400,2\n", "x,y\n1, \n",
+    "\n\nx,y\n1,2\n",
+])
+def test_load_points_edge_cases_match_the_cell_by_cell_parser(tmp_path, text):
+    path = tmp_path / "pts.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(load_points, path) == _outcome(_reference_load_points, path)
+
+
+def test_loaded_tables_build_their_items_once(tmp_path, students_path):
+    pts = load_points(_write(tmp_path, "pts.csv", "x,y,label\n1,2,a\n3,4,b\n"))
+    ds = points_dataset(pts)
+    # Points have no covariance block: no (N, D, D) stack of zeros.
+    assert ds.full_covs.shape == (0, 2, 2) and ds.diag_vars.shape == (0, 2)
+    assert ds.means() is ds.means()
+    first = ds.items
+    assert ds.items is first
+    assert all(isinstance(it, Point) for it in first)
+    assert np.array_equal(ds.items[1].mean(), [3.0, 4.0])
+
+    doc = {"dims": ["a", "b"], "items": [
+        {"mvn": {"mean": [1, 2], "cov": [[2, 1], [1, 2]]}},
+        {"values": [{"number": 1}, {"interval": [0, 3]}]},
+        {"weight": 2, "mvn": {"mean": [0, 0], "cov": [[1, 0], [0, 1]]}},
+    ]}
+    ds = load_dataset(_write(tmp_path, "mixed.json", json.dumps(doc)))
+    assert ds.full_index.tolist() == [0, 2] and ds.diag_index.tolist() == [1]
+    assert np.array_equal(ds.diag_vars, [[0.0, 0.75]])
+    assert np.array_equal(ds.means(), [[1.0, 2.0], [1.0, 1.5], [0.0, 0.0]])
+    items = ds.items
+    assert [type(it) for it in items] == [Gaussian, ProductOf1D, Gaussian]
+    assert ds.items is items
+    for i, item in enumerate(items):
+        assert np.array_equal(item.mean(), ds.means()[i])
+    assert np.array_equal(items[0].cov(), ds.full_covs[0])
+
+
+def test_mvn_checks_name_the_first_bad_item(tmp_path):
+    good = {"mvn": {"mean": [0, 0], "cov": [[1, 0], [0, 1]]}}
+    cases = [
+        ({"mvn": {"mean": [0, 0], "cov": [[1, 0.5], [0.2, 1]]}},
+         "item 2: Gaussian covariance is not symmetric"),
+        ({"mvn": {"mean": [0, 0], "cov": [[1, 2], [2, 1]]}},
+         "item 2: Gaussian covariance is not positive semi-definite (min eigenvalue -1.000e+00"),
+        ({"mvn": {"mean": [0, 0], "cov": [[1, 0], [0, "NaN"]]}},
+         "item 2: Gaussian covariance contains non-finite entries"),
+        ({"mvn": {"mean": [0, "Infinity"], "cov": [[1, 0], [0, 1]]}},
+         "item 2: mean contains non-finite entries"),
+        ({"mvn": {"mean": [0, 0], "cov": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}},
+         "item 2: mvn 'cov' has shape (3, 3), which does not match 'dims' length 2"),
+        ({"mvn": {"mean": [0, 0], "cov": [[1, 0], [0, {}]]}},
+         "item 2: mvn 'cov' must be an array of numbers with rows of equal length"),
+        ({"mvn": {"mean": [0, [1]], "cov": [[1, 0], [0, 1]]}},
+         "item 2: mvn 'mean' must be an array of numbers"),
+    ]
+    for j, (bad, fragment) in enumerate(cases):
+        text = json.dumps({"dims": ["a", "b"], "items": [good, good, bad, good]})
+        text = text.replace('"NaN"', "NaN").replace('"Infinity"', "Infinity")
+        with pytest.raises(DatasetFormatError) as err:
+            load_dataset(_write(tmp_path, f"bad{j}.json", text))
+        assert fragment in str(err.value)

@@ -217,3 +217,17 @@ def test_exact_degeneracy_is_not_flagged():
     lam = np.array([[2.0, 1.0], [1.5, 1.5], [2.0, 1.0], [3.0, 1.0]])
     curves = EigenCurves(s_values=np.array([0.0, 0.5, 1.0, np.inf]), values=lam)
     assert detect_avoided_crossings(curves) == []
+
+
+def test_sweep_solves_the_whole_stack_in_one_call(monkeypatch):
+    import uapca.sensitivity
+
+    calls = []
+
+    def counting(k):
+        calls.append(np.shape(k))
+        return eig_sym(k)
+
+    monkeypatch.setattr(uapca.sensitivity, "eig_sym", counting)
+    sweep(near_crossing_dataset(), q=2, schedule=SweepSchedule(steps=16))
+    assert calls == [(16, 3, 3)]
