@@ -7,7 +7,7 @@ the projection reacts to uncertainty, and a Hellinger-distance harness
 validates the closed form against plain PCA on Monte-Carlo samples.
 """
 
-from .cov import CovOptions, GlobalCov, dataset_mean, global_cov, global_cov_from_points
+from .cov import CovOptions, GlobalCov, global_cov, global_cov_from_points
 from .eigen import EigenPairs, PcaModel, eig_sym, principal_angles, select_components
 from .io import (
     DatasetFormatError,
@@ -41,8 +41,6 @@ from .model import (
     ProductOf1D,
     Trapezoid,
     UncertainDataset,
-    affine_cov,
-    affine_mean,
     cov_matrix,
 )
 from .project import ellipse_outline, project_distribution, project_items, project_point
@@ -58,7 +56,7 @@ from .sensitivity import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CovOptions", "GlobalCov", "dataset_mean", "global_cov", "global_cov_from_points",
+    "CovOptions", "GlobalCov", "global_cov", "global_cov_from_points",
     "EigenPairs", "PcaModel", "eig_sym", "principal_angles", "select_components",
     "DatasetFormatError", "PointsData", "aggregate_by_label", "load_dataset",
     "load_points", "points_dataset", "save_dataset", "standardize_dataset",
@@ -67,7 +65,7 @@ __all__ = [
     "hellinger", "run_convergence_experiment", "sampled_pca", "summary_of",
     "Distribution", "EmpiricalCluster", "Gaussian", "Interval", "Normal1D",
     "Number", "Point", "ProductOf1D", "Trapezoid", "UncertainDataset",
-    "affine_cov", "affine_mean", "cov_matrix",
+    "cov_matrix",
     "ellipse_outline", "project_distribution", "project_items", "project_point",
     "EigenCurves", "FactorTrace", "SweepSchedule", "detect_avoided_crossings",
     "factor_traces", "sweep",

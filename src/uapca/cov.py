@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Point, UncertainDataset, _readonly
+from .model import UncertainDataset, _readonly
 
 
 @dataclass(frozen=True)
@@ -28,12 +28,11 @@ class CovOptions:
     """Options for the global covariance accumulation.
 
     scale_s scales item covariances by s^2; it must be >= 0 and may be
-    ``math.inf`` to select the uncertainty-limit matrix.  use_weights=False
-    treats every item weight as one.
+    ``math.inf`` to select the uncertainty-limit matrix.  The item weights
+    always count; an unweighted fit is ``UncertainDataset(ds.items)``.
     """
 
     scale_s: float = 1.0
-    use_weights: bool = True
 
     def __post_init__(self):
         s = float(self.scale_s)
@@ -69,18 +68,8 @@ class GlobalCov:
             return _readonly(self.term_means + (s * s) * self.term_uncertainty)
 
 
-def _weights(ds: UncertainDataset, opts: CovOptions) -> np.ndarray:
-    return ds.weights if opts.use_weights else np.ones(len(ds))
-
-
 def _symmetric(a: np.ndarray) -> np.ndarray:
     return _readonly((a + a.T) / 2.0)
-
-
-def dataset_mean(ds: UncertainDataset, opts: CovOptions = CovOptions()) -> np.ndarray:
-    """Weight-normalized average of the item means."""
-    w = _weights(ds, opts)
-    return w @ ds.means() / w.sum()
 
 
 def global_cov(ds: UncertainDataset, opts: CovOptions = CovOptions()) -> GlobalCov:
@@ -99,7 +88,7 @@ def global_cov(ds: UncertainDataset, opts: CovOptions = CovOptions()) -> GlobalC
     Overflow gives non-finite entries and no numpy warning; ``eig_sym``
     rejects them.
     """
-    w = _weights(ds, opts)
+    w = ds.weights
     d = ds.dim
     with np.errstate(over="ignore", invalid="ignore"):
         wsum = w.sum()
@@ -139,5 +128,4 @@ def global_cov_from_points(points) -> GlobalCov:
         raise ValueError(f"points must be a non-empty (n, D) array, got shape {p.shape}")
     if not np.all(np.isfinite(p)):
         raise ValueError("points contain non-finite entries")
-    ds = UncertainDataset._from_table(p, items=lambda: map(Point, p))
-    return global_cov(ds, CovOptions(scale_s=0.0))
+    return global_cov(UncertainDataset._from_table(p), CovOptions(scale_s=0.0))

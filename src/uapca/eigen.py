@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PSD_RTOL, SYM_RTOL, _as_vector, _readonly
+from .model import PSD_RTOL, _as_vector, _readonly, _symmetrized
 
 
 @dataclass(frozen=True)
@@ -49,6 +49,10 @@ def eig_sym(k) -> EigenPairs:
     largest-magnitude entry is positive (magnitude ties resolved by the
     lowest index).
 
+    The input passes the finite and symmetry checks ``cov_matrix`` uses; an
+    entry that overflows when symmetrized counts as non-finite, and a matrix
+    with an eigenvalue beyond the float range raises.
+
     Every rule applies to each matrix of a stack on its own, and ``eigh``
     solves a stack one matrix at a time with the same LAPACK routine, so
     each slice of the result has the same bits as a call on that matrix
@@ -59,23 +63,14 @@ def eig_sym(k) -> EigenPairs:
     a = np.asarray(k, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix contains non-finite entries")
     d = a.shape[-1]
     flat = a.reshape(-1, d, d)
     n = len(flat)
-    flat_t = flat.transpose(0, 2, 1)
-    # In place where it can be, so a long stack makes few temporaries.
-    entries = flat.reshape(n, d * d)
-    scale = np.maximum(np.maximum(entries.max(axis=1), -entries.min(axis=1)), 1.0)
-    diff = flat - flat_t
-    if np.any(np.abs(diff, out=diff).reshape(n, d * d).max(axis=1) > SYM_RTOL * scale):
-        raise ValueError("matrix is not symmetric")
-    del diff
-    sym = flat + flat_t
-    sym /= 2.0
+    sym = _symmetrized(flat, lambda i: "matrix")
     values, vectors = np.linalg.eigh(sym)
     del sym
+    if not np.isfinite(values).all():  # eigh scales internally; no warning
+        raise ValueError("matrix has an eigenvalue beyond the float range")
     stack = np.arange(n)[:, None]
     order = np.argsort(-values, axis=1, kind="stable")
     values = values[stack, order]

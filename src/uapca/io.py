@@ -58,7 +58,7 @@ _CELL_KEYS = ("number", "interval", "trapezoid", "normal")
 
 
 def _cell_number(x) -> float:
-    if isinstance(x, bool):  # float() would take true as 1.0
+    if type(x) not in (int, float):  # float() would take true as 1.0 and "1_0" as 10
         raise ValueError(f"expected a number, got {json.dumps(x)}")
     return float(x)
 
@@ -139,6 +139,13 @@ def _parse_item(obj, index: int, dim: int):
         if arrays[-1].shape != shape:
             raise DatasetFormatError(f"{where}: mvn {key!r} has shape {arrays[-1].shape}, "
                                      f"which does not match 'dims' length {dim}")
+        # asarray reads true and "1" as 1.0; with the shape right, each row is flat.
+        rows = mvn[key] if key == "cov" else [mvn[key]]
+        bad = [v for row in rows for v in row if type(v) not in (int, float)]
+        if bad:
+            raise DatasetFormatError(
+                f"{where}: mvn {key!r} must be an array of numbers, got {json.dumps(bad[0])}"
+            )
     return float(weight), label, arrays[0], arrays[1], None
 
 
@@ -149,11 +156,14 @@ def load_dataset(path) -> UncertainDataset:
     item gives its cells' means and variances, an mvn item its mean and
     covariance.  The mvn covariances are then checked as one stack
     (finite, symmetric, PSD with one ``eigvalsh``), and an error names the
-    item.  The Distribution items are built only when ``items`` is read.
+    item.  The table keeps the values items' cells, so when ``items`` is
+    read they come back as ``ProductOf1D`` and the mvn items as ``Gaussian``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            # An integer too long to fit a float reads as inf, not as an int
+            # that float() cannot convert.
+            doc = json.load(fh, parse_int=lambda t: int(t) if len(t) < 309 else float(t))
         except json.JSONDecodeError as exc:
             raise DatasetFormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -178,33 +188,27 @@ def load_dataset(path) -> UncertainDataset:
             raise DatasetFormatError(f"{path}: {exc}") from exc
         weights.append(weight)
         labels.append(label)
-        cells.append(item_cells)
         if item_cells is None:
             full_index.append(i)
             full_covs.append(spread)
         else:
             diag_index.append(i)
+            cells.append(item_cells)
             variances[i] = spread
     full_covs = np.array(full_covs).reshape(-1, dim, dim)
-
-    def build_items():
-        covs = iter(full_covs)
-        return [ProductOf1D(c) if c else Gaussian(m, next(covs))
-                for c, m in zip(cells, table.means())]
 
     use_labels = tuple(
         lab if lab is not None else f"item{i + 1}" for i, lab in enumerate(labels)
     ) if any(lab is not None for lab in labels) else None
     try:
         full_covs = _cov_stack(full_covs, lambda g: f"item {full_index[g]}: Gaussian covariance")
-        table = UncertainDataset._from_table(
+        return UncertainDataset._from_table(
             means, full_index, full_covs, diag_index, variances[diag_index],
-            items=build_items, weights=np.array(weights), dim_names=tuple(dims),
+            cells=cells, weights=np.array(weights), dim_names=tuple(dims),
             labels=use_labels,
         )
     except ValueError as exc:
         raise DatasetFormatError(f"{path}: {exc}") from exc
-    return table
 
 
 def dataset_to_json(ds: UncertainDataset) -> dict:
@@ -324,13 +328,10 @@ def _scan_points(path, header: list[str], dim: int) -> np.ndarray:
 def points_dataset(pts: PointsData) -> UncertainDataset:
     """Each row as a point-mass item (ordinary PCA input).
 
-    The table is the points array itself, with no covariance block; the
-    ``Point`` items are built only when ``items`` is first read.
+    The table is the points array itself, with no covariance block, so its
+    ``items`` are ``Point``s.
     """
-    return UncertainDataset._from_table(
-        pts.points, items=lambda: map(Point, pts.points),
-        dim_names=pts.dim_names, labels=pts.labels,
-    )
+    return UncertainDataset._from_table(pts.points, dim_names=pts.dim_names, labels=pts.labels)
 
 
 def aggregate_by_label(pts: PointsData, kind: str = "gaussian") -> UncertainDataset:
@@ -379,36 +380,36 @@ def aggregate_by_label(pts: PointsData, kind: str = "gaussian") -> UncertainData
 # Standardization.
 
 
-def standardize_points(points: np.ndarray, dim_names=None) -> np.ndarray:
-    """Z-score columns with the population standard deviation.
+def _require_spread(sigma: np.ndarray, what: str, names) -> None:
+    """Raise for the first zero, then the first non-finite, standard deviation,
+    naming its axis by its entry in ``names`` when given, else by its index."""
+    for bad, rule in ((sigma == 0.0, "has zero variance"),
+                      (~np.isfinite(sigma), "has a variance that overflows")):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DatasetFormatError(
+                f"{what} {i if names is None else repr(names[i])} {rule}; cannot standardize"
+            )
 
-    A zero-variance column is an error that names the column by its entry
-    in ``dim_names`` when given, else by its index.
-    """
+
+def standardize_points(points: np.ndarray, dim_names=None) -> np.ndarray:
+    """Z-score columns with the population standard deviation, computed under
+    ``np.errstate``; a flat or overflowing column is an error."""
     p = np.asarray(points, dtype=float)
-    mean = p.mean(axis=0)
-    sigma = p.std(axis=0)
-    bad = np.flatnonzero(sigma == 0.0)
-    if bad.size:
-        col = int(bad[0])
-        raise DatasetFormatError(
-            f"column {col if dim_names is None else repr(dim_names[col])} "
-            f"has zero variance; cannot standardize"
-        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = p.mean(axis=0)
+        sigma = p.std(axis=0)
+    _require_spread(sigma, "column", dim_names)
     return (p - mean) / sigma
 
 
 def standardize_dataset(ds: UncertainDataset) -> UncertainDataset:
     """Z-score a dataset using its uncertainty-aware axis variances at s=1."""
     g = global_cov(ds, CovOptions(scale_s=1.0))
-    var = np.diag(g.matrix).copy()
-    bad = np.flatnonzero(var <= 0.0)
-    if bad.size:
-        raise DatasetFormatError(
-            f"axis {ds.dim_names[int(bad[0])]!r} has zero variance; cannot standardize"
-        )
-    sigma = np.sqrt(var)
-    return ds.rescale(1.0 / sigma, -g.mean / sigma)
+    sigma = np.sqrt(np.diag(g.matrix))
+    _require_spread(sigma, "axis", ds.dim_names)
+    with np.errstate(over="ignore"):  # a non-finite offset fails in rescale
+        return ds.rescale(1.0 / sigma, -g.mean / sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -47,28 +47,35 @@ def cov_matrix(entries, name: str = "covariance") -> np.ndarray:
     return _cov_stack(k[None], lambda i: name)[0]
 
 
-def _cov_stack(k: np.ndarray, name) -> np.ndarray:
-    """``cov_matrix`` on a (G, D, D) stack, with one ``eigvalsh`` for every PSD check.
+def _symmetrized(k: np.ndarray, name) -> np.ndarray:
+    """(k + k^T) / 2 for a (G, D, D) stack k, checked finite, then symmetric.
 
-    Returns the symmetrized stack, read-only.  Each rule is checked on the
-    whole stack in turn, and its error names the first matrix that breaks
-    it as ``name(index)``.  An entry that overflows when symmetrized counts
-    as non-finite.
+    Each rule is checked on the whole stack in turn, and its error names the
+    first matrix that breaks it as ``name(index)``.  Runs under
+    ``np.errstate``: an entry that overflows when symmetrized counts as
+    non-finite.
     """
     n, d = len(k), k.shape[-1]
     flat, k_t = k.reshape(n, d * d), k.swapaxes(1, 2)
     # In place where it can be, so a large stack makes few temporaries.
     with np.errstate(over="ignore", invalid="ignore"):
-        sym = k + k_t
-        sym /= 2.0
         diff = k - k_t
         scale = np.maximum(np.maximum(flat.max(axis=1), -flat.min(axis=1)), 1.0)
         asym = np.abs(diff, out=diff).reshape(n, d * d).max(axis=1) > SYM_RTOL * scale
-    del diff
+        del diff
+        sym = k + k_t
+        sym /= 2.0
     finite = np.isfinite(sym).reshape(n, d * d).all(axis=1)
     for bad, rule in ((~finite, "contains non-finite entries"), (asym, "is not symmetric")):
         if bad.any():
             raise ValueError(f"{name(int(np.argmax(bad)))} {rule}")
+    return sym
+
+
+def _cov_stack(k: np.ndarray, name) -> np.ndarray:
+    """``cov_matrix`` on a (G, D, D) stack: ``_symmetrized``, then one
+    ``eigvalsh`` for every PSD check; returns the stack read-only."""
+    sym = _symmetrized(k, name)
     _require_psd(sym, name)
     return _readonly(sym)
 
@@ -94,34 +101,14 @@ def _population_moments(
     """Mean and symmetrized population (1/n) covariance of (n, D) rows; no validation.
 
     With ``overwrite`` the rows are centred in place instead of in a copy;
-    the result is the same bits either way.
+    the result is the same bits either way.  An overflow leaves non-finite
+    entries, with no numpy warning, for the caller's checks to reject.
     """
-    mean = rows.mean(axis=0)
-    centered = np.subtract(rows, mean, out=rows if overwrite else None)
-    k = centered.T @ centered / rows.shape[0]
-    return mean, (k + k.T) / 2.0
-
-
-def affine_mean(a: np.ndarray, b: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Mean of A x + b for x with mean m: A m + b."""
-    a = np.asarray(a, dtype=float)
-    b = _as_vector(b, "offset")
-    m = _as_vector(m, "mean")
-    if a.ndim != 2 or a.shape != (b.size, m.size):
-        raise ValueError(
-            f"matrix shape {a.shape} incompatible with offset {b.size} and mean {m.size}"
-        )
-    return a @ m + b
-
-
-def affine_cov(a: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Covariance of A x + b for x with covariance K: A K A^T."""
-    a = np.asarray(a, dtype=float)
-    k = np.asarray(k, dtype=float)
-    if a.ndim != 2 or k.ndim != 2 or a.shape[1] != k.shape[0] or k.shape[0] != k.shape[1]:
-        raise ValueError(f"incompatible shapes {a.shape} and {k.shape}")
-    out = a @ k @ a.T
-    return (out + out.T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = rows.mean(axis=0)
+        centered = np.subtract(rows, mean, out=rows if overwrite else None)
+        k = centered.T @ centered / rows.shape[0]
+        return mean, (k + k.T) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +125,6 @@ class Scalar1D:
         raise NotImplementedError
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        raise NotImplementedError
-
-    def rescale(self, scale: float, offset: float) -> "Scalar1D":
-        """The distribution of scale * x + offset (scale > 0)."""
         raise NotImplementedError
 
     def to_json(self) -> dict:
@@ -167,9 +150,6 @@ class Number(Scalar1D):
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return np.full(n, float(self.value))
-
-    def rescale(self, scale: float, offset: float) -> "Number":
-        return Number(scale * self.value + offset)
 
     def to_json(self) -> dict:
         return {"number": self.value}
@@ -198,9 +178,6 @@ class Interval(Scalar1D):
         if self.hi == self.lo:
             return np.full(n, self.lo)
         return rng.uniform(self.lo, self.hi, size=n)
-
-    def rescale(self, scale: float, offset: float) -> "Interval":
-        return Interval(scale * self.lo + offset, scale * self.hi + offset)
 
     def to_json(self) -> dict:
         return {"interval": [self.lo, self.hi]}
@@ -274,9 +251,6 @@ class Trapezoid(Scalar1D):
         out[fall] = d - np.sqrt((1.0 - u[fall]) * s * (d - c))
         return out
 
-    def rescale(self, scale: float, offset: float) -> "Trapezoid":
-        return Trapezoid(*(scale * v + offset for v in (self.a, self.b, self.c, self.d)))
-
     def to_json(self) -> dict:
         return {"trapezoid": [self.a, self.b, self.c, self.d]}
 
@@ -302,9 +276,6 @@ class Normal1D(Scalar1D):
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.normal(self.loc, self.sd, size=n)
-
-    def rescale(self, scale: float, offset: float) -> "Normal1D":
-        return Normal1D(scale * self.loc + offset, scale * self.sd)
 
     def to_json(self) -> dict:
         return {"normal": {"mean": self.loc, "sd": self.sd}}
@@ -341,10 +312,6 @@ class Distribution:
         """
         raise NotImplementedError
 
-    def rescale(self, scale: np.ndarray, offset: np.ndarray) -> "Distribution":
-        """Apply the per-axis map x -> scale * x + offset (scale > 0)."""
-        raise NotImplementedError
-
 
 def _sample_buffer(buf: np.ndarray | None, n: int, dim: int) -> np.ndarray:
     """A fresh (n, dim) array, or buf after checking that it has that shape."""
@@ -353,16 +320,6 @@ def _sample_buffer(buf: np.ndarray | None, n: int, dim: int) -> np.ndarray:
     if buf.shape != (n, dim):
         raise ValueError(f"sample buffer has shape {buf.shape}, expected {(n, dim)}")
     return buf
-
-
-def _check_rescale_args(scale, offset, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    s = _as_vector(scale, "scale")
-    o = _as_vector(offset, "offset")
-    if s.size != dim or o.size != dim:
-        raise ValueError(f"scale/offset length must be {dim}")
-    if np.any(s <= 0.0):
-        raise ValueError("scale entries must be positive")
-    return s, o
 
 
 class Point(Distribution):
@@ -385,10 +342,6 @@ class Point(Distribution):
         out = _sample_buffer(out, n, self.dim)
         out[...] = self._x
         return out
-
-    def rescale(self, scale, offset) -> "Point":
-        s, o = _check_rescale_args(scale, offset, self.dim)
-        return Point(s * self._x + o)
 
     def __repr__(self) -> str:
         return f"Point({self._x.tolist()})"
@@ -436,10 +389,6 @@ class Gaussian(Distribution):
         out += self._mean
         return out
 
-    def rescale(self, scale, offset) -> "Gaussian":
-        s, o = _check_rescale_args(scale, offset, self.dim)
-        return Gaussian(s * self._mean + o, self._cov * np.outer(s, s))
-
     def __repr__(self) -> str:
         return f"Gaussian(mean={self._mean.tolist()}, dim={self.dim})"
 
@@ -472,10 +421,6 @@ class ProductOf1D(Distribution):
             out[:, j] = cell.sample(n, rng)
         return out
 
-    def rescale(self, scale, offset) -> "ProductOf1D":
-        s, o = _check_rescale_args(scale, offset, self.dim)
-        return ProductOf1D(cell.rescale(si, oi) for cell, si, oi in zip(self.cells, s, o))
-
     def __repr__(self) -> str:
         return f"ProductOf1D({list(self.cells)!r})"
 
@@ -500,7 +445,8 @@ class EmpiricalCluster(Distribution):
         return self.points.shape[1]
 
     def mean(self) -> np.ndarray:
-        return self.points.mean(axis=0)
+        with np.errstate(over="ignore"):  # a sum that overflows gives a non-finite mean
+            return self.points.mean(axis=0)
 
     def cov(self) -> np.ndarray:
         return _population_moments(self.points)[1]
@@ -511,10 +457,6 @@ class EmpiricalCluster(Distribution):
         # temporary that take() makes for out= under the default "raise".
         out = _sample_buffer(out, n, self.dim)
         return np.take(self.points, idx, axis=0, out=out, mode="clip")
-
-    def rescale(self, scale, offset) -> "EmpiricalCluster":
-        s, o = _check_rescale_args(scale, offset, self.dim)
-        return EmpiricalCluster(self.points * s + o)
 
     def __repr__(self) -> str:
         return f"EmpiricalCluster(n={self.points.shape[0]}, dim={self.dim})"
@@ -539,10 +481,9 @@ class UncertainDataset:
       of ``ProductOf1D`` items, whose covariance is that diagonal;
     - nothing for points: a row in neither block has zero covariance.
 
-    ``items`` gives the rows as Distribution objects.  A dataset made from
-    items keeps them; one made by the loaders or ``rescale`` builds them on
-    first read and caches them.  Labels are optional display names carried
-    through aggregation and rendering.
+    ``items`` gives the rows as Distribution objects: a dataset made from
+    items keeps them, any other builds them from the table.  Labels are
+    optional display names carried through aggregation and rendering.
     """
 
     def __init__(self, items, weights=None, dim_names=None, labels=None):
@@ -560,21 +501,21 @@ class UncertainDataset:
             full, np.array([items[i].cov() for i in full]).reshape(len(full), d, d),
             diag, np.array([[c.variance() for c in items[i].cells] for i in diag]).reshape(
                 len(diag), d),
-            weights, dim_names, labels, items,
+            weights, dim_names, labels, items=items,
         )
 
     @classmethod
     def _from_table(cls, means, full_index=(), full_covs=None, diag_index=(), diag_vars=None,
-                    *, items, weights=None, dim_names=None, labels=None) -> "UncertainDataset":
+                    *, cells=None, weights=None, dim_names=None, labels=None) -> "UncertainDataset":
         """A dataset from its columns, with no covariance block where none is
-        given; ``items`` is a function that builds the items."""
+        given; ``cells`` optionally holds each diagonal-block row's cells."""
         ds = cls.__new__(cls)
         ds._fill(means, full_index, full_covs, diag_index, diag_vars,
-                 weights, dim_names, labels, items)
+                 weights, dim_names, labels, cells=cells)
         return ds
 
     def _fill(self, means, full_index, full_covs, diag_index, diag_vars,
-              weights, dim_names, labels, items) -> None:
+              weights, dim_names, labels, items=None, cells=None) -> None:
         n, d = means.shape
         full_covs = np.empty((0, d, d)) if full_covs is None else full_covs
         diag_vars = np.empty((0, d)) if diag_vars is None else diag_vars
@@ -588,9 +529,7 @@ class UncertainDataset:
         self.full_covs = _readonly(full_covs)
         self.diag_index = _readonly(np.asarray(diag_index, dtype=np.intp))
         self.diag_vars = _readonly(diag_vars)
-        # A tuple of items, or a function that builds them when first read.
-        self._items, self._build_items = ((items, None) if isinstance(items, tuple)
-                                          else (None, items))
+        self._items, self._cells = items, cells
 
         w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
         if w.shape != (n,):
@@ -616,10 +555,17 @@ class UncertainDataset:
 
     @property
     def items(self) -> tuple[Distribution, ...]:
-        """The rows as Distribution objects, built on first read and then cached."""
+        """The rows as Distribution objects, built from the table on first
+        read and cached: ``Point`` for a row in neither block, ``Gaussian``
+        for a full-block row, and for a diagonal-block row ``ProductOf1D`` of
+        its cells, or without cells the ``Gaussian`` with that diagonal."""
         if self._items is None:
-            self._items = tuple(self._build_items())
-            self._build_items = None
+            m = self._means
+            rows = {int(i): Gaussian(m[i], k) for i, k in zip(self.full_index, self.full_covs)}
+            for j, (i, v) in enumerate(zip(self.diag_index, self.diag_vars)):
+                rows[int(i)] = (Gaussian(m[i], np.diag(v)) if self._cells is None
+                                else ProductOf1D(self._cells[j]))
+            self._items = tuple(rows[i] if i in rows else Point(x) for i, x in enumerate(m))
         return self._items
 
     @property
@@ -636,16 +582,20 @@ class UncertainDataset:
     def rescale(self, scale, offset) -> "UncertainDataset":
         """The dataset under the per-axis map x -> scale * x + offset (scale > 0).
 
-        The moment columns are mapped as arrays: means to scale * m + offset,
-        covariances to S Psi S with S = diag(scale).  The items, when read,
-        are the items' own ``rescale``; a product or cluster item's moments
-        can then differ from the table's in the last bit.
+        Only the columns are mapped: means to scale * m + offset, covariances
+        to S Psi S with S = diag(scale), under ``np.errstate``.  The items are
+        built from them, equal to the table bit for bit, so a values or
+        cluster row reads back as the moment-equal ``Gaussian``.
         """
-        s, o = _check_rescale_args(scale, offset, self.dim)
-        return UncertainDataset._from_table(
-            s * self._means + o,
-            self.full_index, self.full_covs * np.outer(s, s),
-            self.diag_index, self.diag_vars * (s * s),
-            items=lambda: (it.rescale(s, o) for it in self.items),
-            weights=self.weights.copy(), dim_names=self.dim_names, labels=self.labels,
-        )
+        s, o = _as_vector(scale, "scale"), _as_vector(offset, "offset")
+        if s.size != self.dim or o.size != self.dim:
+            raise ValueError(f"scale/offset length must be {self.dim}")
+        if np.any(s <= 0.0):
+            raise ValueError("scale entries must be positive")
+        with np.errstate(over="ignore", invalid="ignore"):
+            return UncertainDataset._from_table(
+                s * self._means + o,
+                self.full_index, self.full_covs * np.outer(s, s),
+                self.diag_index, self.diag_vars * (s * s),
+                weights=self.weights.copy(), dim_names=self.dim_names, labels=self.labels,
+            )

@@ -26,8 +26,9 @@ def project_items(
     items, since affine maps commute with taking moments.  Each covariance
     block of the dataset is projected as one stack: the full block as
     A^T F A, the diagonal block as (A^T scaled by each row of variances) A,
-    with no D x D matrix per item, and points give exact zeros.  The result
-    is checked once: finite, and each covariance PSD up to ``PSD_RTOL``.
+    with no D x D matrix per item, and points give exact zeros.  The
+    arithmetic runs under ``np.errstate``, and the result is checked once:
+    finite, and each covariance PSD up to ``PSD_RTOL``.
     """
     if not isinstance(ds, UncertainDataset):
         ds = UncertainDataset(ds)
@@ -38,14 +39,15 @@ def project_items(
             f"model dimension {model.mean.size}"
         )
     a_t = model.components.T
-    # A stacked matrix-vector product rounds each row as a_t @ v does;
-    # (means - mean) @ A differs in the last bit and would change output bytes.
-    out_means = np.matmul(a_t, (means - model.mean)[..., None])[..., 0]
-    covs = np.zeros((len(means), a_t.shape[0], a_t.shape[0]))
-    for index, block in ((ds.full_index, a_t @ ds.full_covs @ a_t.T),
-                         (ds.diag_index, (a_t * ds.diag_vars[:, None, :]) @ a_t.T)):
-        covs[index] = (block + block.swapaxes(1, 2)) / 2.0
-    covs *= cov_scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        # A stacked matrix-vector product rounds each row as a_t @ v does;
+        # (means - mean) @ A differs in the last bit and would change output bytes.
+        out_means = np.matmul(a_t, (means - model.mean)[..., None])[..., 0]
+        covs = np.zeros((len(means), a_t.shape[0], a_t.shape[0]))
+        for index, block in ((ds.full_index, a_t @ ds.full_covs @ a_t.T),
+                             (ds.diag_index, (a_t * ds.diag_vars[:, None, :]) @ a_t.T)):
+            covs[index] = (block + block.swapaxes(1, 2)) / 2.0
+        covs *= cov_scale
     if not (np.all(np.isfinite(out_means)) and np.all(np.isfinite(covs))):
         raise ValueError("projected moments contain non-finite entries")
     _require_psd(covs, lambda i: f"projected covariance of item {i}")

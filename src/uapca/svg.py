@@ -199,7 +199,8 @@ def render_projection_svg(labels: list[str], means, covs) -> str:
     covariance render as a plain dot.  The outlines of every other item
     come from one stacked eigensolve (``_ellipse_outlines``); the view
     bounds are read from the means and that outline array, which is then
-    mapped to pixels in place.
+    mapped to pixels in place.  Items whose outlines or view span overflow
+    the float range are a ValueError, with no numpy warning.
     """
     if not len(labels):
         raise ValueError("nothing to render")
@@ -207,17 +208,21 @@ def render_projection_svg(labels: list[str], means, covs) -> str:
         raise ValueError("projection rendering is defined for q = 2")
 
     drawn = np.flatnonzero(np.abs(covs).reshape(len(covs), -1).max(axis=1) != 0.0)
-    outlines = _ellipse_outlines(means[drawn], covs[drawn], (1.0, 2.0), 64)
-    # One reduction per axis: reducing an (n, 2) array over axis 0 is many
-    # times slower than reducing each strided column.
-    lo = np.array([min(means[:, c].min(), outlines[..., c].min(initial=np.inf))
-                   for c in (0, 1)])
-    hi = np.array([max(means[:, c].max(), outlines[..., c].max(initial=-np.inf))
-                   for c in (0, 1)])
-    span = np.maximum(hi - lo, 1e-12)
+    with np.errstate(over="ignore", invalid="ignore"):
+        outlines = _ellipse_outlines(means[drawn], covs[drawn], (1.0, 2.0), 64)
+        # One reduction per axis: reducing an (n, 2) array over axis 0 is many
+        # times slower than reducing each strided column.
+        lo = np.array([min(means[:, c].min(), outlines[..., c].min(initial=np.inf))
+                       for c in (0, 1)])
+        hi = np.array([max(means[:, c].max(), outlines[..., c].max(initial=-np.inf))
+                       for c in (0, 1)])
+        span = np.maximum(hi - lo, 1e-12)
+        mid = (lo + hi) / 2.0
+    # A non-finite outline makes lo or hi, and so span, non-finite too.
+    if not (np.isfinite(span).all() and np.isfinite(mid).all()):
+        raise ValueError("projected items span more than the float range; cannot draw them")
     margin = 70.0
     scale = min((SIZE - 2 * margin) / span[0], (SIZE - 2 * margin) / span[1])
-    mid = (lo + hi) / 2.0
 
     def to_px(p: np.ndarray) -> np.ndarray:
         """(..., 2) coordinates to pixels, in place."""

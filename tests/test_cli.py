@@ -398,6 +398,18 @@ def test_project_output_bytes_are_pinned(tmp_path, capsys):
      "matrix contains non-finite entries"),
     ("huge_means.csv", "x,y\n1e308,1e308\n-1e308,-1e308\n1e308,-1e308\n",
      "matrix contains non-finite entries"),
+    ("huge_eigenvalue.csv", "a,b,c\n9e153,9e153,9e153\n-9e153,-9e153,-9e153\n",
+     "matrix has an eigenvalue beyond the float range"),
+    ("string_cell.json", '{"dims": ["a"], "items": [{"values": [{"number": "1_0"}]}]}',
+     'item 0, value 0: expected a number, got "1_0"'),
+    ("string_interval.json", '{"dims": ["a"], "items": [{"values": [{"interval": ["0", "2"]}]}]}',
+     'item 0, value 0: expected a number, got "0"'),
+    ("string_mvn.json",
+     '{"dims": ["a", "b"], "items": [{"mvn": {"mean": ["1", 0], "cov": [[1, 0], [0, 1]]}}]}',
+     'item 0: mvn \'mean\' must be an array of numbers, got "1"'),
+    ("bool_mvn.json",
+     '{"dims": ["a", "b"], "items": [{"mvn": {"mean": [0, 0], "cov": [[1, 0], [false, 1]]}}]}',
+     "item 0: mvn 'cov' must be an array of numbers, got false"),
 ])
 def test_bad_input_is_a_one_line_error(tmp_path, capsys, name, text, fragment):
     import warnings
@@ -413,3 +425,39 @@ def test_bad_input_is_a_one_line_error(tmp_path, capsys, name, text, fragment):
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("uapca: error:"), err
         assert fragment in err[0]
+
+
+_SD_1E154 = ('{"dims": ["a", "b"], "items": [{"values": [{"normal": {"mean": 0, "sd": 1.3e154}},'
+             ' {"number": 1}]}, {"values": [{"number": 2}, {"number": 3}]}]}')
+_HUGE_CLASSES = "a,b,label\n1.3e154,2,x\n-1.3e154,3,x\n5,1.2e154,y\n0,0,y\n"
+
+
+@pytest.mark.parametrize("name, text, flags, fragment", [
+    # K overflows when eig_sym symmetrizes it.
+    ("sd.json", _SD_1E154, ["--scale", "1.3"], "matrix contains non-finite entries"),
+    # K fits; the projected covariance overflows when symmetrized.
+    ("sd.json", _SD_1E154, [], "projected moments contain non-finite entries"),
+    ("std.csv", "a,b\n1e154,2\n-1e154,3\n5,1e154\n", ["--points", "--standardize"],
+     "column 'a' has a variance that overflows; cannot standardize"),
+    ("std.json", '{"dims": ["a", "b"], "items": [{"weight": 1e308, "values": [{"number": 1},'
+     ' {"interval": [0, 8]}]}, {"values": [{"number": 3}, {"number": 1}]}]}', ["--standardize"],
+     "axis 'b' has a variance that overflows; cannot standardize"),
+    ("classes.csv", _HUGE_CLASSES, ["--points", "--aggregate-by", "label"],
+     "Gaussian covariance contains non-finite entries"),
+    ("classes.csv", _HUGE_CLASSES,
+     ["--points", "--aggregate-by", "label", "--cluster-kind", "empirical"],
+     "matrix contains non-finite entries"),
+    ("span.csv", "a,b\n1e308,2\n-1e308,3\n5,1\n", ["--points", "--scale", "inf"],
+     "projected items span more than the float range; cannot draw them"),
+])
+def test_overflow_in_project_is_a_one_line_error(tmp_path, capsys, name, text, flags, fragment):
+    import warnings
+
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["project", *flags, "--input", str(path), "--out-prefix", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"uapca: error: {fragment}"]

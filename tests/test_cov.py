@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uapca.cov import CovOptions, dataset_mean, global_cov, global_cov_from_points
+from uapca.cov import CovOptions, global_cov, global_cov_from_points
 from uapca.model import (
     EmpiricalCluster,
     Gaussian,
@@ -141,19 +141,10 @@ def test_diagonal_rescale_maps_matrix_to_s_k_s(seed, n_items, dim, data):
         assert np.abs(back - k).max() <= 1e-12 * np.abs(k).max()
 
 
-def test_use_weights_false_ignores_weights():
-    rng = np.random.default_rng(7)
-    ds = random_gaussian_dataset(rng, 5, 3, weighted=True)
-    unweighted = UncertainDataset(ds.items)
-    g_off = global_cov(ds, CovOptions(use_weights=False))
-    g_plain = global_cov(unweighted)
-    assert np.array_equal(g_off.matrix, g_plain.matrix)
-
-
 def test_dataset_mean_weighted():
     items = (Point([0.0, 0.0]), Point([4.0, 8.0]))
     ds = UncertainDataset(items, weights=np.array([3.0, 1.0]))
-    assert np.allclose(dataset_mean(ds), [1.0, 2.0], atol=1e-15)
+    assert np.allclose(global_cov(ds).mean, [1.0, 2.0], atol=1e-15)
 
 
 def test_mixed_items_uncertainty_term():

@@ -87,6 +87,22 @@ def test_input_validation():
         eig_sym(np.ones((2, 3)))
 
 
+def test_overflow_when_symmetrizing_is_non_finite():
+    # 1.7e308 + 1.7e308 overflows: once a warning and NaN eigenpairs.
+    import warnings
+
+    huge = np.array([[1e308, 1.7e308], [1.7e308, 1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+            eig_sym(huge)
+        with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+            eig_sym(np.stack([np.eye(2), huge]))
+        # Finite entries whose largest eigenvalue, 2.43e308, is not a float.
+        with pytest.raises(ValueError, match="eigenvalue beyond the float range"):
+            eig_sym(np.full((3, 3), 0.81e308))
+
+
 def test_zero_matrix():
     pairs = eig_sym(np.zeros((3, 3)))
     assert np.array_equal(pairs.values, np.zeros(3))
