@@ -197,12 +197,14 @@ def _cmd_project(args) -> int:
     labels = list(ds.labels or (f"item{i + 1}" for i in range(len(ds))))
     means, covs = project_items(model, ds, cov_scale=1.0 if math.isinf(s) else s * s)
 
+    # Render before writing anything, so a failed render leaves no files.
+    svg = render_projection_svg(labels, means, covs) if args.dims == 2 else None
     csv_path = f"{args.out_prefix}.projection.csv"
     write_projection_csv(csv_path, labels, means, covs)
     written = [csv_path]
-    if args.dims == 2:
+    if svg is not None:
         svg_path = f"{args.out_prefix}.projection.svg"
-        _write_text(svg_path, render_projection_svg(labels, means, covs))
+        _write_text(svg_path, svg)
         written.append(svg_path)
     print("eigenvalues: " + " ".join(repr(float(v)) for v in pairs.values))
     print("wrote " + ", ".join(written))
@@ -225,10 +227,13 @@ def _cmd_trace(args) -> int:
         "traces_svg": f"{args.out_prefix}.traces.svg",
         "eigvals_svg": f"{args.out_prefix}.eigvals.svg",
     }
+    # Render before writing anything, so a failed render leaves no files.
+    traces_svg = render_traces_svg(traces, ds.dim_names)
+    eigvals_svg = render_eigencurves_svg(curves)
     write_traces_csv(paths["traces_csv"], traces, schedule, ds.dim_names)
     write_eigencurves_csv(paths["eigvals_csv"], curves)
-    _write_text(paths["traces_svg"], render_traces_svg(traces, ds.dim_names))
-    _write_text(paths["eigvals_svg"], render_eigencurves_svg(curves))
+    _write_text(paths["traces_svg"], traces_svg)
+    _write_text(paths["eigvals_svg"], eigvals_svg)
 
     if curves.avoided_crossing_flags:
         for step, pair in curves.avoided_crossing_flags:

@@ -110,11 +110,13 @@ def factor_traces(models: list[PcaModel], schedule: SweepSchedule) -> list[Facto
     """Trace each original axis through the swept component bases.
 
     The trace point for axis i at step k is A_k^T e_i, i.e. row i of the
-    component matrix.  Because eigenvector signs are arbitrary per step, a
-    sequential alignment pass flips whole component columns: at each step a
-    column is negated when that raises the summed dot products between the
-    step's trace points and the previous step's.  Flips never change any
-    spanned subspace.
+    component matrix.  Because eigenvector signs are arbitrary per step,
+    whole component columns are flipped: at each step a column is negated
+    when its dot product with the previous step's aligned column is
+    negative.  Negation is exact, so that dot product is the raw
+    step-to-step one times the earlier flips, and all flips come from one
+    cumulative product of signs; a zero dot product keeps the raw column.
+    Flips never change any spanned subspace.
     """
     if not models:
         raise ValueError("no models to trace")
@@ -122,21 +124,23 @@ def factor_traces(models: list[PcaModel], schedule: SweepSchedule) -> list[Facto
         raise ValueError(
             f"got {len(models)} models for a {schedule.steps}-step schedule"
         )
-    d, q = models[0].components.shape
-    aligned = np.empty((len(models), d, q))
-    aligned[0] = models[0].components
-    for k in range(1, len(models)):
-        a = models[k].components.copy()
-        # Sum_i <p_i(k), p_i(k-1)> splits into one dot product per column,
-        # so each column flips independently.
-        for j in range(q):
-            if float(aligned[k - 1][:, j] @ a[:, j]) < 0.0:
-                a[:, j] = -a[:, j]
-        aligned[k] = a
+    raw = np.stack([m.components for m in models])  # (steps, d, q)
+    dots = (raw[:-1] * raw[1:]).sum(axis=1)
+    signs = np.ones((len(raw), raw.shape[2]))
+    signs[1:][dots < 0.0] = -1.0
+    signs = np.cumprod(signs, axis=0)
+    # After a zero dot product the column is kept as is, so the product
+    # restarts there: multiplying by its value at the restart, which is its
+    # own inverse, divides that value out.
+    zero = np.zeros(signs.shape, dtype=bool)
+    zero[1:] = dots == 0.0
+    restart = np.maximum.accumulate(np.where(zero, np.arange(len(raw))[:, None], 0), axis=0)
+    signs *= np.take_along_axis(signs, restart, axis=0)
+    aligned = raw * signs[:, None, :]
     split = schedule.region_split
     return [
         FactorTrace(axis_index=i, points=_readonly(aligned[:, i, :].copy()), region_split=split)
-        for i in range(d)
+        for i in range(raw.shape[1])
     ]
 
 

@@ -1,13 +1,18 @@
 """Deterministic SVG rendering of traces, eigenvalue curves, and projections.
 
-All documents are SVG 1.1 with a fixed 800x800 view box, a fixed color
-palette, and fixed-precision coordinates, so rendering the same inputs
-yields byte-identical files.
+All documents are SVG 1.1 with a fixed 800x800 view box and a fixed color
+palette, so rendering the same inputs yields byte-identical files.  Each
+number in a document is the correctly rounded ``%.3f`` text of its binary
+value, with ``-0.000`` written ``0.000``.  Vertex and per-item numbers come
+from one array pass per document (``_vertex_texts``), run over small
+chunks; a few fixed scalars in headers, axes and legends use ``_fmt``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -27,9 +32,10 @@ _HEADER = (
     f'<rect width="{SIZE}" height="{SIZE}" fill="#ffffff"/>'
 )
 
-
-def _document(parts: list[str]) -> str:
-    return "\n".join([*parts, "</svg>"]) + "\n"
+# Numbers per array pass: whole runs are taken until a pass holds this many.
+# This bounds the pass's scratch arrays to a few hundred kilobytes; one pass
+# over all of a document's numbers costs tens of megabytes of peak memory.
+_CHUNK = 4096
 
 
 def _fmt(v: float) -> str:
@@ -37,32 +43,168 @@ def _fmt(v: float) -> str:
     return "0.000" if s == "-0.000" else s
 
 
-def _coords(points) -> str:
-    """"x,y x,y ..." with three decimals, formatted in one % pass."""
-    flat = np.asarray(points, dtype=float).ravel().tolist()
-    text = " ".join(["%.3f,%.3f"] * (len(flat) // 2)) % tuple(flat)
-    # A fixed three-decimal number can contain "-0.000" only as a whole token.
-    return text.replace("-0.000", "0.000")
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, ...]:
+    """Byte words for the array formatter, built on first use.
+
+    Each text fragment is one uint32 word of four bytes; zero bytes are pads
+    that the formatter drops.  Returns the integers 0-9999 right-aligned and
+    zero-padded, their digit counts, the fractions ".000"-".999", and the
+    six words that can lead a number.
+    """
+    digit = np.frombuffer(b"0123456789", np.uint8)
+    digits = np.empty((10, 10, 10, 10, 4), np.uint8)  # digits[a, b, c, d] = "abcd"
+    for j in range(4):
+        digits[..., j] = digit.reshape([10 if i == j else 1 for i in range(4)])
+    frac = np.empty((1000, 4), np.uint8)
+    frac[:, 0] = ord(".")
+    frac[:, 1:] = digits[0, ..., 1:].reshape(1000, 3)
+    padded = digits.reshape(10_000, 4).view(np.uint32).ravel().copy()
+    digits[0, ..., 0] = 0
+    digits[0, 0, ..., 1] = 0
+    digits[0, 0, 0, :, 2] = 0
+    right = digits.reshape(10_000, 4).view(np.uint32).ravel()
+    counts = np.count_nonzero(digits.reshape(10_000, 4), axis=1)
+    # The word that leads a number: its separator (none, "," or " ") in the
+    # first byte and its sign in the last, at index 2 * separator + negative.
+    lead = np.frombuffer(b"".join(sep + b"\0\0" + sign for sep in (b"\0", b",", b" ")
+                                  for sign in (b"\0", b"-")), np.uint32)
+    return right, padded, counts, frac.view(np.uint32).ravel(), lead
 
 
-def _poly(points, color: str, width: float = 1.5, dash: str | None = None,
-          opacity: float | None = None) -> str:
-    coords = _coords(points)
+def _encode(values: np.ndarray, seps: np.ndarray) -> tuple[str, np.ndarray]:
+    """Each value's ``%.3f`` text, after its separator (0 none, 1 ",", 2 " ").
+
+    Returns the joined text and each value's width in it.  m = 1000 x is
+    within half an ulp of the exact product, so rint(m) is the printf digit
+    string unless m lies within a few ulps of a tie; those values, any with
+    |m| >= 2**49 and non-finite ones take the exact integer from ``%``
+    formatting instead.  Integer parts beyond 9999 take more 4-digit groups.
+    """
+    right, padded, counts, frac, lead = _digit_tables()
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = values * 1000.0
+        r = np.rint(m)
+        exact = ~(np.abs(m - r) + np.abs(m) * 2.0**-50 < 0.5)
+    r[exact] = 0.0
+    neg = r < 0.0
+    milli = np.abs(r).astype(np.int64)
+    wide = {}  # index -> |milli-units| beyond int64
+    for i in np.flatnonzero(exact).tolist():
+        v = float(values[i])
+        if not math.isfinite(v):
+            raise ValueError(f"cannot draw the non-finite coordinate {v!r}")
+        e = int(("%.3f" % v).replace(".", ""))
+        neg[i] = e < 0
+        if abs(e) < 2**63:
+            milli[i] = abs(e)
+        else:
+            wide[i] = abs(e)
+    whole, f = np.divmod(milli, 1000)
+    top = max([int(whole.max(initial=0)), *(e // 1000 for e in wide.values())])
+    k = (len(str(top)) + 3) // 4
+
+    n = len(values)
+    words = np.empty((n, k + 2), np.uint32)
+    words[:, 0] = lead[2 * seps + neg]
+    if k == 1:
+        words[:, 1] = right[whole]
+        width = counts[whole]
+    else:
+        groups = np.empty((n, k), np.int64)
+        for j in range(k - 1, -1, -1):
+            whole, groups[:, j] = np.divmod(whole, 10_000)
+        for i, e in wide.items():
+            rest = e // 1000
+            for j in range(k - 1, -1, -1):
+                rest, groups[i, j] = divmod(rest, 10_000)
+        nonzero = groups != 0
+        nonzero[:, -1] = True
+        lead_group = nonzero.argmax(axis=1)[:, None]
+        col = np.arange(k)
+        words[:, 1:k + 1] = np.where(col < lead_group, 0,
+                                     np.where(col == lead_group, right[groups], padded[groups]))
+        width = (4 * (k - 1 - lead_group[:, 0])
+                 + np.take_along_axis(counts[groups], lead_group, 1)[:, 0])
+    words[:, k + 1] = frac[f]
+    b = words.view(np.uint8).ravel()
+    return b[b != 0].tobytes().decode("ascii"), width + neg + 4 + (seps != 0)
+
+
+def _vertex_texts(values: np.ndarray, sizes) -> Iterator[str]:
+    """The texts of consecutive runs of values, formatted a chunk at a time.
+
+    Run j is the next sizes[j] values of the flat array, read as x, y
+    pairs: "x,y x,y ...".  A one-value run is that number alone.
+    """
+    values = np.ravel(values)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    ends = np.cumsum(sizes)
+    lo = 0
+    while lo < len(sizes):
+        start = int(ends[lo] - sizes[lo])
+        hi = max(int(np.searchsorted(ends, start + _CHUNK, side="right")), lo + 1)
+        firsts = ends[lo:hi] - sizes[lo:hi] - start
+        at = np.arange(int(ends[hi - 1]) - start) - np.repeat(firsts, sizes[lo:hi])
+        seps = np.where(at & 1, 1, 2)  # "," before a y, " " before an x
+        seps[firsts] = 0
+        text, width = _encode(values[start:start + len(at)], seps)
+        cuts = np.cumsum(width)[ends[lo:hi] - start - 1].tolist()
+        yield from map(text.__getitem__, map(slice, [0, *cuts[:-1]], cuts))
+        lo = hi
+
+
+def _document(parts: list, texts: Iterable[str]) -> str:
+    """The document, one part per line; a tuple part takes the next of texts
+    between each two of its strings."""
+    texts = iter(texts)
+    out = [_HEADER]
+    for part in parts:
+        out.append("\n")
+        if isinstance(part, str):
+            out.append(part)
+        else:
+            out.append(part[0])
+            for tail in part[1:]:
+                out += (next(texts), tail)
+    out.append("\n</svg>\n")
+    return "".join(out)
+
+
+def _runs(pieces: list) -> Iterator[str]:
+    """The texts of a list of vertex lists and single numbers, in one pass."""
+    return _vertex_texts(np.concatenate([np.ravel(p) for p in pieces]),
+                         [np.size(p) for p in pieces])
+
+
+# Element parts.  An element whose numbers come from the array pass is a
+# tuple of the strings around its number slots; _at fills fixed numbers in.
+def _polyline(color: str, width: float, dash: str | None = None,
+              opacity: float | None = None) -> tuple[str, str]:
     extra = f' stroke-dasharray="{dash}"' if dash else ""
     if opacity is not None:
         extra += f' stroke-opacity="{_fmt(opacity)}"'
-    return (
-        f'<polyline fill="none" stroke="{color}" stroke-width="{_fmt(width)}"'
-        f'{extra} points="{coords}"/>'
-    )
+    return (f'<polyline fill="none" stroke="{color}" stroke-width="{_fmt(width)}"'
+            f'{extra} points="', '"/>')
 
 
-def _polygon(points, color: str, opacity: float) -> str:
-    return f'<polygon fill="{color}" fill-opacity="{_fmt(opacity)}" points="{_coords(points)}"/>'
+def _polygon(color: str, opacity: float | None = None) -> tuple[str, str]:
+    extra = "" if opacity is None else f' fill-opacity="{_fmt(opacity)}"'
+    return f'<polygon fill="{color}"{extra} points="', '"/>'
 
 
-def _dot(x: float, y: float, color: str, r: float = 3.0) -> str:
-    return f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(r)}" fill="{color}"/>'
+def _dot(color: str, r: float) -> tuple[str, str, str]:
+    return '<circle cx="', '" cy="', f'" r="{_fmt(r)}" fill="{color}"/>'
+
+
+def _text(content: str, color: str = "#333333", size: int = 14) -> tuple[str, str, str]:
+    return ('<text x="', '" y="',
+            f'" font-family="sans-serif" font-size="{size}" fill="{color}">{content}</text>')
+
+
+def _at(part: tuple[str, ...], *numbers: float) -> str:
+    """A part with fixed numbers in its slots."""
+    return part[0] + "".join([_fmt(v) + tail for v, tail in zip(numbers, part[1:])])
 
 
 def _line(x1: float, y1: float, x2: float, y2: float, color: str,
@@ -74,27 +216,20 @@ def _line(x1: float, y1: float, x2: float, y2: float, color: str,
     )
 
 
-def _text(x: float, y: float, content: str, color: str = "#333333", size: int = 14) -> str:
-    return (
-        f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="sans-serif" '
-        f'font-size="{size}" fill="{color}">{content}</text>'
-    )
-
-
-def _arrowhead(tip, prev, color: str) -> str:
+def _arrowhead(tip, prev) -> np.ndarray | None:
+    """The three corners of the arrowhead at tip, pointing away from prev."""
     dx, dy = tip[0] - prev[0], tip[1] - prev[1]
     norm = math.hypot(dx, dy)
     if norm == 0.0:
-        return ""
+        return None
     ux, uy = dx / norm, dy / norm
     px, py = -uy, ux
     base_x, base_y = tip[0] - 10.0 * ux, tip[1] - 10.0 * uy
-    pts = [
+    return np.array([
         tip,
         (base_x + 4.0 * px, base_y + 4.0 * py),
         (base_x - 4.0 * px, base_y - 4.0 * py),
-    ]
-    return f'<polygon fill="{color}" points="{_coords(pts)}"/>'
+    ])
 
 
 def render_traces_svg(traces: list[FactorTrace], dim_names: tuple[str, ...]) -> str:
@@ -111,41 +246,41 @@ def render_traces_svg(traces: list[FactorTrace], dim_names: tuple[str, ...]) -> 
     cx = cy = SIZE / 2.0
     radius = 320.0
 
-    def to_px(p):
-        return cx + radius * p[0], cy - radius * p[1]
+    def to_px(p: np.ndarray) -> np.ndarray:
+        return np.stack([cx + radius * p[..., 0], cy - radius * p[..., 1]], axis=-1)
 
-    parts = [_HEADER]
-    parts.append(_line(cx - radius, cy, cx + radius, cy, "#dddddd"))
-    parts.append(_line(cx, cy - radius, cx, cy + radius, "#dddddd"))
-    parts.append(
+    parts: list = [
+        _line(cx - radius, cy, cx + radius, cy, "#dddddd"),
+        _line(cx, cy - radius, cx, cy + radius, "#dddddd"),
         f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(radius)}" '
-        f'fill="none" stroke="#888888" stroke-width="1"/>'
-    )
-
+        f'fill="none" stroke="#888888" stroke-width="1"/>',
+    ]
+    pieces = []  # the numbers of every slot in parts, in order
     for trace in traces:
         color = PALETTE[trace.axis_index % len(PALETTE)]
         pts = trace.points
         moved = float(np.abs(pts - pts[0]).max()) > 1e-12
         for sign in (1.0, -1.0):
-            oriented = sign * pts
-            px = [to_px(p) for p in oriented]
+            px = to_px(sign * pts)
             if not moved:
-                parts.append(_dot(*px[0], color, r=4.0))
+                parts.append(_dot(color, 4.0))
+                pieces += [px[0, 0], px[0, 1]]
                 continue
             split = max(trace.region_split, 1)
-            shade = [(cx, cy)] + px[:split]
-            if len(shade) >= 3:
-                parts.append(_polygon(shade, color, opacity=0.15))
-            dash = None if sign > 0 else "5 4"
-            parts.append(_poly(px, color, width=1.8, dash=dash))
-            tip = px[-1]
-            prev = next((p for p in reversed(px[:-1]) if p != tip), None)
-            if prev is not None:
-                parts.append(_arrowhead(tip, prev, color))
-        label_px = to_px(pts[0])
-        parts.append(_text(label_px[0] + 6.0, label_px[1] - 6.0,
-                           dim_names[trace.axis_index], color=color))
-    return _document(parts)
+            if split >= 2:
+                parts.append(_polygon(color, opacity=0.15))
+                pieces.append(np.vstack([(cx, cy), px[:split]]))
+            parts.append(_polyline(color, 1.8, dash=None if sign > 0 else "5 4"))
+            pieces.append(px)
+            differs = np.flatnonzero((px[:-1] != px[-1]).any(axis=1))
+            head = _arrowhead(px[-1], px[differs[-1]]) if len(differs) else None
+            if head is not None:
+                parts.append(_polygon(color))
+                pieces.append(head)
+        label = to_px(pts[0])
+        parts.append(_text(dim_names[trace.axis_index], color=color))
+        pieces += [label[0] + 6.0, label[1] - 6.0]
+    return _document(parts, _runs(pieces))
 
 
 def render_eigencurves_svg(curves: EigenCurves) -> str:
@@ -164,31 +299,30 @@ def render_eigencurves_svg(curves: EigenCurves) -> str:
     safe = np.where(totals > 0.0, totals, 1.0)
     shares = curves.values / safe[:, None]
 
-    def x_at(k: int) -> float:
+    def x_at(k):
         return left + plot_w * (k / (n_steps - 1))
 
-    def y_at(v: float) -> float:
-        return top + plot_h * (1.0 - v)
-
-    parts = [_HEADER]
-    parts.append(
+    parts: list = [
         f'<rect x="{_fmt(left)}" y="{_fmt(top)}" width="{_fmt(plot_w)}" '
         f'height="{_fmt(plot_h)}" fill="none" stroke="#888888" stroke-width="1"/>'
-    )
+    ]
     for k, _pair in curves.avoided_crossing_flags:
         parts.append(_line(x_at(k), top, x_at(k), top + plot_h, "#aaaaaa", dash="4 4"))
+    xs = x_at(np.arange(n_steps))
+    pieces = []
     for i in range(d):
         color = PALETTE[i % len(PALETTE)]
-        pts = [(x_at(k), y_at(shares[k, i])) for k in range(n_steps)]
-        parts.append(_poly(pts, color, width=1.8))
-        parts.append(_text(left + 8.0, top + 18.0 + 16.0 * i, f"component {i + 1}", color=color))
+        parts.append(_polyline(color, 1.8))
+        pieces.append(np.stack([xs, top + plot_h * (1.0 - shares[:, i])], axis=1))
+        parts.append(_at(_text(f"component {i + 1}", color=color),
+                         left + 8.0, top + 18.0 + 16.0 * i))
     # s=1 sits at t=0.5 exactly, independent of the grid parity.
     ticks = [(left, "s=0"), (left + plot_w * 0.5, "s=1"), (left + plot_w, "s=inf")]
     for x, label in ticks:
         parts.append(_line(x, top + plot_h, x, top + plot_h + 6.0, "#333333"))
-        parts.append(_text(x - 14.0, top + plot_h + 24.0, label))
-    parts.append(_text(left, top - 12.0, "share of total variance"))
-    return _document(parts)
+        parts.append(_at(_text(label), x - 14.0, top + plot_h + 24.0))
+    parts.append(_at(_text("share of total variance"), left, top - 12.0))
+    return _document(parts, _runs(pieces))
 
 
 def render_projection_svg(labels: list[str], means, covs) -> str:
@@ -199,8 +333,9 @@ def render_projection_svg(labels: list[str], means, covs) -> str:
     covariance render as a plain dot.  The outlines of every other item
     come from one stacked eigensolve (``_ellipse_outlines``); the view
     bounds are read from the means and that outline array, which is then
-    mapped to pixels in place.  Items whose outlines or view span overflow
-    the float range are a ValueError, with no numpy warning.
+    mapped to pixels in place and formatted a chunk of rings at a time.
+    Items whose outlines or view span overflow the float range are a
+    ValueError, with no numpy warning.
     """
     if not len(labels):
         raise ValueError("nothing to render")
@@ -234,14 +369,21 @@ def render_projection_svg(labels: list[str], means, covs) -> str:
 
     color_of = {label: PALETTE[j % len(PALETTE)]
                 for j, label in enumerate(dict.fromkeys(labels))}
+    rings = {color: [_polyline(color, 1.5, opacity=o) for o in (0.9, 0.45)]  # 1 and 2 sigma
+             for color in color_of.values()}
+    dots = {color: _dot(color, 3.5) for color in color_of.values()}
 
-    parts = [_HEADER]
-    for i, rings in zip(drawn, to_px(outlines)):
-        for ring, opacity in zip(rings, (0.9, 0.45)):  # 1 and 2 sigma
-            parts.append(_poly(ring, color_of[labels[i]], width=1.5, opacity=opacity))
-    for (x, y), label in zip(to_px(np.array(means, dtype=float)).tolist(), labels):
-        parts.append(_dot(x, y, color_of[label], r=3.5))
+    parts: list = []
+    for i in drawn.tolist():
+        parts += rings[color_of[labels[i]]]
+    # Each dot is joined into one short line at once: fewer live objects
+    # than leaving its two numbers as slots.
+    centres = _vertex_texts(to_px(np.array(means, dtype=float)), np.ones(2 * len(labels)))
+    for label, cx, cy in zip(labels, centres, centres):
+        head, between, tail = dots[color_of[label]]
+        parts.append("".join((head, cx, between, cy, tail)))
     for j, (label, color) in enumerate(color_of.items()):
-        parts.append(_dot(24.0, 24.0 + 18.0 * j, color, r=4.0))
-        parts.append(_text(34.0, 28.0 + 18.0 * j, label))
-    return _document(parts)
+        parts.append(_at(_dot(color, 4.0), 24.0, 24.0 + 18.0 * j))
+        parts.append(_at(_text(label), 34.0, 28.0 + 18.0 * j))
+    return _document(parts, _vertex_texts(to_px(outlines),
+                                          np.full(2 * len(drawn), 2 * outlines.shape[2])))

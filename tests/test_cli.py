@@ -327,6 +327,18 @@ def test_cli_import_leaves_the_thread_pool_unloaded():
     assert result.stdout.strip() == "False"
 
 
+def test_cli_import_builds_no_digit_table():
+    # The SVG formatter's digit tables are built on first use, so start-up
+    # time and memory do not carry them.
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import uapca.cli, uapca.svg; print(uapca.svg._digit_tables.cache_info().currsize)"],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "0"
+
+
 def test_module_entry_point(tmp_path, students_path):
     result = subprocess.run(
         [sys.executable, "-m", "uapca", "project",
@@ -380,6 +392,41 @@ def test_project_output_bytes_are_pinned(tmp_path, capsys):
     assert digest == {
         "csv": "4001dbd11c550fcfb613560dee4423382ded91391507108f7c16c7a1cdf7756e",
         "svg": "c3348ca98028fd464e1fd2ec8a19990d213c796a5a11af2ab37a3b40b9b36ec3",
+    }
+
+
+_PSI = [[0.05, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.3]]
+_PINNED_SWEEP = {
+    "dims": ["a", "b", "c"],
+    "items": [
+        {"label": "p", "mvn": {"mean": [1.4072, 0.1412, 0.0], "cov": _PSI}},
+        {"label": "q", "mvn": {"mean": [-1.4072, -0.1412, 0.0], "cov": _PSI}},
+        {"label": "r", "weight": 1.5, "mvn": {"mean": [-0.0773, 0.7707, 0.0], "cov": _PSI}},
+        {"label": "s", "weight": 0.5,
+         "values": [{"normal": {"mean": 0.0773, "sd": 0.2236}}, {"interval": [-2.5, 0.96]},
+                    {"trapezoid": [-1.0, -0.2, 0.2, 1.0]}]},
+    ],
+}
+
+
+def test_trace_output_bytes_are_pinned(tmp_path, capsys):
+    # Recorded before the trace renderers moved to the array formatter and
+    # before the sign alignment became one array pass; neither may move a bit.
+    data = tmp_path / "sweep.json"
+    data.write_text(json.dumps(_PINNED_SWEEP), encoding="utf-8")
+    code = main(["trace", "--input", str(data), "--steps", "33",
+                 "--out-prefix", str(tmp_path / "pin")])
+    assert code == 0
+    assert "avoided crossing flagged between components 1 and 2" in capsys.readouterr().out
+    digest = {
+        name: hashlib.sha256((tmp_path / f"pin.{name}").read_bytes()).hexdigest()
+        for name in ("traces.csv", "eigvals.csv", "traces.svg", "eigvals.svg")
+    }
+    assert digest == {
+        "traces.csv": "e9e365ffc736c655dc9870a2c10de85e8e48d3a48df9a52c7a0d762ab187e494",
+        "eigvals.csv": "7ecda60947ae09bfd824d9e7c737c83fca0b8b6520867acf786aa599dbdf5714",
+        "traces.svg": "c09b937c5dd49eb0785f6240950ab7f9faa350ec5eec04b47cb49a798246f19e",
+        "eigvals.svg": "fb6762e01917b8a22ae9410ebb59db76de63c4ffea867bcbca8422b4c2c931c1",
     }
 
 
@@ -461,3 +508,27 @@ def test_overflow_in_project_is_a_one_line_error(tmp_path, capsys, name, text, f
     assert code == 1
     err = capsys.readouterr().err.splitlines()
     assert err == [f"uapca: error: {fragment}"]
+
+
+def test_failed_render_leaves_no_output_file(tmp_path, capsys, monkeypatch, students_path):
+    path = tmp_path / "span.csv"
+    path.write_text("a,b\n1e308,2\n-1e308,3\n5,1\n", encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    code = main(["project", "--points", "--scale", "inf", "--input", str(path),
+                 "--out-prefix", str(out / "o")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("uapca: error:"), err
+    assert list(out.iterdir()) == []
+
+    def broken(curves):
+        raise ValueError("cannot draw the eigenvalue curves")
+
+    monkeypatch.setattr(uapca.cli, "render_eigencurves_svg", broken)
+    code = main(["trace", "--input", str(students_path), "--out-prefix", str(out / "t")])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "uapca: error: cannot draw the eigenvalue curves"
+    ]
+    assert list(out.iterdir()) == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from uapca.cov import CovOptions, global_cov
-from uapca.eigen import eig_sym, principal_angles
+from uapca.eigen import PcaModel, eig_sym, principal_angles
 from uapca.model import Gaussian, Point, UncertainDataset
 from uapca.sensitivity import (
     EigenCurves,
@@ -118,6 +118,33 @@ def test_alignment_only_flips_signs():
         rebuilt = np.stack([t.points[k] for t in traces])
         m = rebuilt.T @ model.components
         assert np.abs(np.abs(m) - np.eye(2)).max() <= 1e-10
+
+
+def _sequentially_aligned(models):
+    """Column signs chosen one step and one column at a time."""
+    aligned = [models[0].components]
+    for m in models[1:]:
+        a = m.components.copy()
+        for j in range(a.shape[1]):
+            if float(aligned[-1][:, j] @ a[:, j]) < 0.0:
+                a[:, j] = -a[:, j]
+        aligned.append(a)
+    return np.stack(aligned)
+
+
+def test_factor_traces_match_the_sequential_alignment():
+    # The two-cluster sweep swaps its components at s = 0.5, a step-to-step
+    # dot product of exactly zero, after which the raw column is kept.
+    rng = np.random.default_rng(5)
+    sched = SweepSchedule(steps=40)
+    for ds in (two_cluster_dataset(), near_crossing_dataset()):
+        models, _ = sweep(ds, q=2, schedule=sched)
+        # Random raw signs per step and column, as an eigensolver may emit them.
+        models = [PcaModel(m.mean, m.components * rng.choice([-1.0, 1.0], 2), m.eigenvalues, 2)
+                  for m in models]
+        got = np.stack([t.points for t in factor_traces(models, sched)], axis=1)
+        assert np.array_equal(got, _sequentially_aligned(models))
+        assert np.array_equal(np.signbit(got), np.signbit(_sequentially_aligned(models)))
 
 
 def test_trace_metadata():

@@ -1,10 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uapca.io import load_dataset
 from uapca.model import Gaussian, Point, UncertainDataset
 from uapca.sensitivity import EigenCurves, SweepSchedule, factor_traces, sweep
-from uapca.svg import PALETTE, SIZE, render_eigencurves_svg, render_projection_svg, render_traces_svg
+from uapca.svg import (
+    PALETTE,
+    SIZE,
+    _encode,
+    _fmt,
+    _vertex_texts,
+    render_eigencurves_svg,
+    render_projection_svg,
+    render_traces_svg,
+)
 
 
 def _students_traces(students_path, steps=8):
@@ -154,3 +165,62 @@ def test_negative_zero_never_appears(students_path):
     traces, curves, names = _students_traces(students_path)
     for doc in (render_traces_svg(traces, names), render_eigencurves_svg(curves)):
         assert "-0.000" not in doc
+
+
+def _ulps(x: float, n: int) -> float:
+    """x moved n ulps up (n > 0) or down."""
+    for _ in range(abs(n)):
+        x = np.nextafter(x, np.inf if n > 0 else -np.inf)
+    return float(x)
+
+
+_ties = st.builds(lambda k, n: _ulps((2 * k + 1) / 2000, n),
+                  st.integers(-10**10, 10**10), st.integers(-4, 4))
+_edges = st.builds(lambda x, sign, n: sign * _ulps(x, n),
+                   st.sampled_from([9999.9995, 9999.999, 10000.0, 1e4 - 5e-4, 99999999.9995]),
+                   st.sampled_from([1.0, -1.0]), st.integers(-1, 1))
+_specials = st.sampled_from([0.0, -0.0, -0.0004, 0.0005, -0.0005, 5e-324, -5e-324,
+                             2.2250738585072009e-308, 2.0**49, 2.0**53 + 2.0, 9.3e15, -1e300,
+                             1.7976931348623157e308])
+_values = st.one_of(
+    st.floats(-1e6, 1e6),
+    _ties,
+    _edges,
+    _specials,
+    st.integers(-10**20, 10**20).map(float),
+    st.floats(-2.3e-308, 2.3e-308),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(_values, min_size=1, max_size=40), st.integers(1, 5))
+def test_array_formatter_matches_percent_formatting(values, run):
+    # Each piece is the fixed three-decimal text of its value, and each
+    # width is that piece's length.
+    text, widths = _encode(np.array(values), np.zeros(len(values), dtype=int))
+    cuts = np.cumsum(widths).tolist()
+    pieces = [text[a:b] for a, b in zip([0, *cuts[:-1]], cuts)]
+    assert pieces == [_fmt(v) for v in values]
+    assert widths.tolist() == [len(p) for p in pieces]
+    assert cuts[-1] == len(text)
+    # Vertex lists: runs of `run` numbers read as "x,y x,y ...".
+    sizes = [run] * (len(values) // run) + ([len(values) % run] if len(values) % run else [])
+    expected, at = [], 0
+    for size in sizes:
+        nums = [_fmt(v) for v in values[at:at + size]]
+        expected.append(" ".join(",".join(nums[i:i + 2]) for i in range(0, size, 2)))
+        at += size
+    assert list(_vertex_texts(np.array(values), sizes)) == expected
+
+
+def test_vertex_texts_span_many_chunks():
+    rings = np.random.default_rng(3).uniform(-50.0, 850.0, (100, 65, 2))
+    texts = list(_vertex_texts(rings, np.full(100, 130)))
+    assert texts == [" ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in ring) for ring in rings]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_array_formatter_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        _encode(np.array([1.0, bad]), np.zeros(2, dtype=int))
