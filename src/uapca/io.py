@@ -22,7 +22,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -55,16 +58,19 @@ class DatasetFormatError(ValueError):
 # JSON dataset files.
 
 _CELL_KEYS = ("number", "interval", "trapezoid", "normal")
+_CELL_CODES = {kind: code for code, kind in enumerate(_CELL_KEYS)}
+_CELL_WIDTHS = {"number": 1, "interval": 2, "trapezoid": 4, "normal": 2}
+_NUMBER_TYPES = {int, float}  # float() would take true as 1.0 and "1_0" as 10
 
 
 def _cell_number(x) -> float:
-    if type(x) not in (int, float):  # float() would take true as 1.0 and "1_0" as 10
+    if type(x) not in _NUMBER_TYPES:
         raise ValueError(f"expected a number, got {json.dumps(x)}")
     return float(x)
 
 
-def _parse_cell(spec, where: str) -> tuple[Scalar1D, float, float]:
-    """The cell of a value spec with its mean and variance, both finite."""
+def _parse_cell(spec, where: str) -> Scalar1D:
+    """The cell of a value spec, checked to have a finite mean and variance."""
     if not isinstance(spec, dict) or len(spec) != 1:
         raise DatasetFormatError(
             f"{where}: each value must be an object with exactly one of {_CELL_KEYS}"
@@ -94,13 +100,13 @@ def _parse_cell(spec, where: str) -> tuple[Scalar1D, float, float]:
         raise DatasetFormatError(
             f"{where}: the mean or variance of {json.dumps(spec)} is not finite"
         )
-    return cell, mean, var
+    return cell
 
 
-def _parse_item(obj, index: int, dim: int):
-    """One item as (weight, label, mean, spread, cells): a values item has the
-    variances of its cells as spread, an mvn item its covariance (checked
-    for shape only) and cells None."""
+def _item_fields(obj, index: int, dim: int):
+    """An item's (weight, label, values, mvn), checked for structure only:
+    exactly one of values (a list of dim cell specs) and mvn (an object with
+    'mean' and 'cov') is not None."""
     where = f"item {index}"
     if not isinstance(obj, dict):
         raise DatasetFormatError(f"{where}: expected an object, got {type(obj).__name__}")
@@ -112,8 +118,7 @@ def _parse_item(obj, index: int, dim: int):
         raise DatasetFormatError(f"{where}: weight must be a number")
 
     has_values = "values" in obj
-    has_mvn = "mvn" in obj
-    if has_values == has_mvn:
+    if has_values == ("mvn" in obj):
         raise DatasetFormatError(f"{where}: exactly one of 'values' or 'mvn' is required")
     if has_values:
         values = obj["values"]
@@ -121,43 +126,135 @@ def _parse_item(obj, index: int, dim: int):
             raise DatasetFormatError(
                 f"{where}: 'values' must list {dim} entries to match 'dims'"
             )
-        cells, means, variances = zip(
-            *(_parse_cell(spec, f"{where}, value {j}") for j, spec in enumerate(values))
-        )
-        return float(weight), label, means, variances, cells
+        return weight, label, values, None
     mvn = obj["mvn"]
     if not isinstance(mvn, dict) or "mean" not in mvn or "cov" not in mvn:
         raise DatasetFormatError(f"{where}: 'mvn' needs 'mean' and 'cov'")
-    arrays = []
+    return weight, label, None, mvn
+
+
+def _check_item(obj, index: int, dim: int) -> None:
+    """Raise the error of an item that fails the per-item checks: its
+    structure, then each cell in turn, or its mvn mean, then its cov."""
+    _, _, values, mvn = _item_fields(obj, index, dim)
+    where = f"item {index}"
+    if values is not None:
+        for j, spec in enumerate(values):
+            _parse_cell(spec, f"{where}, value {j}")
+        return
     for key, shape in (("mean", (dim,)), ("cov", (dim, dim))):
         try:
-            arrays.append(np.asarray(mvn[key], dtype=float))
+            array = np.asarray(mvn[key], dtype=float)
         except (TypeError, ValueError) as exc:
             raise DatasetFormatError(
                 f"{where}: mvn {key!r} must be an array of numbers with rows of equal length"
             ) from exc
-        if arrays[-1].shape != shape:
-            raise DatasetFormatError(f"{where}: mvn {key!r} has shape {arrays[-1].shape}, "
+        if array.shape != shape:
+            raise DatasetFormatError(f"{where}: mvn {key!r} has shape {array.shape}, "
                                      f"which does not match 'dims' length {dim}")
         # asarray reads true and "1" as 1.0; with the shape right, each row is flat.
         rows = mvn[key] if key == "cov" else [mvn[key]]
-        bad = [v for row in rows for v in row if type(v) not in (int, float)]
+        bad = [v for row in rows for v in row if type(v) not in _NUMBER_TYPES]
         if bad:
             raise DatasetFormatError(
                 f"{where}: mvn {key!r} must be an array of numbers, got {json.dumps(bad[0])}"
             )
-    return float(weight), label, arrays[0], arrays[1], None
+
+
+def _pow(x: np.ndarray, k: int) -> np.ndarray:
+    """x ** k by CPython's float power (numpy's can differ in the last bit);
+    all inf if one overflows, which rejects every cell it enters."""
+    try:
+        return np.array([v ** k for v in x.tolist()], dtype=float)
+    except OverflowError:
+        return np.full(x.shape, math.inf)
+
+
+def _cell_moments(kind: str, payloads: list):
+    """Means, variances and rejected-cell mask of one kind's cells by the
+    ``model`` cells' formulas, with their bits (each ``**`` through
+    ``_pow``), or None if a cell is not of the form ``_parse_cell`` reads."""
+    width = _CELL_WIDTHS[kind]
+    if kind == "normal":
+        if not set(map(type, payloads)) <= {dict}:
+            return None
+        payloads = [(p.get("mean"), p.get("sd")) for p in payloads]
+    elif kind != "number" and not (set(map(type, payloads)) <= {list}
+                                   and set(map(len, payloads)) <= {width}):
+        return None
+    flat = payloads if kind == "number" else list(chain.from_iterable(payloads))
+    if not set(map(type, flat)) <= _NUMBER_TYPES:
+        return None
+    p = np.array(flat, dtype=float).reshape(-1, width).T
+    with np.errstate(all="ignore"):
+        bad = ~np.isfinite(p).all(axis=0)
+        if kind == "number":
+            mean, var = p[0], np.zeros(p.shape[1])
+        elif kind == "interval":
+            lo, hi = p
+            bad |= lo > hi
+            mean, var = (lo + hi) / 2.0, _pow(hi - lo, 2) / 12.0
+        elif kind == "normal":
+            mean, sd = p
+            bad |= sd < 0.0
+            var = _pow(sd, 2)
+        else:
+            a, b, c, d = p
+            bad |= (a > b) | (b > c) | (c > d)
+            span = d + c - b - a
+            b, c, d = b - a, c - a, d - a
+            first = (d * d + c * d + c * c - b * b) / (3.0 * span)
+            second = (_pow(d, 3) + _pow(d, 2) * c + d * _pow(c, 2) + _pow(c, 3)
+                      - _pow(b, 3)) / (6.0 * span)
+            first[span == 0.0] = second[span == 0.0] = 0.0
+            mean, var = a + first, second - first * first
+            var[var < 0.0] = 0.0  # max(v, 0.0): NaN and -0.0 stay
+        bad |= ~(np.isfinite(mean) & np.isfinite(var))
+    return mean, var, bad
+
+
+def _cell_table(cells: list, dim: int):
+    """The (P, D) means and variances of P rows of cells, computed one kind
+    at a time, and the first row that may hold a rejected cell (P if none)."""
+    mean, var = np.empty(len(cells)), np.empty(len(cells))
+    bad = np.ones(len(cells), dtype=bool)
+    if set(map(type, cells)) <= {dict} and set(map(len, cells)) <= {1}:
+        codes = np.array(list(map(_CELL_CODES.get, map(next, map(iter, cells)), repeat(-1))))
+        for code, kind in enumerate(_CELL_KEYS):
+            at = np.flatnonzero(codes == code)
+            payloads = list(map(itemgetter(kind), map(cells.__getitem__, at.tolist())))
+            moments = _cell_moments(kind, payloads)
+            if moments is not None:
+                mean[at], var[at], bad[at] = moments
+    first = int(np.argmax(bad)) if bad.any() else len(cells)
+    return mean.reshape(-1, dim), var.reshape(-1, dim), first // dim
+
+
+def _mvn_table(mvns: list, dim: int):
+    """The mvn items' means (G, D) and covariances (G, D, D), one ``np.array``
+    each, or None if an item's arrays are not JSON numbers of those shapes."""
+    if not mvns:
+        return np.empty((0, dim)), np.empty((0, dim, dim))
+    means, covs = [m["mean"] for m in mvns], [m["cov"] for m in mvns]
+    try:
+        table = np.array(means, dtype=float), np.array(covs, dtype=float)
+    except (TypeError, ValueError):
+        return None
+    entries = chain(chain.from_iterable(means), chain.from_iterable(chain.from_iterable(covs)))
+    if ((table[0].shape, table[1].shape) != ((len(mvns), dim), (len(mvns), dim, dim))
+            or not set(map(type, entries)) <= _NUMBER_TYPES):
+        return None
+    return table
 
 
 def load_dataset(path) -> UncertainDataset:
     """Read a JSON dataset file into an UncertainDataset.
 
-    Items are parsed one by one into rows of the moment table: a values
-    item gives its cells' means and variances, an mvn item its mean and
-    covariance.  The mvn covariances are then checked as one stack
-    (finite, symmetric, PSD with one ``eigvalsh``), and an error names the
-    item.  The table keeps the values items' cells, so when ``items`` is
-    read they come back as ``ProductOf1D`` and the mvn items as ``Gaussian``.
+    One loop checks each item's structure; then the cells are checked and
+    their moments computed one kind at a time, the mvn arrays stacked, and
+    the covariances checked as one stack (one ``eigvalsh`` for PSD).  If an
+    item is rejected, the per-item checks run from the first one that may be
+    and word the error.  Cells are built when ``items`` is first read.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -178,34 +275,48 @@ def load_dataset(path) -> UncertainDataset:
         raise DatasetFormatError(f"{path}: empty dataset")
 
     n, dim = len(items_doc), len(dims)
-    # Rows go straight into arrays, so no per-item tuples of floats stay alive.
-    means, variances = np.empty((n, dim)), np.empty((n, dim))
-    weights, labels, cells, full_index, full_covs, diag_index = [], [], [], [], [], []
+    weights, labels, diag_index, cells, full_index, mvns = [], [], [], [], [], []
+    first = n  # every item before it passes the checks made so far
     for i, obj in enumerate(items_doc):
         try:
-            weight, label, means[i], spread, item_cells = _parse_item(obj, i, dim)
-        except DatasetFormatError as exc:
-            raise DatasetFormatError(f"{path}: {exc}") from exc
+            weight, label, values, mvn = _item_fields(obj, i, dim)
+        except DatasetFormatError:
+            first = i
+            break
         weights.append(weight)
         labels.append(label)
-        if item_cells is None:
-            full_index.append(i)
-            full_covs.append(spread)
-        else:
+        if mvn is None:
             diag_index.append(i)
-            cells.append(item_cells)
-            variances[i] = spread
-    full_covs = np.array(full_covs).reshape(-1, dim, dim)
+            cells += values
+        else:
+            full_index.append(i)
+            mvns.append(mvn)
+    cell_means, cell_vars, bad_row = _cell_table(cells, dim)
+    if bad_row < len(diag_index):
+        first = min(first, diag_index[bad_row])
+    mvn_table = _mvn_table(mvns, dim)
+    if mvn_table is None:
+        first = min(first, full_index[0])
+    if first < n:
+        try:
+            for i in range(first, n):
+                _check_item(items_doc[i], i, dim)
+        except DatasetFormatError as exc:
+            raise DatasetFormatError(f"{path}: {exc}") from exc
+        raise AssertionError(f"item {first}: the column checks reject what the item checks take")
 
+    means = np.empty((n, dim))
+    means[diag_index], means[full_index] = cell_means, mvn_table[0]
     use_labels = tuple(
         lab if lab is not None else f"item{i + 1}" for i, lab in enumerate(labels)
     ) if any(lab is not None for lab in labels) else None
     try:
-        full_covs = _cov_stack(full_covs, lambda g: f"item {full_index[g]}: Gaussian covariance")
+        full_covs = _cov_stack(mvn_table[1],
+                               lambda g: f"item {full_index[g]}: Gaussian covariance")
         return UncertainDataset._from_table(
-            means, full_index, full_covs, diag_index, variances[diag_index],
-            cells=cells, weights=np.array(weights), dim_names=tuple(dims),
-            labels=use_labels,
+            means, full_index, full_covs, diag_index, cell_vars,
+            cells=lambda j: [_parse_cell(spec, "") for spec in cells[j * dim:(j + 1) * dim]],
+            weights=np.array(weights, dtype=float), dim_names=tuple(dims), labels=use_labels,
         )
     except ValueError as exc:
         raise DatasetFormatError(f"{path}: {exc}") from exc
@@ -413,47 +524,65 @@ def standardize_dataset(ds: UncertainDataset) -> UncertainDataset:
 
 
 # ---------------------------------------------------------------------------
-# CSV output.  repr() keeps full float precision and round-trips exactly.
+# CSV output, by column.  repr() keeps full float precision and round-trips.
+
+_CSV_ROWS = 4096  # rows per pass, which bounds the texts held at once
+# What csv.writer(lineterminator="\n") quotes; CR as from Python 3.13 on.
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
-def _write_csv(path, header: list[str], rows) -> None:
+def _fields(column) -> list[str]:
+    """A column's CSV fields: a numpy array's floats by repr after + 0.0
+    folds -0.0, else str, quoted as csv.writer quotes (checked per column)."""
+    if isinstance(column, np.ndarray):
+        return list(map(repr, (column + 0.0).tolist()))
+    texts = list(map(str, column))
+    if _NEEDS_QUOTES.search("".join(texts)):
+        texts = ['"' + t.replace('"', '""') + '"' if _NEEDS_QUOTES.search(t) else t
+                 for t in texts]
+    return texts
+
+
+def _write_csv(path, header: list[str], columns: list) -> None:
+    """The header row, then one row per entry of the equal-length columns."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-
-
-def _num(x: float) -> str:
-    # + 0.0 folds -0.0 into 0.0 without touching any other value.
-    return repr(float(x) + 0.0)
+        for start in range(0, len(columns[0]), _CSV_ROWS):
+            fields = [_fields(column[start:start + _CSV_ROWS]) for column in columns]
+            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
 def write_traces_csv(
     path, traces: list[FactorTrace], schedule: SweepSchedule, dim_names: tuple[str, ...]
 ) -> None:
+    """Per trace, per step, the + and the - orientation of its point; each
+    step's s is formatted once."""
     if traces and traces[0].points.shape[1] != 2:
         raise ValueError("trace CSV output is defined for q = 2")
-    s_values = schedule.s_values()
-    rows = []
-    for trace in traces:
-        name = dim_names[trace.axis_index]
-        for k in range(trace.points.shape[0]):
-            for orientation, sign in (("+", 1.0), ("-", -1.0)):
-                x, y = sign * trace.points[k]
-                rows.append(
-                    [str(k), _num(s_values[k]), name, orientation, _num(x), _num(y)]
-                )
-    _write_csv(path, ["step", "s", "axis", "orientation", "x", "y"], rows)
+    steps = len(traces[0].points) if traces else 0
+    points = np.array([t.points for t in traces], dtype=float).reshape(len(traces), steps, 2)
+    signed = np.stack([points, -points], axis=2).reshape(-1, 2)
+    step = np.tile(np.repeat(np.arange(steps), 2), len(traces)).tolist()
+    _write_csv(path, ["step", "s", "axis", "orientation", "x", "y"], [
+        step,
+        list(map(_fields(schedule.s_values()[:steps]).__getitem__, step)),
+        list(chain.from_iterable(repeat(dim_names[t.axis_index], 2 * steps) for t in traces)),
+        ("+", "-") * (steps * len(traces)),
+        signed[:, 0], signed[:, 1],
+    ])
 
 
 def write_eigencurves_csv(path, curves: EigenCurves) -> None:
-    rows = []
-    for k in range(curves.values.shape[0]):
-        for i in range(curves.values.shape[1]):
-            rows.append(
-                [str(k), _num(curves.s_values[k]), str(i), _num(curves.values[k, i])]
-            )
-    _write_csv(path, ["step", "s", "index", "lambda"], rows)
+    """Per step, each eigenvalue with its index; each step's s is formatted once."""
+    values = np.asarray(curves.values, dtype=float)
+    steps, d = values.shape
+    step = np.repeat(np.arange(steps), d).tolist()
+    _write_csv(path, ["step", "s", "index", "lambda"], [
+        step,
+        list(map(_fields(np.asarray(curves.s_values, dtype=float)[:steps]).__getitem__, step)),
+        np.tile(np.arange(d), steps).tolist(),
+        values.ravel(),
+    ])
 
 
 def write_projection_csv(path, labels: list[str], means, covs) -> None:
@@ -468,17 +597,12 @@ def write_projection_csv(path, labels: list[str], means, covs) -> None:
         + [f"mean_{i + 1}" for i in range(q)]
         + [f"cov_{i + 1}_{j + 1}" for i in range(q) for j in range(q)]
     )
-    # + 0.0 folds -0.0 into 0.0, as _num does, over the whole table at once.
-    values = (np.hstack([means, covs.reshape(n, q * q)]) + 0.0).tolist()
-    _write_csv(path, header, ([label, *map(repr, row)] for label, row in zip(labels, values)))
+    _write_csv(path, header, [list(labels), *np.hstack([means, covs.reshape(n, q * q)]).T])
 
 
 def write_experiment_csv(path, rows: list[ExperimentRow]) -> None:
-    _write_csv(
-        path,
-        ["dim", "samples", "median_hellinger", "runs", "seed"],
-        (
-            [str(r.dim), str(r.samples), _num(r.median_hellinger), str(r.runs), str(r.seed)]
-            for r in rows
-        ),
-    )
+    _write_csv(path, ["dim", "samples", "median_hellinger", "runs", "seed"], [
+        [r.dim for r in rows], [r.samples for r in rows],
+        np.array([r.median_hellinger for r in rows], dtype=float),
+        [r.runs for r in rows], [r.seed for r in rows],
+    ])

@@ -27,7 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cov import CovOptions, GlobalCov, global_cov
-from .model import Gaussian, UncertainDataset, _as_vector, _population_moments, _readonly
+from .model import (
+    Gaussian,
+    UncertainDataset,
+    _as_vector,
+    _median,
+    _population_moments,
+    _readonly,
+)
 
 _REG_EPS = 1e-12
 _TARGET_H = 0.1
@@ -279,7 +286,7 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
         ExperimentRow(
             dim=dim,
             samples=count,
-            median_hellinger=float(np.median(dists[c * cfg.runs : (c + 1) * cfg.runs])),
+            median_hellinger=_median(dists[c * cfg.runs : (c + 1) * cfg.runs]),
             runs=cfg.runs,
             seed=cfg.rng_seed,
         )

@@ -24,6 +24,18 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _median(x) -> float:
+    """``float(np.median(x))`` of a 1-d array, bit for bit, without the
+    ``numpy.ma`` import that np.median makes on first use: NaN if an entry
+    is NaN, else the mean of the middle sorted entries as np.mean takes it,
+    a sum from 0.0 over their count: 0.0 + m, or (0.0 + a + b) / 2.0."""
+    s = np.sort(x).tolist()
+    mid = len(s) // 2
+    if math.isnan(s[-1]):
+        return math.nan
+    return 0.0 + s[mid] if len(s) % 2 else (0.0 + s[mid - 1] + s[mid]) / 2.0
+
+
 def _as_vector(x, name: str = "vector") -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1 or v.size == 0:
@@ -508,7 +520,8 @@ class UncertainDataset:
     def _from_table(cls, means, full_index=(), full_covs=None, diag_index=(), diag_vars=None,
                     *, cells=None, weights=None, dim_names=None, labels=None) -> "UncertainDataset":
         """A dataset from its columns, with no covariance block where none is
-        given; ``cells`` optionally holds each diagonal-block row's cells."""
+        given; ``cells``, if given, is called with a diagonal-block row's
+        position j when ``items`` is first read and returns that row's cells."""
         ds = cls.__new__(cls)
         ds._fill(means, full_index, full_covs, diag_index, diag_vars,
                  weights, dim_names, labels, cells=cells)
@@ -564,7 +577,7 @@ class UncertainDataset:
             rows = {int(i): Gaussian(m[i], k) for i, k in zip(self.full_index, self.full_covs)}
             for j, (i, v) in enumerate(zip(self.diag_index, self.diag_vars)):
                 rows[int(i)] = (Gaussian(m[i], np.diag(v)) if self._cells is None
-                                else ProductOf1D(self._cells[j]))
+                                else ProductOf1D(self._cells(j)))
             self._items = tuple(rows[i] if i in rows else Point(x) for i, x in enumerate(m))
         return self._items
 

@@ -28,7 +28,7 @@ def project_items(
     A^T F A, the diagonal block as (A^T scaled by each row of variances) A,
     with no D x D matrix per item, and points give exact zeros.  The
     arithmetic runs under ``np.errstate``, and the result is checked once:
-    finite, and each covariance PSD up to ``PSD_RTOL``.
+    finite, and each block row's covariance PSD up to ``PSD_RTOL``.
     """
     if not isinstance(ds, UncertainDataset):
         ds = UncertainDataset(ds)
@@ -50,7 +50,9 @@ def project_items(
         covs *= cov_scale
     if not (np.all(np.isfinite(out_means)) and np.all(np.isfinite(covs))):
         raise ValueError("projected moments contain non-finite entries")
-    _require_psd(covs, lambda i: f"projected covariance of item {i}")
+    # Point rows are exact zeros; the two blocks' rows are disjoint.
+    blocks = np.sort(np.concatenate([ds.full_index, ds.diag_index]))
+    _require_psd(covs[blocks], lambda i: f"projected covariance of item {blocks[i]}")
     return out_means, covs
 
 

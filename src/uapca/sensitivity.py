@@ -16,7 +16,7 @@ import numpy as np
 
 from .cov import global_cov
 from .eigen import EigenPairs, PcaModel, eig_sym, select_components
-from .model import UncertainDataset, _readonly
+from .model import UncertainDataset, _median, _readonly
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,7 @@ def detect_avoided_crossings(curves: EigenCurves) -> list[tuple[int, int]]:
     flags: list[tuple[int, int]] = []
     for i in range(d - 1):
         gap = vals[:, i] - vals[:, i + 1]
-        cutoff = 0.25 * float(np.median(gap))
+        cutoff = 0.25 * _median(gap)
         for k in range(1, n_steps - 1):
             if gap[k] <= 0.0 or gap[k] >= cutoff:
                 continue

@@ -198,6 +198,8 @@ def _dot(color: str, r: float) -> tuple[str, str, str]:
 
 
 def _text(content: str, color: str = "#333333", size: int = 14) -> tuple[str, str, str]:
+    """A text element with content XML-escaped, slots for x and y."""
+    content = content.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     return ('<text x="', '" y="',
             f'" font-family="sans-serif" font-size="{size}" fill="{color}">{content}</text>')
 

@@ -1,7 +1,12 @@
+import csv
 import hashlib
+import io
 import json
+import os
 import subprocess
 import sys
+import xml.dom.minidom
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -532,3 +537,88 @@ def test_failed_render_leaves_no_output_file(tmp_path, capsys, monkeypatch, stud
         "uapca: error: cannot draw the eigenvalue curves"
     ]
     assert list(out.iterdir()) == []
+
+
+def _csv_rows_and_rewrite(path):
+    """The rows csv.reader reads from path, and the text csv.writer writes for them."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return rows, out.getvalue()
+
+
+def test_csv_text_fields_are_quoted_as_csv_writer_quotes_them(tmp_path, capsys):
+    points = tmp_path / "quoted.csv"
+    points.write_text('x,y,label\n1,2,"a,b"\n3,5,c\n2,9,"d\ne"\n4,1,"say ""hi"""\n',
+                      encoding="utf-8")
+    code = main(["project", "--points", "--input", str(points),
+                 "--out-prefix", str(tmp_path / "p")])
+    assert code == 0
+    csv_path = tmp_path / "p.projection.csv"
+    rows, rewritten = _csv_rows_and_rewrite(csv_path)
+    assert [len(row) for row in rows] == [7] * 5
+    assert [row[0] for row in rows[1:]] == ["a,b", "c", "d\ne", 'say "hi"']
+    assert csv_path.read_text(encoding="utf-8") == rewritten
+
+    # Axis names, CR included: csv.writer quotes it from Python 3.13 on, and
+    # csv.reader cannot read it back unquoted.
+    for names in (["plain", "a,b", 'q"t', "l\nf"], ["plain", "c\rr"]):
+        doc = {"dims": names, "items": [
+            {"values": [{"number": float(i * j % 5)} for j in range(len(names))]}
+            for i in range(1, 7)]}
+        data = tmp_path / "names.json"
+        data.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["trace", "--input", str(data), "--steps", "3",
+                     "--out-prefix", str(tmp_path / "t")]) == 0
+        csv_path = tmp_path / "t.traces.csv"
+        rows, rewritten = _csv_rows_and_rewrite(csv_path)
+        assert all(len(row) == 6 for row in rows)
+        assert [row[2] for row in rows[1::6]] == names
+        text = csv_path.read_bytes().decode("utf-8")  # read_text would turn CR into LF
+        if "c\rr" in names:
+            assert '"c\rr"' in text
+        else:
+            assert text == rewritten
+
+
+def test_svg_text_is_escaped(tmp_path, capsys):
+    doc = {"dims": ["a<b", "c&d", "e>f"], "items": [
+        {"label": "x<y & z", "values": [{"number": 1}, {"interval": [0, 2]}, {"number": 3}]},
+        {"label": "</text>", "values": [{"number": 2}, {"number": 5}, {"interval": [1, 4]}]},
+        {"values": [{"number": 4}, {"number": 1}, {"normal": {"mean": 0, "sd": 1}}]},
+    ]}
+    data = tmp_path / "marks.json"
+    data.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["project", "--input", str(data), "--out-prefix", str(tmp_path / "p")]) == 0
+    assert main(["trace", "--input", str(data), "--steps", "4",
+                 "--out-prefix", str(tmp_path / "t")]) == 0
+    for name, texts in (("p.projection.svg", {"x<y & z", "</text>", "item3"}),
+                        ("t.traces.svg", {"a<b", "c&d", "e>f"})):
+        dom = xml.dom.minidom.parse(str(tmp_path / name))
+        found = {node.firstChild.data for node in dom.getElementsByTagName("text")}
+        assert texts <= found, (name, found)
+
+
+def test_cli_runs_do_not_import_numpy_ma(tmp_path, students_path, iris_path):
+    # np.median and np.union1d import numpy.ma on first use; a fresh process
+    # shows whether anything on these paths still does.
+    script = (
+        "import sys\n"
+        "from uapca.cli import main\n"
+        f"assert main(['trace', '--input', {str(students_path)!r}, '--steps', '16',\n"
+        f"             '--out-prefix', {str(tmp_path / 't')!r}]) == 0\n"
+        f"assert main(['project', '--input', {str(students_path)!r},\n"
+        f"             '--out-prefix', {str(tmp_path / 'p')!r}]) == 0\n"
+        f"assert main(['project', '--points', '--input', {str(iris_path)!r},\n"
+        f"             '--out-prefix', {str(tmp_path / 'q')!r}]) == 0\n"
+        "assert main(['compare-sampling', '--dims', '2', '--runs', '3', '--samples', '8',\n"
+        f"             '--items', '3', '--out', {str(tmp_path / 'c.csv')!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "UAPCA_SEED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(uapca.cli.__file__).parents[1]),
+                                        env.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "False"

@@ -1,4 +1,8 @@
+import copy
+import csv
+import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from uapca.io import (
     write_eigencurves_csv,
     write_projection_csv,
     write_traces_csv,
+    _parse_cell,
 )
 from uapca.cov import global_cov
 from uapca.model import (
@@ -32,6 +37,7 @@ from uapca.model import (
     ProductOf1D,
     Trapezoid,
     UncertainDataset,
+    _cov_stack,
 )
 from uapca.sensitivity import SweepSchedule, factor_traces, sweep
 
@@ -456,3 +462,251 @@ def test_mvn_checks_name_the_first_bad_item(tmp_path):
         with pytest.raises(DatasetFormatError) as err:
             load_dataset(_write(tmp_path, f"bad{j}.json", text))
         assert fragment in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# The column read of dataset files against the item-by-item reader.
+
+
+def _reference_item(obj, index, dim):
+    """One item as (weight, label, mean, spread, cells), every cell through
+    ``_parse_cell`` (the model cells' own formulas), or the first error."""
+    where = f"item {index}"
+    if not isinstance(obj, dict):
+        raise DatasetFormatError(f"{where}: expected an object, got {type(obj).__name__}")
+    label = obj.get("label")
+    if label is not None and not isinstance(label, str):
+        raise DatasetFormatError(f"{where}: label must be a string")
+    weight = obj.get("weight", 1.0)
+    if not isinstance(weight, (int, float)) or isinstance(weight, bool):
+        raise DatasetFormatError(f"{where}: weight must be a number")
+    if ("values" in obj) == ("mvn" in obj):
+        raise DatasetFormatError(f"{where}: exactly one of 'values' or 'mvn' is required")
+    if "values" in obj:
+        values = obj["values"]
+        if not isinstance(values, list) or len(values) != dim:
+            raise DatasetFormatError(
+                f"{where}: 'values' must list {dim} entries to match 'dims'"
+            )
+        cells = tuple(_parse_cell(spec, f"{where}, value {j}") for j, spec in enumerate(values))
+        return (float(weight), label, [c.mean() for c in cells], [c.variance() for c in cells],
+                cells)
+    mvn = obj["mvn"]
+    if not isinstance(mvn, dict) or "mean" not in mvn or "cov" not in mvn:
+        raise DatasetFormatError(f"{where}: 'mvn' needs 'mean' and 'cov'")
+    arrays = []
+    for key, shape in (("mean", (dim,)), ("cov", (dim, dim))):
+        try:
+            arrays.append(np.asarray(mvn[key], dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise DatasetFormatError(
+                f"{where}: mvn {key!r} must be an array of numbers with rows of equal length"
+            ) from exc
+        if arrays[-1].shape != shape:
+            raise DatasetFormatError(f"{where}: mvn {key!r} has shape {arrays[-1].shape}, "
+                                     f"which does not match 'dims' length {dim}")
+        rows = mvn[key] if key == "cov" else [mvn[key]]
+        bad = [v for row in rows for v in row if type(v) not in (int, float)]
+        if bad:
+            raise DatasetFormatError(
+                f"{where}: mvn {key!r} must be an array of numbers, got {json.dumps(bad[0])}"
+            )
+    return float(weight), label, arrays[0], arrays[1], None
+
+
+def _reference_load_dataset(path) -> UncertainDataset:
+    """The item-by-item reader that ``load_dataset`` must agree with: items
+    parsed one by one in file order, the first bad one raising, then the
+    mvn covariances checked as one stack."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh, parse_int=lambda t: int(t) if len(t) < 309 else float(t))
+        except json.JSONDecodeError as exc:
+            raise DatasetFormatError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DatasetFormatError(f"{path}: top level must be an object")
+    dims = doc.get("dims")
+    if not isinstance(dims, list) or not dims or not all(isinstance(d, str) for d in dims):
+        raise DatasetFormatError(f"{path}: 'dims' must be a non-empty list of axis names")
+    items_doc = doc.get("items")
+    if not isinstance(items_doc, list):
+        raise DatasetFormatError(f"{path}: 'items' must be a list")
+    if not items_doc:
+        raise DatasetFormatError(f"{path}: empty dataset")
+    n, dim = len(items_doc), len(dims)
+    means, variances = np.empty((n, dim)), np.empty((n, dim))
+    weights, labels, cells, full_index, full_covs, diag_index = [], [], [], [], [], []
+    for i, obj in enumerate(items_doc):
+        try:
+            weight, label, means[i], spread, item_cells = _reference_item(obj, i, dim)
+        except DatasetFormatError as exc:
+            raise DatasetFormatError(f"{path}: {exc}") from exc
+        weights.append(weight)
+        labels.append(label)
+        if item_cells is None:
+            full_index.append(i)
+            full_covs.append(spread)
+        else:
+            diag_index.append(i)
+            cells.append(item_cells)
+            variances[i] = spread
+    use_labels = tuple(
+        lab if lab is not None else f"item{i + 1}" for i, lab in enumerate(labels)
+    ) if any(lab is not None for lab in labels) else None
+    try:
+        covs = _cov_stack(np.array(full_covs).reshape(-1, dim, dim),
+                          lambda g: f"item {full_index[g]}: Gaussian covariance")
+        return UncertainDataset._from_table(
+            means, full_index, covs, diag_index, variances[diag_index],
+            cells=cells.__getitem__, weights=np.array(weights), dim_names=tuple(dims),
+            labels=use_labels,
+        )
+    except ValueError as exc:
+        raise DatasetFormatError(f"{path}: {exc}") from exc
+
+
+def _dataset_outcome(load, path):
+    try:
+        ds = load(path)
+    except DatasetFormatError as exc:
+        return "error", str(exc)
+    columns = (ds.means(), ds.full_index, ds.full_covs, ds.diag_index, ds.diag_vars, ds.weights)
+    return ("ok", [(c.shape, c.dtype.str, c.tobytes()) for c in columns], ds.labels,
+            ds.dim_names, [getattr(item, "cells", type(item)) for item in ds.items])
+
+
+# Non-round magnitudes from 1e-3 to 1e8 with either sign, and some integers.
+_MAGNITUDES = st.builds(lambda m, e: m * 10.0 ** e,
+                        st.floats(1.0, 10.0, exclude_max=True), st.integers(-3, 7))
+_VALUES = st.one_of(
+    st.builds(lambda x, sign: sign * x, _MAGNITUDES, st.sampled_from([1.0, -1.0])),
+    st.integers(-10**6, 10**6),
+)
+_SPREADS = st.one_of(_MAGNITUDES, st.just(0.0))
+_DATASET_SWAPS = ["7", "x", True, None, [], [1.0], {}, {"k": 1}, -0.0, 0,
+                  math.nan, math.inf, -math.inf, 1e300, -1e300, 1.3e154, 2e103, 10**400]
+
+
+@st.composite
+def _cell_spec(draw):
+    kind = draw(st.sampled_from(["number", "interval", "trapezoid", "normal"]))
+    x = draw(_VALUES)
+    if kind == "number":
+        return {"number": x}
+    if kind == "interval":
+        return {"interval": [x, x + draw(_SPREADS)]}
+    if kind == "trapezoid":
+        corners = [x]
+        for _ in range(3):
+            corners.append(corners[-1] + draw(_SPREADS))
+        return {"trapezoid": corners}
+    return {"normal": {"mean": x, "sd": draw(_SPREADS)}}
+
+
+@st.composite
+def _dataset_item(draw, dim):
+    item = {}
+    if draw(st.booleans()):
+        item["label"] = draw(st.sampled_from(["a", "b", "x<y & z"]))
+    if draw(st.booleans()):
+        item["weight"] = draw(_SPREADS)
+    if draw(st.integers(0, 2)):
+        item["values"] = [draw(_cell_spec()) for _ in range(dim)]
+    else:
+        factor = [[draw(_VALUES) if k <= i else 0.0 for k in range(dim)] for i in range(dim)]
+        item["mvn"] = {
+            "mean": [draw(_VALUES) for _ in range(dim)],
+            "cov": [[sum(a * b for a, b in zip(row, col)) for col in factor] for row in factor],
+        }
+    return item
+
+
+@st.composite
+def _dataset_text(draw):
+    """A dataset of every cell kind and mvn items, often with one thing
+    changed as ``test_fuzz`` changes it: a value swapped, a list shortened,
+    lengthened or emptied, or a key removed."""
+    dim = draw(st.integers(1, 4))
+    doc = {"dims": [f"d{j}" for j in range(dim)],
+           "items": [draw(_dataset_item(dim)) for _ in range(draw(st.integers(1, 6)))]}
+    if draw(st.integers(0, 2)):
+        paths, stack = [], [((), doc)]
+        while stack:
+            path, node = stack.pop()
+            paths.append(path)
+            if isinstance(node, (dict, list)):
+                keys = node if isinstance(node, dict) else range(len(node))
+                stack += [(path + (k,), node[k]) for k in keys]
+        path = draw(st.sampled_from(sorted(paths, key=repr)))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        target = parent[path[-1]] if path else doc
+        ops = ["swap"] + (["drop", "extra", "empty"] if isinstance(target, list) else [])
+        ops += ["missing"] if isinstance(target, dict) and target else []
+        op = draw(st.sampled_from(ops))
+        if op == "swap":
+            new = copy.deepcopy(draw(st.sampled_from(_DATASET_SWAPS)))
+        elif op == "drop":
+            new = target[:-1]
+        elif op == "extra":
+            new = target + [draw(st.sampled_from(_DATASET_SWAPS))]
+        elif op == "empty":
+            new = []
+        else:
+            new = dict(target)
+            del new[draw(st.sampled_from(sorted(new)))]
+        if not path:
+            return json.dumps(new)
+        parent[path[-1]] = new
+    return json.dumps(doc)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(text=_dataset_text())
+def test_load_dataset_agrees_with_the_item_by_item_reader(tmp_path, text):
+    path = tmp_path / "ds.json"
+    path.write_text(text, encoding="utf-8")
+    assert _dataset_outcome(load_dataset, path) == _dataset_outcome(_reference_load_dataset, path)
+
+
+@pytest.mark.parametrize("items", [
+    # A bad cell ahead of a bad structure, and the reverse.
+    [{"values": [{"interval": [2, 1]}]}, {"values": []}],
+    [{"values": []}, {"values": [{"interval": [2, 1]}]}],
+    # Overflow in a cube, a square and a sum; an unknown kind after a good item.
+    [{"values": [{"number": 1}]}, {"values": [{"trapezoid": [0, 1, 2, 1e103]}]}],
+    [{"values": [{"normal": {"mean": 0, "sd": 1e160}}]}],
+    [{"values": [{"interval": [1e308, 1.7e308]}]}],
+    [{"values": [{"number": 1}]}, {"values": [{"wavelet": 1}]}],
+    [{"values": [{"normal": {"mean": 0, "sd": 1, "extra": 2}}]}],
+    [{"values": [{"normal": [0, 1]}]}, {"values": [{"interval": {"a": 0, "b": 1}}]}],
+    # A ragged or mistyped mvn after a good one, before a bad cell.
+    [{"mvn": {"mean": [0], "cov": [[1]]}}, {"mvn": {"mean": [0], "cov": [[1, 2]]}},
+     {"values": [{"number": "1"}]}],
+    [{"mvn": {"mean": [0], "cov": [[1]]}}, {"values": [{"number": True}]},
+     {"mvn": {"mean": [True], "cov": [[1]]}}],
+    [{"mvn": {"mean": ["1"], "cov": [[1]]}}],
+    [{"mvn": {"mean": [0], "cov": [[-1]]}}, {"values": [{"number": math.nan}]}],
+])
+def test_load_dataset_edge_cases_match_the_item_by_item_reader(tmp_path, items):
+    path = tmp_path / "ds.json"
+    path.write_text(json.dumps({"dims": ["a"], "items": items}), encoding="utf-8")
+    assert _dataset_outcome(load_dataset, path) == _dataset_outcome(_reference_load_dataset, path)
+
+
+def test_loaded_cells_are_built_only_when_items_are_read(tmp_path, monkeypatch):
+    import uapca.io
+
+    calls = []
+    monkeypatch.setattr(uapca.io, "_parse_cell",
+                        lambda spec, where: calls.append(spec) or _parse_cell(spec, where))
+    doc = {"dims": ["a", "b"], "items": [
+        {"values": [{"number": 1}, {"interval": [0, 3]}]},
+        {"mvn": {"mean": [0, 0], "cov": [[1, 0], [0, 1]]}},
+    ]}
+    ds = load_dataset(_write(tmp_path, "lazy.json", json.dumps(doc)))
+    assert calls == []
+    assert ds.items[0].cells == (Number(1.0), Interval(0.0, 3.0))
+    assert len(calls) == 2

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -14,6 +16,7 @@ from uapca.model import (
     ProductOf1D,
     Trapezoid,
     UncertainDataset,
+    _median,
     cov_matrix,
 )
 
@@ -288,3 +291,16 @@ def test_dataset_validation():
         UncertainDataset(items, dim_names=("a",))
     with pytest.raises(ValueError, match="labels"):
         UncertainDataset(items, labels=("only one",))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(values=st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False,
+                                           min_value=-1e300, max_value=1e300),
+                                 st.sampled_from([0.0, -0.0, 1.0, 0.1, 1e-300])),
+                       min_size=1, max_size=12))
+@example(values=[-0.0])
+@example(values=[0.0, 0.0, -1.0, -5e-324])  # the sum from 0.0 keeps -5e-324 / 2 at -0.0
+def test_median_has_the_bits_of_np_median(values):
+    x = np.array(values)
+    assert np.float64(_median(x)).tobytes() == np.median(x).tobytes()
+    assert math.isnan(_median(np.append(x, math.nan)))

@@ -219,3 +219,16 @@ def test_stacked_outlines_match_one_item_at_a_time():
             assert np.array_equal(out[i, j], np.vstack([pts, pts[:1]]))
     assert _ellipse_outlines(means[:0], covs[:0], k_sigmas, segments).shape == (
         0, len(k_sigmas), segments + 1, 2)
+
+
+def test_psd_check_runs_on_block_rows_only(monkeypatch):
+    import uapca.project
+
+    seen = []
+    monkeypatch.setattr(uapca.project, "_require_psd",
+                        lambda k, name: seen.append((k.shape, name(0) if len(k) else None)))
+    points = UncertainDataset((Point([0.0, 0.0]), Point([1.0, 2.0]), Point([2.0, 1.0])))
+    model = _fitted_model(points, 2)
+    project_items(model, points)
+    project_items(model, [Point([0.0, 1.0]), Point([1.0, 0.0]), Gaussian([0.0, 0.0], np.eye(2))])
+    assert seen == [((0, 2, 2), None), ((1, 2, 2), "projected covariance of item 2")]
