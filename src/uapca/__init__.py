@@ -5,69 +5,50 @@ the covariance of the item means with the expected item covariance, scaled
 by an uncertainty factor s.  Sweeping s yields factor traces that show how
 the projection reacts to uncertainty, and a Hellinger-distance harness
 validates the closed form against plain PCA on Monte-Carlo samples.
+
+The names below load their module on first access (PEP 562), so importing
+the package, or the CLI for one subcommand, loads no module it does not run.
 """
 
-from .cov import CovOptions, GlobalCov, global_cov, global_cov_from_points
-from .eigen import EigenPairs, PcaModel, eig_sym, principal_angles, select_components
-from .io import (
-    DatasetFormatError,
-    PointsData,
-    aggregate_by_label,
-    load_dataset,
-    load_points,
-    points_dataset,
-    save_dataset,
-    standardize_dataset,
-    standardize_points,
-)
-from .metrics import (
-    ExperimentConfig,
-    ExperimentRow,
-    PcaSummary,
-    bhattacharyya_coeff,
-    hellinger,
-    run_convergence_experiment,
-    sampled_pca,
-    summary_of,
-)
-from .model import (
-    Distribution,
-    EmpiricalCluster,
-    Gaussian,
-    Interval,
-    Normal1D,
-    Number,
-    Point,
-    ProductOf1D,
-    Trapezoid,
-    UncertainDataset,
-    cov_matrix,
-)
-from .project import ellipse_outline, project_distribution, project_items, project_point
-from .sensitivity import (
-    EigenCurves,
-    FactorTrace,
-    SweepSchedule,
-    detect_avoided_crossings,
-    factor_traces,
-    sweep,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CovOptions", "GlobalCov", "global_cov", "global_cov_from_points",
-    "EigenPairs", "PcaModel", "eig_sym", "principal_angles", "select_components",
-    "DatasetFormatError", "PointsData", "aggregate_by_label", "load_dataset",
-    "load_points", "points_dataset", "save_dataset", "standardize_dataset",
-    "standardize_points",
-    "ExperimentConfig", "ExperimentRow", "PcaSummary", "bhattacharyya_coeff",
-    "hellinger", "run_convergence_experiment", "sampled_pca", "summary_of",
-    "Distribution", "EmpiricalCluster", "Gaussian", "Interval", "Normal1D",
-    "Number", "Point", "ProductOf1D", "Trapezoid", "UncertainDataset",
-    "cov_matrix",
-    "ellipse_outline", "project_distribution", "project_items", "project_point",
-    "EigenCurves", "FactorTrace", "SweepSchedule", "detect_avoided_crossings",
-    "factor_traces", "sweep",
-    "__version__",
-]
+_EXPORTS = {
+    "cov": ("CovOptions", "GlobalCov", "global_cov", "global_cov_from_points"),
+    "eigen": ("EigenPairs", "PcaModel", "eig_sym", "principal_angles", "select_components"),
+    "io": (
+        "DatasetFormatError", "PointsData", "aggregate_by_label", "load_dataset",
+        "load_points", "points_dataset", "save_dataset", "standardize_dataset",
+        "standardize_points",
+    ),
+    "metrics": (
+        "ExperimentConfig", "ExperimentRow", "PcaSummary", "bhattacharyya_coeff",
+        "hellinger", "run_convergence_experiment", "sampled_pca", "summary_of",
+    ),
+    "model": (
+        "Distribution", "EmpiricalCluster", "Gaussian", "Interval", "Normal1D",
+        "Number", "Point", "ProductOf1D", "Trapezoid", "UncertainDataset", "cov_matrix",
+    ),
+    "project": ("ellipse_outline", "project_distribution", "project_items", "project_point"),
+    "sensitivity": (
+        "EigenCurves", "FactorTrace", "SweepSchedule", "detect_avoided_crossings",
+        "factor_traces", "sweep",
+    ),
+}
+_HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_HOMES, "__version__"]
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -15,32 +15,8 @@ import math
 import os
 import sys
 
-from .cov import CovOptions, global_cov
-from .eigen import eig_sym, select_components
-from .io import (
-    LABEL_COLUMN,
-    DatasetFormatError,
-    PointsData,
-    aggregate_by_label,
-    load_dataset,
-    load_points,
-    points_dataset,
-    standardize_dataset,
-    standardize_points,
-    write_eigencurves_csv,
-    write_experiment_csv,
-    write_projection_csv,
-    write_traces_csv,
-)
-from .metrics import (
-    DEFAULT_SAMPLE_COUNTS,
-    ExperimentConfig,
-    run_convergence_experiment,
-    samples_to_reach,
-)
-from .project import project_items
-from .sensitivity import SweepSchedule, factor_traces, sweep
-from .svg import render_eigencurves_svg, render_projection_svg, render_traces_svg
+# Each subcommand imports the modules it runs; .io (and numpy) serve them all.
+from .io import LABEL_COLUMN, DatasetFormatError
 
 
 class UsageError(Exception):
@@ -159,6 +135,14 @@ def _write_text(path: str, content: str) -> None:
 
 
 def _cmd_project(args) -> int:
+    from .cov import CovOptions, global_cov
+    from .eigen import eig_sym, select_components
+    from .io import (PointsData, aggregate_by_label, load_dataset, load_points,
+                     points_dataset, standardize_dataset, standardize_points,
+                     write_projection_csv)
+    from .project import project_items
+    from .svg import render_projection_svg
+
     if args.points:
         pts = load_points(args.input)
         if args.standardize:
@@ -212,6 +196,10 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    from .io import load_dataset, write_eigencurves_csv, write_traces_csv
+    from .sensitivity import SweepSchedule, factor_traces, sweep
+    from .svg import render_eigencurves_svg, render_traces_svg
+
     if args.dims != 2:
         raise UsageError("the trace plot is two-dimensional; use --dims 2")
     ds = load_dataset(args.input)
@@ -249,6 +237,10 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_compare_sampling(args) -> int:
+    from .io import write_experiment_csv
+    from .metrics import (DEFAULT_SAMPLE_COUNTS, ExperimentConfig,
+                          run_convergence_experiment, samples_to_reach)
+
     seed = args.seed
     raw_env = os.environ.get("UAPCA_SEED")
     if raw_env is not None:

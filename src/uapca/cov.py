@@ -41,7 +41,7 @@ class CovOptions:
         object.__setattr__(self, "scale_s", s)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class GlobalCov:
     """Result of the global covariance accumulation.
 
@@ -58,7 +58,7 @@ class GlobalCov:
     scale_s: float
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", self.at(self.scale_s))
+        self.matrix = self.at(self.scale_s)
 
     def at(self, s: float) -> np.ndarray:
         """K(s) = term_means + s^2 * term_uncertainty; term_uncertainty alone at s = inf."""

@@ -15,7 +15,7 @@ import numpy as np
 from .model import PSD_RTOL, _as_vector, _readonly, _symmetrized
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class EigenPairs:
     """Eigenvalues in descending order with matching eigenvector columns.
 
@@ -27,7 +27,7 @@ class EigenPairs:
     vectors: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class PcaModel:
     """A fitted PCA basis: center, top-q component columns, full spectrum."""
 

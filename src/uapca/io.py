@@ -26,11 +26,11 @@ import re
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .cov import CovOptions, global_cov
-from .metrics import ExperimentRow
 from .model import (
     Distribution,
     EmpiricalCluster,
@@ -47,7 +47,10 @@ from .model import (
     _population_moments,
     _readonly,
 )
-from .sensitivity import EigenCurves, FactorTrace, SweepSchedule
+
+if TYPE_CHECKING:
+    from .metrics import ExperimentRow
+    from .sensitivity import EigenCurves, FactorTrace, SweepSchedule
 
 
 class DatasetFormatError(ValueError):
@@ -61,6 +64,17 @@ _CELL_KEYS = ("number", "interval", "trapezoid", "normal")
 _CELL_CODES = {kind: code for code, kind in enumerate(_CELL_KEYS)}
 _CELL_WIDTHS = {"number": 1, "interval": 2, "trapezoid": 4, "normal": 2}
 _NUMBER_TYPES = {int, float}  # float() would take true as 1.0 and "1_0" as 10
+
+
+def _require_utf8(text: str, where: str, what: str) -> None:
+    """Reject text UTF-8 cannot encode: the lone surrogates that JSON escapes
+    such as "\\ud800" decode to."""
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise DatasetFormatError(f"{where}: {what} {text!r} holds a lone surrogate, "
+                                     f"which UTF-8 cannot encode") from None
 
 
 def _cell_number(x) -> float:
@@ -113,6 +127,8 @@ def _item_fields(obj, index: int, dim: int):
     label = obj.get("label")
     if label is not None and not isinstance(label, str):
         raise DatasetFormatError(f"{where}: label must be a string")
+    if label is not None:
+        _require_utf8(label, where, "label")
     weight = obj.get("weight", 1.0)
     if not isinstance(weight, (int, float)) or isinstance(weight, bool):
         raise DatasetFormatError(f"{where}: weight must be a number")
@@ -268,6 +284,8 @@ def load_dataset(path) -> UncertainDataset:
     dims = doc.get("dims")
     if not isinstance(dims, list) or not dims or not all(isinstance(d, str) for d in dims):
         raise DatasetFormatError(f"{path}: 'dims' must be a non-empty list of axis names")
+    for j, name in enumerate(dims):
+        _require_utf8(name, path, f"axis {j} name")
     items_doc = doc.get("items")
     if not isinstance(items_doc, list):
         raise DatasetFormatError(f"{path}: 'items' must be a list")
@@ -355,7 +373,7 @@ def save_dataset(ds: UncertainDataset, path) -> None:
 LABEL_COLUMN = "label"
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class PointsData:
     """Rows of a points CSV: (n, D) values plus optional row labels."""
 

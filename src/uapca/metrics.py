@@ -41,7 +41,7 @@ _TARGET_H = 0.1
 DEFAULT_SAMPLE_COUNTS = (16, 64, 256, 1024, 4096)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class PcaSummary:
     """Mean and covariance of a PCA input, read as a multivariate normal."""
 
@@ -55,8 +55,8 @@ class PcaSummary:
             raise ValueError(f"covariance shape {k.shape} does not match mean length {m.size}")
         if not np.all(np.isfinite(k)):
             raise ValueError("covariance contains non-finite entries")
-        object.__setattr__(self, "mean", _readonly(m))
-        object.__setattr__(self, "cov", _readonly((k + k.T) / 2.0))
+        self.mean = _readonly(m)
+        self.cov = _readonly((k + k.T) / 2.0)
 
 
 def summary_of(g: GlobalCov) -> PcaSummary:

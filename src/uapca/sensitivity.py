@@ -48,7 +48,7 @@ class SweepSchedule:
         return int(np.argmax(s > 1.0))
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class EigenCurves:
     """Per-step sorted eigenvalues of the swept covariance.
 
@@ -62,7 +62,7 @@ class EigenCurves:
     avoided_crossing_flags: list[tuple[int, int]] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, repr=False)
 class FactorTrace:
     """Path of one original axis through component space over the sweep.
 

@@ -13,11 +13,14 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterable, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .project import _ellipse_outlines
-from .sensitivity import EigenCurves, FactorTrace
+
+if TYPE_CHECKING:
+    from .sensitivity import EigenCurves, FactorTrace
 
 SIZE = 800
 PALETTE = (
@@ -197,9 +200,15 @@ def _dot(color: str, r: float) -> tuple[str, str, str]:
     return '<circle cx="', '" cy="', f'" r="{_fmt(r)}" fill="{color}"/>'
 
 
+# XML 1.0 forbids the C0 controls other than tab, LF and CR, and U+FFFE and U+FFFF.
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", **dict.fromkeys(
+    [*range(9), 11, 12, *range(14, 32), 0xFFFE, 0xFFFF], "\ufffd")})
+
+
 def _text(content: str, color: str = "#333333", size: int = 14) -> tuple[str, str, str]:
-    """A text element with content XML-escaped, slots for x and y."""
-    content = content.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    """A text element with content XML-escaped and characters XML forbids
+    written as U+FFFD, slots for x and y."""
+    content = content.translate(_XML_TEXT)
     return ('<text x="', '" y="',
             f'" font-family="sans-serif" font-size="{size}" fill="{color}">{content}</text>')
 

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 import uapca.cli
+import uapca.metrics
+import uapca.svg
 from uapca.cli import main
 from uapca.io import load_dataset
 
@@ -309,7 +311,7 @@ def test_out_of_memory_is_a_one_line_error(tmp_path, capsys, monkeypatch):
     def exhausted(cfg):
         raise MemoryError("Unable to allocate 16.0 TiB for an array")
 
-    monkeypatch.setattr(uapca.cli, "run_convergence_experiment", exhausted)
+    monkeypatch.setattr(uapca.metrics, "run_convergence_experiment", exhausted)
     code = main(["compare-sampling", "--dims", "2", "--runs", "1",
                  "--out", str(tmp_path / "x.csv")])
     assert code == 1
@@ -530,7 +532,7 @@ def test_failed_render_leaves_no_output_file(tmp_path, capsys, monkeypatch, stud
     def broken(curves):
         raise ValueError("cannot draw the eigenvalue curves")
 
-    monkeypatch.setattr(uapca.cli, "render_eigencurves_svg", broken)
+    monkeypatch.setattr(uapca.svg, "render_eigencurves_svg", broken)
     code = main(["trace", "--input", str(students_path), "--out-prefix", str(out / "t")])
     assert code == 1
     assert capsys.readouterr().err.splitlines() == [
@@ -578,7 +580,7 @@ def test_csv_text_fields_are_quoted_as_csv_writer_quotes_them(tmp_path, capsys):
         text = csv_path.read_bytes().decode("utf-8")  # read_text would turn CR into LF
         if "c\rr" in names:
             assert '"c\rr"' in text
-        else:
+        if "c\rr" not in names or sys.version_info >= (3, 13):
             assert text == rewritten
 
 
@@ -600,6 +602,15 @@ def test_svg_text_is_escaped(tmp_path, capsys):
         assert texts <= found, (name, found)
 
 
+def _fresh_process(script: str) -> str:
+    """stdout of a fresh Python process that runs script with this uapca."""
+    env = {k: v for k, v in os.environ.items() if k != "UAPCA_SEED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(uapca.cli.__file__).parents[1]),
+                                        env.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
 def test_cli_runs_do_not_import_numpy_ma(tmp_path, students_path, iris_path):
     # np.median and np.union1d import numpy.ma on first use; a fresh process
     # shows whether anything on these paths still does.
@@ -616,9 +627,85 @@ def test_cli_runs_do_not_import_numpy_ma(tmp_path, students_path, iris_path):
         f"             '--items', '3', '--out', {str(tmp_path / 'c.csv')!r}]) == 0\n"
         "print('numpy.ma' in sys.modules)\n"
     )
-    env = {k: v for k, v in os.environ.items() if k != "UAPCA_SEED"}
-    env["PYTHONPATH"] = os.pathsep.join([str(Path(uapca.cli.__file__).parents[1]),
-                                        env.get("PYTHONPATH", "")])
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.splitlines()[-1] == "False"
+    assert _fresh_process(script).splitlines()[-1] == "False"
+
+
+def test_each_command_loads_only_its_own_modules(tmp_path, students_path, iris_path):
+    # With bytecode writing off, every module a call loads is compiled on
+    # that call; fresh processes show which ones each command loads.
+    def loaded(code: str) -> set[str]:
+        out = _fresh_process(
+            f"import sys\n{code}\n"
+            "print(' '.join(m[6:] for m in sys.modules if m.startswith('uapca.')))\n")
+        return set(out.splitlines()[-1].split())
+
+    def command(*argv: str) -> str:
+        return f"from uapca.cli import main\nassert main({list(argv)!r}) == 0"
+
+    assert loaded("import uapca") == set()
+    assert not loaded("import uapca.cli") & {"metrics", "sensitivity", "svg", "project", "eigen"}
+    assert not loaded(command("project", "--points", "--input", str(iris_path),
+                              "--out-prefix", str(tmp_path / "p"))) & {"metrics", "sensitivity"}
+    assert "metrics" not in loaded(command("trace", "--input", str(students_path),
+                                           "--steps", "8", "--out-prefix", str(tmp_path / "t")))
+    assert not loaded(command("compare-sampling", "--dims", "2", "--runs", "2", "--samples", "8",
+                              "--items", "3", "--out", str(tmp_path / "c.csv"))) & {
+        "svg", "project", "sensitivity", "eigen"}
+
+
+def test_package_exports_resolve_to_their_home_modules():
+    import uapca
+
+    for name in uapca.__all__:
+        value = getattr(uapca, name)
+        if name != "__version__":
+            assert value.__module__.startswith("uapca.")
+            assert getattr(sys.modules[value.__module__], name) is value
+    assert set(uapca.__all__) <= set(dir(uapca))
+    namespace: dict = {}
+    exec("from uapca import *", namespace)
+    assert all(namespace[name] is getattr(uapca, name) for name in uapca.__all__)
+    with pytest.raises(AttributeError, match=r"^module 'uapca' has no attribute 'no_such_name'$"):
+        uapca.no_such_name
+
+
+def test_svg_text_replaces_characters_xml_forbids(tmp_path, capsys):
+    doc = {"dims": ["a", "b\u0001", "c"], "items": [
+        {"label": "x\u0002", "values": [{"number": 1}, {"interval": [0, 2]}, {"number": 3}]},
+        {"label": "y\uffff", "values": [{"number": 2}, {"number": 5}, {"interval": [1, 4]}]},
+        {"label": "z", "values": [{"number": 4}, {"number": 1}, {"normal": {"mean": 0, "sd": 1}}]},
+    ]}
+    data = tmp_path / "controls.json"
+    data.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["project", "--input", str(data), "--out-prefix", str(tmp_path / "p")]) == 0
+    assert main(["trace", "--input", str(data), "--steps", "4",
+                 "--out-prefix", str(tmp_path / "t")]) == 0
+    for name, texts in (("p.projection.svg", {"x\ufffd", "y\ufffd"}),
+                        ("t.traces.svg", {"b\ufffd"})):
+        dom = xml.dom.minidom.parse(str(tmp_path / name))
+        assert texts <= {node.firstChild.data for node in dom.getElementsByTagName("text")}
+    rows, _ = _csv_rows_and_rewrite(tmp_path / "p.projection.csv")
+    assert [row[0] for row in rows[1:]] == ["x\u0002", "y\uffff", "z"]
+    rows, _ = _csv_rows_and_rewrite(tmp_path / "t.traces.csv")
+    assert [row[2] for row in rows[1::8]] == ["a", "b\u0001", "c"]
+
+
+@pytest.mark.parametrize("command, dims, label, fragment", [
+    ("project", ["a", "b"], "x\ud800", "item 0: label 'x\\ud800' holds a lone surrogate"),
+    ("trace", ["a", "b\udc80"], "x", "axis 1 name 'b\\udc80' holds a lone surrogate"),
+], ids=["label", "axis-name"])
+def test_lone_surrogates_are_a_one_line_error(tmp_path, capsys, command, dims, label, fragment):
+    doc = {"dims": dims, "items": [
+        {"label": label, "values": [{"number": 1}, {"number": 2}]},
+        {"values": [{"number": 3}, {"interval": [0, 1]}]},
+        {"values": [{"number": 0}, {"number": 5}]},
+    ]}
+    data = tmp_path / "surrogate.json"
+    data.write_text(json.dumps(doc), encoding="utf-8")  # "\ud800" as a JSON escape
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([command, "--input", str(data), "--out-prefix", str(out / "P")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("uapca: error:"), err
+    assert fragment in err[0]
+    assert list(out.iterdir()) == []
