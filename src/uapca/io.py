@@ -23,6 +23,7 @@ import csv
 import json
 import math
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
@@ -371,6 +372,8 @@ def save_dataset(ds: UncertainDataset, path) -> None:
 # Points files.
 
 LABEL_COLUMN = "label"
+# The lines a file iterator yields with newline="": LF, CR and CRLF end a line.
+_LINES = r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+"  # compiled on first use, not at import
 
 
 @dataclass(eq=False, repr=False)
@@ -385,20 +388,34 @@ class PointsData:
 def load_points(path) -> PointsData:
     """Read a CSV of points: one header row, D numeric columns, optional trailing label.
 
-    One csv pass reads the header, the field count of each non-blank row and
-    the labels; one ``np.loadtxt`` over the first D columns reads the
-    numbers.  If a row has the wrong field count, loadtxt rejects a cell, or
-    a value is not finite, ``_scan_points`` reads the file again cell by
-    cell with ``float()``: it raises the error for the first bad cell ("row
-    r, column 'x': ...", counting non-blank rows) or returns what float()
-    reads from cells that loadtxt does not take, such as ``1_0``.
+    The file is read once, as UTF-8 with an optional BOM, and split into
+    lines.  Text with no quote, CR or NUL is what ``csv.reader`` splits on LF
+    and commas alone, so its rows are split that way; other text, or a line
+    longer than the csv field size limit, goes through ``csv.reader``.  One
+    ``np.loadtxt`` over the lines reads the numbers of the first D columns.
+    If a row has the wrong field count, loadtxt rejects a cell, or a value
+    is not finite, ``_scan_points`` reads the lines again with ``float()``: it
+    raises the error for the first bad cell ("row r, column 'x': ...",
+    counting non-blank rows) or returns what float() reads from cells that
+    loadtxt does not take, such as ``1_0``.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(filter(None, reader), None)
-        header_lines = reader.line_num
-        rows = [(len(row), row[-1]) for row in reader if row]
-    if not rows:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        text = fh.read()
+    special = '"' in text or "\r" in text or "\0" in text
+    lines = re.findall(_LINES, text) if special else [line for line in text.split("\n") if line]
+    del text
+    if special or max(map(len, lines), default=0) > csv.field_size_limit():
+        rows = _csv_rows(path, lines)
+        header_lines, header = next(rows, (0, None))
+        widths, lasts = [], []
+        for _, row in rows:
+            widths.append(len(row))
+            lasts.append(row[-1])
+    else:
+        header_lines, header = 1, (lines[0].split(",") if lines else None)
+        widths = [line.count(",") + 1 for line in lines[1:]]
+        lasts = [line.rpartition(",")[2] for line in lines[1:]]
+    if not widths:
         raise DatasetFormatError(f"{path}: need a header row and at least one data row")
     header = [h.strip() for h in header]
     has_labels = header[-1] == LABEL_COLUMN
@@ -407,50 +424,62 @@ def load_points(path) -> PointsData:
         raise DatasetFormatError(f"{path}: no numeric columns found")
 
     points = None
-    if all(width == len(header) for width, _ in rows):
+    if widths.count(len(header)) == len(widths):
         try:
-            points = np.loadtxt(path, delimiter=",", comments=None, skiprows=header_lines,
-                                usecols=range(dim), ndmin=2, encoding="utf-8")
+            points = np.loadtxt(lines, delimiter=",", comments=None, skiprows=header_lines,
+                                usecols=range(dim), ndmin=2)
         except ValueError:
             pass
-    if points is None or points.shape != (len(rows), dim) or not np.isfinite(points).all():
-        points = _scan_points(path, header, dim)
+    if points is None or points.shape != (len(widths), dim) or not np.isfinite(points).all():
+        points = _scan_points(path, lines, header, dim)
     return PointsData(
         points=_readonly(points),
         dim_names=tuple(header[:dim]),
-        labels=tuple(label.strip() for _, label in rows) if has_labels else None,
+        labels=tuple(map(str.strip, lasts)) if has_labels else None,
     )
 
 
-def _scan_points(path, header: list[str], dim: int) -> np.ndarray:
-    """The first D cells of every data row, read one by one with ``float()``.
+def _csv_rows(path, lines: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """``csv.reader``'s non-blank rows of lines, each after the number of lines
+    read through it; a ``csv.Error`` (such as a field over the size limit) is
+    a one-line DatasetFormatError."""
+    reader = csv.reader(lines)
+    try:
+        for row in reader:
+            if row:
+                yield reader.line_num, row
+    except csv.Error as exc:
+        raise DatasetFormatError(f"{path}: not readable as CSV: {exc}") from None
+
+
+def _scan_points(path, lines: list[str], header: list[str], dim: int) -> np.ndarray:
+    """The first D cells of every data row of lines, read one by one with ``float()``.
 
     Raises for the first row with the wrong field count or the first cell
     that is not a finite number, naming its row among the non-blank rows.
     """
     values = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = filter(None, csv.reader(fh))
-        next(rows)
-        for r, row in enumerate(rows, start=2):
-            if len(row) != len(header):
+    rows = _csv_rows(path, lines)
+    next(rows)
+    for r, (_, row) in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise DatasetFormatError(
+                f"{path}: row {r} has {len(row)} fields, expected {len(header)}"
+            )
+        values.append([])
+        for c in range(dim):
+            try:
+                value = float(row[c])
+            except ValueError as exc:
                 raise DatasetFormatError(
-                    f"{path}: row {r} has {len(row)} fields, expected {len(header)}"
+                    f"{path}: row {r}, column {header[c]!r}: "
+                    f"could not parse {row[c]!r} as a number"
+                ) from exc
+            if not math.isfinite(value):
+                raise DatasetFormatError(
+                    f"{path}: row {r}, column {header[c]!r}: non-finite value"
                 )
-            values.append([])
-            for c in range(dim):
-                try:
-                    value = float(row[c])
-                except ValueError as exc:
-                    raise DatasetFormatError(
-                        f"{path}: row {r}, column {header[c]!r}: "
-                        f"could not parse {row[c]!r} as a number"
-                    ) from exc
-                if not math.isfinite(value):
-                    raise DatasetFormatError(
-                        f"{path}: row {r}, column {header[c]!r}: non-finite value"
-                    )
-                values[-1].append(value)
+            values[-1].append(value)
     return np.array(values).reshape(-1, dim)
 
 
@@ -553,6 +582,8 @@ def _fields(column) -> list[str]:
     """A column's CSV fields: a numpy array's floats by repr after + 0.0
     folds -0.0, else str, quoted as csv.writer quotes (checked per column)."""
     if isinstance(column, np.ndarray):
+        if not column.any():  # NaN counts as non-zero
+            return ["0.0"] * len(column)
         return list(map(repr, (column + 0.0).tolist()))
     texts = list(map(str, column))
     if _NEEDS_QUOTES.search("".join(texts)):

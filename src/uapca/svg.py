@@ -4,8 +4,8 @@ All documents are SVG 1.1 with a fixed 800x800 view box and a fixed color
 palette, so rendering the same inputs yields byte-identical files.  Each
 number in a document is the correctly rounded ``%.3f`` text of its binary
 value, with ``-0.000`` written ``0.000``.  Vertex and per-item numbers come
-from one array pass per document (``_vertex_texts``), run over small
-chunks; a few fixed scalars in headers, axes and legends use ``_fmt``.
+from array passes over small chunks (``_vertex_texts``, ``_number_texts``);
+a few fixed scalars in headers, axes and legends use ``_fmt``.
 """
 
 from __future__ import annotations
@@ -155,6 +155,13 @@ def _vertex_texts(values: np.ndarray, sizes) -> Iterator[str]:
         cuts = np.cumsum(width)[ends[lo:hi] - start - 1].tolist()
         yield from map(text.__getitem__, map(slice, [0, *cuts[:-1]], cuts))
         lo = hi
+
+
+def _number_texts(values: np.ndarray) -> Iterator[str]:
+    """The text of each value of a flat array, one ``_encode`` pass per chunk."""
+    for start in range(0, len(values), _CHUNK):
+        chunk = values[start:start + _CHUNK]
+        yield from _encode(chunk, np.full(len(chunk), 2))[0].split(" ")[1:]
 
 
 def _document(parts: list, texts: Iterable[str]) -> str:
@@ -389,7 +396,7 @@ def render_projection_svg(labels: list[str], means, covs) -> str:
         parts += rings[color_of[labels[i]]]
     # Each dot is joined into one short line at once: fewer live objects
     # than leaving its two numbers as slots.
-    centres = _vertex_texts(to_px(np.array(means, dtype=float)), np.ones(2 * len(labels)))
+    centres = _number_texts(to_px(np.array(means, dtype=float)).ravel())
     for label, cx, cy in zip(labels, centres, centres):
         head, between, tail = dots[color_of[label]]
         parts.append("".join((head, cx, between, cy, tail)))

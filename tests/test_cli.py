@@ -15,7 +15,7 @@ import uapca.cli
 import uapca.metrics
 import uapca.svg
 from uapca.cli import main
-from uapca.io import load_dataset
+from uapca.io import load_dataset, load_points
 
 
 def _read_lines(path):
@@ -402,6 +402,37 @@ def test_project_output_bytes_are_pinned(tmp_path, capsys):
     }
 
 
+def _write_pinned_points(path) -> None:
+    """4 100 seeded rows of three columns and a label, written with repr: the
+    projection CSV spans two write passes and the dots several SVG chunks."""
+    rng = np.random.default_rng(2019)
+    labels = rng.integers(3, size=4100)
+    points = rng.normal(size=(4100, 3)) * [1.0, 3.0, 0.5] + labels[:, None]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("a,b,c,label\n")
+        for row, label in zip(points.tolist(), labels.tolist()):
+            fh.write(",".join(map(repr, row)) + f",k{label}\n")
+
+
+def test_project_points_output_bytes_are_pinned(tmp_path, capsys):
+    # Recorded while the points file was still parsed twice, every CSV cell
+    # went through repr and each dot centre was cut from the text on its own.
+    data = tmp_path / "pin.csv"
+    _write_pinned_points(data)
+    prefix = tmp_path / "pin"
+    code = main(["project", "--points", "--input", str(data), "--dims", "2",
+                 "--out-prefix", str(prefix)])
+    assert code == 0
+    digest = {
+        ext: hashlib.sha256((tmp_path / f"pin.projection.{ext}").read_bytes()).hexdigest()
+        for ext in ("csv", "svg")
+    }
+    assert digest == {
+        "csv": "d31062b977f63762ee470f84cccb7c0c741465e0b0d359de199e0fe9c3d36586",
+        "svg": "e3eef366c0ede97fa1ce13921efd1eb7e5496e1193bada2f46555ae15be5ff3a",
+    }
+
+
 _PSI = [[0.05, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.3]]
 _PINNED_SWEEP = {
     "dims": ["a", "b", "c"],
@@ -539,6 +570,29 @@ def test_failed_render_leaves_no_output_file(tmp_path, capsys, monkeypatch, stud
         "uapca: error: cannot draw the eigenvalue curves"
     ]
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("field", ['"' + "x" * 200_000 + '"', "x" * 200_000],
+                         ids=["quoted", "unquoted"])
+def test_oversized_csv_field_is_a_one_line_error(tmp_path, capsys, field):
+    data = tmp_path / "big.csv"
+    data.write_text(f"a,b,label\n1,2,{field}\n3,5,y\n", encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["project", "--points", "--input", str(data), "--out-prefix", str(out / "P")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"uapca: error: {data}: not readable as CSV: "
+                   f"field larger than field limit ({csv.field_size_limit()})"]
+    assert list(out.iterdir()) == []
+
+
+def test_byte_order_mark_is_not_part_of_the_first_axis_name(tmp_path, capsys):
+    data = tmp_path / "bom.csv"
+    data.write_bytes("\ufeffx,y\n1,2\n3,5\n4,4\n".encode("utf-8"))
+    prefix = tmp_path / "bom"
+    assert main(["project", "--points", "--standardize", "--input", str(data),
+                 "--out-prefix", str(prefix)]) == 0
+    assert load_points(data).dim_names == ("x", "y")
 
 
 def _csv_rows_and_rewrite(path):

@@ -24,6 +24,7 @@ from uapca.io import (
     write_eigencurves_csv,
     write_projection_csv,
     write_traces_csv,
+    _fields,
     _parse_cell,
 )
 from uapca.cov import global_cov
@@ -298,6 +299,14 @@ def test_csv_numbers_fold_negative_zero(tmp_path):
     assert "-0.0" not in text
 
 
+@pytest.mark.parametrize("column", [
+    [0.0, 0.0, 0.0], [-0.0, -0.0], [0.0, math.nan, -0.0], [-0.0, 1.5, 0.0, -2.25e-300],
+], ids=["zeros", "negative-zeros", "nan", "mixed"])
+def test_fields_of_a_float_column_are_its_reprs(column):
+    column = np.array(column)
+    assert _fields(column) == [repr(v + 0.0) for v in column.tolist()]
+
+
 def test_label_column_name():
     assert LABEL_COLUMN == "label"
 
@@ -308,8 +317,11 @@ def _reference_load_points(path) -> PointsData:
     import csv
     import math
 
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        try:
+            rows = [row for row in csv.reader(fh) if row]
+        except csv.Error as exc:
+            raise DatasetFormatError(f"{path}: not readable as CSV: {exc}") from None
     if len(rows) < 2:
         raise DatasetFormatError(f"{path}: need a header row and at least one data row")
     header = [h.strip() for h in rows[0]]
@@ -382,6 +394,7 @@ def _outcome(parse, path):
         pts = parse(path)
     except DatasetFormatError as exc:
         return "error", str(exc)
+    assert pts.labels is None or len(pts.labels) == len(pts.points)
     return "ok", (pts.points.shape, pts.points.tobytes(), pts.dim_names, pts.labels)
 
 
@@ -403,6 +416,15 @@ def test_load_points_agrees_with_the_cell_by_cell_parser(tmp_path, text):
     "x,y,label\n1,2\n",
     "x,y\n1,nan\n", "x,y\n1,2\n3,inf\n", "x,y\n1e400,2\n", "x,y\n1, \n",
     "\n\nx,y\n1,2\n",
+    "x,y,label\r\n1,2,a\x0bb\r\n3,5,c\r\n",  # \v ends a line for str.splitlines only
+    "x,y,label\r1,2,a\r3,5,b\r",              # CR-only newlines
+    "x,y,label\n1,2,\"a b\"\n3,5,c\n",          # a quoted label
+    "x,y,label\n1,2,a\x00b\n", "x,y\n1,2\x003\n",  # NUL in a label, in a number
+    "x,y,label\r\n1,2,a\u2028b\r\n3,5,c\r\n",  # U+2028 in a CRLF file's label
+    "x,y,label\n1,2,a\n3,5,b",                # no trailing newline
+    "\n\nx,y,label\n1,2,a\n", "\r\n\r\nx,y,label\r\n1,2,a\r\n",  # blank lines first
+    "\ufeffx,y\n1,2\n3,5\n",                 # a byte order mark
+    "x,y,label\n1,2," + "a" * 200_000 + "\n",  # a field over csv's size limit
 ])
 def test_load_points_edge_cases_match_the_cell_by_cell_parser(tmp_path, text):
     path = tmp_path / "pts.csv"

@@ -9,8 +9,10 @@ from uapca.sensitivity import EigenCurves, SweepSchedule, factor_traces, sweep
 from uapca.svg import (
     PALETTE,
     SIZE,
+    _CHUNK,
     _encode,
     _fmt,
+    _number_texts,
     _vertex_texts,
     render_eigencurves_svg,
     render_projection_svg,
@@ -218,6 +220,17 @@ def test_vertex_texts_span_many_chunks():
     rings = np.random.default_rng(3).uniform(-50.0, 850.0, (100, 65, 2))
     texts = list(_vertex_texts(rings, np.full(100, 130)))
     assert texts == [" ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in ring) for ring in rings]
+
+
+def test_number_texts_match_percent_formatting_over_chunks():
+    # -0.0, exact %.3f ties (k/16) and values past the first 4-digit group,
+    # spread over four chunks.
+    specials = [0.0, -0.0, 0.0625, -0.1875, 2.5625, 0.0005, -0.0005, 9999.9995, 1e4,
+                -12345.6785, 3.0e7, 2.0**49, -1e20]
+    values = np.random.default_rng(5).uniform(-900.0, 900.0, 3 * _CHUNK + 1)
+    values[:1000 * len(specials):1000] = specials
+    values[-1] = -0.0  # alone in the last chunk
+    assert list(_number_texts(values)) == [_fmt(v) for v in values.tolist()]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
