@@ -24,9 +24,8 @@ import json
 import math
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from itertools import chain, repeat
-from operator import itemgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -61,9 +60,10 @@ class DatasetFormatError(ValueError):
 # ---------------------------------------------------------------------------
 # JSON dataset files.
 
-_CELL_KEYS = ("number", "interval", "trapezoid", "normal")
-_CELL_CODES = {kind: code for code, kind in enumerate(_CELL_KEYS)}
-_CELL_WIDTHS = {"number": 1, "interval": 2, "trapezoid": 4, "normal": 2}
+# Each cell kind's JSON key, model class and parameter count.  A kind's code
+# is its position here, and the keys show in this order in the form error.
+_CELL_KINDS = (("number", Number, 1), ("interval", Interval, 2),
+               ("trapezoid", Trapezoid, 4), ("normal", Normal1D, 2))
 _NUMBER_TYPES = {int, float}  # float() would take true as 1.0 and "1_0" as 10
 
 
@@ -84,38 +84,44 @@ def _cell_number(x) -> float:
     return float(x)
 
 
-def _parse_cell(spec, where: str) -> Scalar1D:
-    """The cell of a value spec, checked to have a finite mean and variance."""
+def _cell_params(spec, i: int, j: int) -> tuple[int, tuple[float, ...]]:
+    """The kind code and the parameters of value spec j of item i, checked
+    for form only: one known kind, its payload laid out as that kind's."""
     if not isinstance(spec, dict) or len(spec) != 1:
-        raise DatasetFormatError(
-            f"{where}: each value must be an object with exactly one of {_CELL_KEYS}"
-        )
+        raise DatasetFormatError(f"item {i}, value {j}: each value must be an object with "
+                                 f"exactly one of {tuple(key for key, _, _ in _CELL_KINDS)}")
     (kind, payload), = spec.items()
     try:
         if kind == "number":
-            cell: Scalar1D = Number(_cell_number(payload))
-        elif kind == "interval":
+            return 0, (_cell_number(payload),)
+        if kind == "interval":
             lo, hi = payload
-            cell = Interval(_cell_number(lo), _cell_number(hi))
-        elif kind == "trapezoid":
+            return 1, (_cell_number(lo), _cell_number(hi))
+        if kind == "trapezoid":
             a, b, c, d = payload
-            cell = Trapezoid(*map(_cell_number, (a, b, c, d)))
-        elif kind == "normal":
-            cell = Normal1D(_cell_number(payload["mean"]), _cell_number(payload["sd"]))
-        else:
-            raise DatasetFormatError(f"{where}: unknown value kind {kind!r}")
-        mean, var = cell.mean(), cell.variance()
-    except DatasetFormatError:
-        raise
-    except OverflowError:
-        mean = var = math.inf
+            return 2, (_cell_number(a), _cell_number(b), _cell_number(c), _cell_number(d))
+        if kind == "normal":
+            return 3, (_cell_number(payload["mean"]), _cell_number(payload["sd"]))
     except (TypeError, ValueError, KeyError) as exc:
-        raise DatasetFormatError(f"{where}: {exc}") from exc
-    if not (math.isfinite(mean) and math.isfinite(var)):
-        raise DatasetFormatError(
-            f"{where}: the mean or variance of {json.dumps(spec)} is not finite"
-        )
-    return cell
+        raise DatasetFormatError(f"item {i}, value {j}: {exc}") from exc
+    raise DatasetFormatError(f"item {i}, value {j}: unknown value kind {kind!r}")
+
+
+def _cell_json(cell: Scalar1D) -> dict:
+    """The value spec of a cell: the inverse of ``_cell_params``."""
+    for key, cls, _ in _CELL_KINDS:
+        if isinstance(cell, cls):
+            params = astuple(cell)
+            if key == "normal":
+                return {key: {"mean": params[0], "sd": params[1]}}
+            return {key: params[0] if key == "number" else list(params)}
+    raise TypeError(f"{cell!r} has no dataset-file form")
+
+
+def _cell(spec, i: int, j: int) -> Scalar1D:
+    """The model cell of value spec j of item i; its class checks its rule."""
+    code, params = _cell_params(spec, i, j)
+    return _CELL_KINDS[code][1](*params)
 
 
 def _item_fields(obj, index: int, dim: int):
@@ -150,59 +156,45 @@ def _item_fields(obj, index: int, dim: int):
     return weight, label, None, mvn
 
 
-def _check_item(obj, index: int, dim: int) -> None:
-    """Raise the error of an item that fails the per-item checks: its
-    structure, then each cell in turn, or its mvn mean, then its cov."""
-    _, _, values, mvn = _item_fields(obj, index, dim)
-    where = f"item {index}"
-    if values is not None:
-        for j, spec in enumerate(values):
-            _parse_cell(spec, f"{where}, value {j}")
-        return
+def _mvn_error(mvn: dict, dim: int) -> str | None:
+    """What is wrong with an item's mvn, its mean checked before its cov, or
+    None if both are JSON numbers of the shapes 'dims' sets."""
     for key, shape in (("mean", (dim,)), ("cov", (dim, dim))):
         try:
             array = np.asarray(mvn[key], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise DatasetFormatError(
-                f"{where}: mvn {key!r} must be an array of numbers with rows of equal length"
-            ) from exc
+        except (TypeError, ValueError):
+            return f"mvn {key!r} must be an array of numbers with rows of equal length"
         if array.shape != shape:
-            raise DatasetFormatError(f"{where}: mvn {key!r} has shape {array.shape}, "
-                                     f"which does not match 'dims' length {dim}")
+            return (f"mvn {key!r} has shape {array.shape}, "
+                    f"which does not match 'dims' length {dim}")
         # asarray reads true and "1" as 1.0; with the shape right, each row is flat.
         rows = mvn[key] if key == "cov" else [mvn[key]]
         bad = [v for row in rows for v in row if type(v) not in _NUMBER_TYPES]
         if bad:
-            raise DatasetFormatError(
-                f"{where}: mvn {key!r} must be an array of numbers, got {json.dumps(bad[0])}"
-            )
+            return f"mvn {key!r} must be an array of numbers, got {json.dumps(bad[0])}"
+    return None
 
 
 def _pow(x: np.ndarray, k: int) -> np.ndarray:
     """x ** k by CPython's float power (numpy's can differ in the last bit);
-    all inf if one overflows, which rejects every cell it enters."""
-    try:
-        return np.array([v ** k for v in x.tolist()], dtype=float)
-    except OverflowError:
-        return np.full(x.shape, math.inf)
+    inf where that overflows, which rejects only the cells it enters."""
+    powers = []
+    for v in x.tolist():
+        try:
+            powers.append(v ** k)
+        except OverflowError:
+            powers.append(math.inf)
+    return np.array(powers, dtype=float)
 
 
-def _cell_moments(kind: str, payloads: list):
-    """Means, variances and rejected-cell mask of one kind's cells by the
-    ``model`` cells' formulas, with their bits (each ``**`` through
-    ``_pow``), or None if a cell is not of the form ``_parse_cell`` reads."""
-    width = _CELL_WIDTHS[kind]
-    if kind == "normal":
-        if not set(map(type, payloads)) <= {dict}:
-            return None
-        payloads = [(p.get("mean"), p.get("sd")) for p in payloads]
-    elif kind != "number" and not (set(map(type, payloads)) <= {list}
-                                   and set(map(len, payloads)) <= {width}):
-        return None
-    flat = payloads if kind == "number" else list(chain.from_iterable(payloads))
-    if not set(map(type, flat)) <= _NUMBER_TYPES:
-        return None
-    p = np.array(flat, dtype=float).reshape(-1, width).T
+def _cell_moments(code: int, params: list[float]):
+    """Means, variances and rejected-cell mask of the cells of one kind, given
+    their parameters one cell after another, by the ``model`` cells'
+    formulas with their bits (each ``**`` through ``_pow``).  A cell is
+    rejected if its class would reject its parameters or its mean or
+    variance is not finite."""
+    kind, _, width = _CELL_KINDS[code]
+    p = np.array(params, dtype=float).reshape(-1, width).T
     with np.errstate(all="ignore"):
         bad = ~np.isfinite(p).all(axis=0)
         if kind == "number":
@@ -230,23 +222,6 @@ def _cell_moments(kind: str, payloads: list):
     return mean, var, bad
 
 
-def _cell_table(cells: list, dim: int):
-    """The (P, D) means and variances of P rows of cells, computed one kind
-    at a time, and the first row that may hold a rejected cell (P if none)."""
-    mean, var = np.empty(len(cells)), np.empty(len(cells))
-    bad = np.ones(len(cells), dtype=bool)
-    if set(map(type, cells)) <= {dict} and set(map(len, cells)) <= {1}:
-        codes = np.array(list(map(_CELL_CODES.get, map(next, map(iter, cells)), repeat(-1))))
-        for code, kind in enumerate(_CELL_KEYS):
-            at = np.flatnonzero(codes == code)
-            payloads = list(map(itemgetter(kind), map(cells.__getitem__, at.tolist())))
-            moments = _cell_moments(kind, payloads)
-            if moments is not None:
-                mean[at], var[at], bad[at] = moments
-    first = int(np.argmax(bad)) if bad.any() else len(cells)
-    return mean.reshape(-1, dim), var.reshape(-1, dim), first // dim
-
-
 def _mvn_table(mvns: list, dim: int):
     """The mvn items' means (G, D) and covariances (G, D, D), one ``np.array``
     each, or None if an item's arrays are not JSON numbers of those shapes."""
@@ -267,13 +242,15 @@ def _mvn_table(mvns: list, dim: int):
 def load_dataset(path) -> UncertainDataset:
     """Read a JSON dataset file into an UncertainDataset.
 
-    One loop checks each item's structure; then the cells are checked and
-    their moments computed one kind at a time, the mvn arrays stacked, and
-    the covariances checked as one stack (one ``eigvalsh`` for PSD).  If an
-    item is rejected, the per-item checks run from the first one that may be
-    and word the error.  Cells are built when ``items`` is first read.
+    One loop checks each item's structure and reads each cell's form once,
+    gathering the cells' parameters by kind.  Each kind is then checked and
+    its moments computed as one array, the mvn arrays stacked, and the
+    covariances checked as one stack (one ``eigvalsh`` for PSD).  The error
+    reported is that of the first bad item or cell in file order; of the
+    cells, only the first rejected one is built, and its class words why.
+    Cells are built when ``items`` is first read.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             # An integer too long to fit a float reads as inf, not as an int
             # that float() cannot convert.
@@ -294,38 +271,55 @@ def load_dataset(path) -> UncertainDataset:
         raise DatasetFormatError(f"{path}: empty dataset")
 
     n, dim = len(items_doc), len(dims)
-    weights, labels, diag_index, cells, full_index, mvns = [], [], [], [], [], []
-    first = n  # every item before it passes the checks made so far
-    for i, obj in enumerate(items_doc):
-        try:
+    weights, labels, diag_index, value_lists, full_index, mvns = [], [], [], [], [], []
+    codes, params = bytearray(), ([], [], [], [])  # per cell, per kind
+    form_error = None  # every item and cell read before it has a good form
+    try:
+        for i, obj in enumerate(items_doc):
             weight, label, values, mvn = _item_fields(obj, i, dim)
-        except DatasetFormatError:
-            first = i
-            break
-        weights.append(weight)
-        labels.append(label)
-        if mvn is None:
-            diag_index.append(i)
-            cells += values
+            weights.append(weight)
+            labels.append(label)
+            if mvn is None:
+                diag_index.append(i)
+                value_lists.append(values)
+                for j, spec in enumerate(values):
+                    code, p = _cell_params(spec, i, j)
+                    codes.append(code)
+                    params[code].extend(p)
+            else:
+                full_index.append(i)
+                mvns.append(mvn)
+    except DatasetFormatError as exc:
+        form_error = exc
+
+    codes = np.frombuffer(codes, dtype=np.uint8)
+    cell_means, cell_vars = np.empty(codes.size), np.empty(codes.size)
+    bad = np.empty(codes.size, dtype=bool)
+    for code, kind_params in enumerate(params):
+        at = codes == code
+        cell_means[at], cell_vars[at], bad[at] = _cell_moments(code, kind_params)
+    errors = []  # (item, error) of the first rejected cell and of the first bad mvn
+    if bad.any():
+        row, j = divmod(int(np.argmax(bad)), dim)
+        i, spec = diag_index[row], value_lists[row][j]
+        try:
+            _cell(spec, i, j)
+        except ValueError as exc:
+            errors.append((i, f"item {i}, value {j}: {exc}"))
         else:
-            full_index.append(i)
-            mvns.append(mvn)
-    cell_means, cell_vars, bad_row = _cell_table(cells, dim)
-    if bad_row < len(diag_index):
-        first = min(first, diag_index[bad_row])
+            errors.append((i, f"item {i}, value {j}: the mean or variance of "
+                              f"{json.dumps(spec)} is not finite"))
     mvn_table = _mvn_table(mvns, dim)
     if mvn_table is None:
-        first = min(first, full_index[0])
-    if first < n:
-        try:
-            for i in range(first, n):
-                _check_item(items_doc[i], i, dim)
-        except DatasetFormatError as exc:
-            raise DatasetFormatError(f"{path}: {exc}") from exc
-        raise AssertionError(f"item {first}: the column checks reject what the item checks take")
+        for i, mvn in zip(full_index, mvns):
+            if error := _mvn_error(mvn, dim):
+                errors.append((i, f"item {i}: {error}"))
+                break
+    if errors or form_error:
+        raise DatasetFormatError(f"{path}: {min(errors)[1] if errors else form_error}")
 
     means = np.empty((n, dim))
-    means[diag_index], means[full_index] = cell_means, mvn_table[0]
+    means[diag_index], means[full_index] = cell_means.reshape(-1, dim), mvn_table[0]
     use_labels = tuple(
         lab if lab is not None else f"item{i + 1}" for i, lab in enumerate(labels)
     ) if any(lab is not None for lab in labels) else None
@@ -333,8 +327,8 @@ def load_dataset(path) -> UncertainDataset:
         full_covs = _cov_stack(mvn_table[1],
                                lambda g: f"item {full_index[g]}: Gaussian covariance")
         return UncertainDataset._from_table(
-            means, full_index, full_covs, diag_index, cell_vars,
-            cells=lambda j: [_parse_cell(spec, "") for spec in cells[j * dim:(j + 1) * dim]],
+            means, full_index, full_covs, diag_index, cell_vars.reshape(-1, dim),
+            cells=lambda r: list(map(_cell, value_lists[r], repeat(diag_index[r]), range(dim))),
             weights=np.array(weights, dtype=float), dim_names=tuple(dims), labels=use_labels,
         )
     except ValueError as exc:
@@ -350,7 +344,7 @@ def dataset_to_json(ds: UncertainDataset) -> dict:
             obj["label"] = ds.labels[i]
         obj["weight"] = float(ds.weights[i])
         if isinstance(item, ProductOf1D):
-            obj["values"] = [c.to_json() for c in item.cells]
+            obj["values"] = [_cell_json(c) for c in item.cells]
         elif isinstance(item, Point):
             obj["values"] = [{"number": float(v)} for v in item.mean()]
         else:
@@ -393,15 +387,17 @@ def load_points(path) -> PointsData:
     and commas alone, so its rows are split that way; other text, or a line
     longer than the csv field size limit, goes through ``csv.reader``.  One
     ``np.loadtxt`` over the lines reads the numbers of the first D columns.
-    If a row has the wrong field count, loadtxt rejects a cell, or a value
-    is not finite, ``_scan_points`` reads the lines again with ``float()``: it
-    raises the error for the first bad cell ("row r, column 'x': ...",
-    counting non-blank rows) or returns what float() reads from cells that
-    loadtxt does not take, such as ``1_0``.
+    If the text holds one of U+001C-U+001F, a row has the wrong field count,
+    loadtxt rejects a cell, or a value is not finite, ``_scan_points`` reads
+    the lines again with ``float()``: it raises the error for the first bad
+    cell ("row r, column 'x': ...", counting non-blank rows) or returns what
+    float() reads from cells that loadtxt does not take, such as ``1_0``.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         text = fh.read()
     special = '"' in text or "\r" in text or "\0" in text
+    # loadtxt strips U+001C-U+001F around a number; float() rejects them.
+    loadable = not any(c in text for c in "\x1c\x1d\x1e\x1f")
     lines = re.findall(_LINES, text) if special else [line for line in text.split("\n") if line]
     del text
     if special or max(map(len, lines), default=0) > csv.field_size_limit():
@@ -424,7 +420,7 @@ def load_points(path) -> PointsData:
         raise DatasetFormatError(f"{path}: no numeric columns found")
 
     points = None
-    if widths.count(len(header)) == len(widths):
+    if loadable and widths.count(len(header)) == len(widths):
         try:
             points = np.loadtxt(lines, delimiter=",", comments=None, skiprows=header_lines,
                                 usecols=range(dim), ndmin=2)

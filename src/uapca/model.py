@@ -139,10 +139,6 @@ class Scalar1D:
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
-    def to_json(self) -> dict:
-        """The cell as a dataset-file value, e.g. {"interval": [lo, hi]}."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Number(Scalar1D):
@@ -162,9 +158,6 @@ class Number(Scalar1D):
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return np.full(n, float(self.value))
-
-    def to_json(self) -> dict:
-        return {"number": self.value}
 
 
 @dataclass(frozen=True)
@@ -190,9 +183,6 @@ class Interval(Scalar1D):
         if self.hi == self.lo:
             return np.full(n, self.lo)
         return rng.uniform(self.lo, self.hi, size=n)
-
-    def to_json(self) -> dict:
-        return {"interval": [self.lo, self.hi]}
 
 
 @dataclass(frozen=True)
@@ -263,9 +253,6 @@ class Trapezoid(Scalar1D):
         out[fall] = d - np.sqrt((1.0 - u[fall]) * s * (d - c))
         return out
 
-    def to_json(self) -> dict:
-        return {"trapezoid": [self.a, self.b, self.c, self.d]}
-
 
 @dataclass(frozen=True)
 class Normal1D(Scalar1D):
@@ -288,9 +275,6 @@ class Normal1D(Scalar1D):
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.normal(self.loc, self.sd, size=n)
-
-    def to_json(self) -> dict:
-        return {"normal": {"mean": self.loc, "sd": self.sd}}
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from uapca.io import (
     write_projection_csv,
     write_traces_csv,
     _fields,
-    _parse_cell,
 )
 from uapca.cov import global_cov
 from uapca.model import (
@@ -36,6 +35,7 @@ from uapca.model import (
     Number,
     Point,
     ProductOf1D,
+    Scalar1D,
     Trapezoid,
     UncertainDataset,
     _cov_stack,
@@ -425,6 +425,8 @@ def test_load_points_agrees_with_the_cell_by_cell_parser(tmp_path, text):
     "\n\nx,y,label\n1,2,a\n", "\r\n\r\nx,y,label\r\n1,2,a\r\n",  # blank lines first
     "\ufeffx,y\n1,2\n3,5\n",                 # a byte order mark
     "x,y,label\n1,2," + "a" * 200_000 + "\n",  # a field over csv's size limit
+    # loadtxt strips U+001C-U+001F around a number, float() does not.
+    "x\n1\x1c\n", "x\n\x1c1\n", "x,label\n1\x1f,a\n",
 ])
 def test_load_points_edge_cases_match_the_cell_by_cell_parser(tmp_path, text):
     path = tmp_path / "pts.csv"
@@ -490,9 +492,53 @@ def test_mvn_checks_name_the_first_bad_item(tmp_path):
 # The column read of dataset files against the item-by-item reader.
 
 
+_CELL_KEYS = ("number", "interval", "trapezoid", "normal")
+
+
+def _cell_number(x) -> float:
+    if type(x) not in (int, float):
+        raise ValueError(f"expected a number, got {json.dumps(x)}")
+    return float(x)
+
+
+def _parse_cell(spec, where: str) -> Scalar1D:
+    """The cell of a value spec, checked to have a finite mean and variance
+    by the model cell's own formulas."""
+    if not isinstance(spec, dict) or len(spec) != 1:
+        raise DatasetFormatError(
+            f"{where}: each value must be an object with exactly one of {_CELL_KEYS}"
+        )
+    (kind, payload), = spec.items()
+    try:
+        if kind == "number":
+            cell: Scalar1D = Number(_cell_number(payload))
+        elif kind == "interval":
+            lo, hi = payload
+            cell = Interval(_cell_number(lo), _cell_number(hi))
+        elif kind == "trapezoid":
+            a, b, c, d = payload
+            cell = Trapezoid(*map(_cell_number, (a, b, c, d)))
+        elif kind == "normal":
+            cell = Normal1D(_cell_number(payload["mean"]), _cell_number(payload["sd"]))
+        else:
+            raise DatasetFormatError(f"{where}: unknown value kind {kind!r}")
+        mean, var = cell.mean(), cell.variance()
+    except DatasetFormatError:
+        raise
+    except OverflowError:
+        mean = var = math.inf
+    except (TypeError, ValueError, KeyError) as exc:
+        raise DatasetFormatError(f"{where}: {exc}") from exc
+    if not (math.isfinite(mean) and math.isfinite(var)):
+        raise DatasetFormatError(
+            f"{where}: the mean or variance of {json.dumps(spec)} is not finite"
+        )
+    return cell
+
+
 def _reference_item(obj, index, dim):
     """One item as (weight, label, mean, spread, cells), every cell through
-    ``_parse_cell`` (the model cells' own formulas), or the first error."""
+    ``_parse_cell``, or the first error."""
     where = f"item {index}"
     if not isinstance(obj, dict):
         raise DatasetFormatError(f"{where}: expected an object, got {type(obj).__name__}")
@@ -540,7 +586,7 @@ def _reference_load_dataset(path) -> UncertainDataset:
     """The item-by-item reader that ``load_dataset`` must agree with: items
     parsed one by one in file order, the first bad one raising, then the
     mvn covariances checked as one stack."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh, parse_int=lambda t: int(t) if len(t) < 309 else float(t))
         except json.JSONDecodeError as exc:
@@ -711,6 +757,14 @@ def test_load_dataset_agrees_with_the_item_by_item_reader(tmp_path, text):
      {"mvn": {"mean": [True], "cov": [[1]]}}],
     [{"mvn": {"mean": ["1"], "cov": [[1]]}}],
     [{"mvn": {"mean": [0], "cov": [[-1]]}}, {"values": [{"number": math.nan}]}],
+    # A good cell before an overflowing cell of the same kind.
+    [{"values": [{"interval": [0, 1]}]}, {"values": [{"interval": [0, 1e300]}]}],
+    [{"values": [{"normal": {"mean": 0, "sd": 1}}]},
+     {"values": [{"normal": {"mean": 0, "sd": 1e300}}]}],
+    [{"values": [{"trapezoid": [0, 1, 2, 3]}]}, {"values": [{"trapezoid": [0, 1, 2, 2e103]}]}],
+    # Two rejected cells; a bad mvn before a rejected cell.
+    [{"values": [{"interval": [2, 1]}]}, {"values": [{"interval": [3, 1]}]}],
+    [{"mvn": {"mean": [0], "cov": [[1, 2]]}}, {"values": [{"interval": [2, 1]}]}],
 ])
 def test_load_dataset_edge_cases_match_the_item_by_item_reader(tmp_path, items):
     path = tmp_path / "ds.json"
@@ -719,16 +773,22 @@ def test_load_dataset_edge_cases_match_the_item_by_item_reader(tmp_path, items):
 
 
 def test_loaded_cells_are_built_only_when_items_are_read(tmp_path, monkeypatch):
-    import uapca.io
-
     calls = []
-    monkeypatch.setattr(uapca.io, "_parse_cell",
-                        lambda spec, where: calls.append(spec) or _parse_cell(spec, where))
+    for cls in (Number, Interval, Trapezoid, Normal1D):
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda self, check=cls.__post_init__: calls.append(self) or check(self))
     doc = {"dims": ["a", "b"], "items": [
         {"values": [{"number": 1}, {"interval": [0, 3]}]},
         {"mvn": {"mean": [0, 0], "cov": [[1, 0], [0, 1]]}},
     ]}
     ds = load_dataset(_write(tmp_path, "lazy.json", json.dumps(doc)))
     assert calls == []
-    assert ds.items[0].cells == (Number(1.0), Interval(0.0, 3.0))
+    cells = ds.items[0].cells
     assert len(calls) == 2
+    assert cells == (Number(1.0), Interval(0.0, 3.0))
+
+
+def test_dataset_with_a_byte_order_mark_loads(tmp_path, students_path):
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf" + students_path.read_bytes())
+    assert _dataset_outcome(load_dataset, path) == _dataset_outcome(load_dataset, students_path)
