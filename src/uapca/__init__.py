@@ -16,20 +16,21 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "cov": ("CovOptions", "GlobalCov", "global_cov", "global_cov_from_points"),
+    "dataset_json": ("load_dataset", "save_dataset"),
     "eigen": ("EigenPairs", "PcaModel", "eig_sym", "principal_angles", "select_components"),
     "io": (
-        "DatasetFormatError", "PointsData", "aggregate_by_label", "load_dataset",
-        "load_points", "points_dataset", "save_dataset", "standardize_dataset",
-        "standardize_points",
+        "DatasetFormatError", "PointsData", "aggregate_by_label", "load_points",
+        "points_dataset", "standardize_dataset", "standardize_points",
+    ),
+    "items": (
+        "Distribution", "EmpiricalCluster", "Gaussian", "Interval", "Normal1D",
+        "Number", "Point", "ProductOf1D", "Trapezoid",
     ),
     "metrics": (
         "ExperimentConfig", "ExperimentRow", "PcaSummary", "bhattacharyya_coeff",
         "hellinger", "run_convergence_experiment", "sampled_pca", "summary_of",
     ),
-    "model": (
-        "Distribution", "EmpiricalCluster", "Gaussian", "Interval", "Normal1D",
-        "Number", "Point", "ProductOf1D", "Trapezoid", "UncertainDataset", "cov_matrix",
-    ),
+    "model": ("UncertainDataset", "cov_matrix"),
     "project": ("ellipse_outline", "project_distribution", "project_items", "project_point"),
     "sensitivity": (
         "EigenCurves", "FactorTrace", "SweepSchedule", "detect_avoided_crossings",

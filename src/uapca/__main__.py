@@ -1,5 +1,5 @@
 import sys
 
-from .cli import main
+from .cli import entry_point
 
-sys.exit(main())
+sys.exit(entry_point())

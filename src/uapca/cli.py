@@ -11,6 +11,7 @@ on input or validation failures (out of memory included), 2 on bad flags.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -137,9 +138,8 @@ def _write_text(path: str, content: str) -> None:
 def _cmd_project(args) -> int:
     from .cov import CovOptions, global_cov
     from .eigen import eig_sym, select_components
-    from .io import (PointsData, aggregate_by_label, load_dataset, load_points,
-                     points_dataset, standardize_dataset, standardize_points,
-                     write_projection_csv)
+    from .io import (PointsData, aggregate_by_label, load_points, points_dataset,
+                     standardize_dataset, standardize_points, write_projection_csv)
     from .project import project_items
     from .svg import render_projection_svg
 
@@ -163,6 +163,8 @@ def _cmd_project(args) -> int:
     else:
         if args.aggregate_by is not None:
             raise UsageError("--aggregate-by requires --points")
+        from .dataset_json import load_dataset
+
         ds = load_dataset(args.input)
         if args.standardize:
             ds = standardize_dataset(ds)
@@ -196,7 +198,8 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from .io import load_dataset, write_eigencurves_csv, write_traces_csv
+    from .dataset_json import load_dataset
+    from .io import write_eigencurves_csv, write_traces_csv
     from .sensitivity import SweepSchedule, factor_traces, sweep
     from .svg import render_eigencurves_svg, render_traces_svg
 
@@ -286,5 +289,20 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def entry_point() -> int:
+    """``main()`` for a process that exits when it returns: ``python -m uapca``
+    and the ``uapca`` script.
+
+    The heap is frozen after ``main()`` returns, so the collections the
+    interpreter runs at exit skip its object graph (numpy's included), which
+    the OS reclaims anyway.  Atexit handlers, stream flushes and the freeing
+    of objects outside reference cycles still run.  ``main()`` never freezes:
+    a caller that runs it in-process would keep every later cycle alive.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry_point())

@@ -1,365 +1,57 @@
-"""Dataset files, label aggregation, standardization, and CSV output.
+"""Points files, label aggregation, standardization, and CSV output.
 
-Two input formats are supported.  A dataset file is JSON:
-
-    {
-      "dims": ["M1", "M2"],
-      "items": [
-        {"label": "Tom", "weight": 1.0,
-         "values": [{"number": 15}, {"interval": [10, 12]}]},
-        {"label": "cluster", "mvn": {"mean": [0, 0], "cov": [[1, 0], [0, 1]]}}
-      ]
-    }
-
-with cell forms {"number": x}, {"interval": [a, b]}, {"trapezoid":
-[a, b, c, d]}, and {"normal": {"mean": m, "sd": s}}.  A points file is CSV
-with one header row, D numeric columns, and an optional trailing ``label``
-column.
+A points file is CSV with one header row, D numeric columns, and an optional
+trailing ``label`` column.  JSON dataset files are read and written by
+``dataset_json``; its ``load_dataset``, ``save_dataset`` and
+``dataset_to_json`` stay importable from here (PEP 562) and load that module,
+and ``json``, on first use.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
 import re
 from collections.abc import Iterator
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .cov import CovOptions, global_cov
-from .model import (
-    Distribution,
-    EmpiricalCluster,
-    Gaussian,
-    Interval,
-    Normal1D,
-    Number,
-    Point,
-    ProductOf1D,
-    Scalar1D,
-    Trapezoid,
-    UncertainDataset,
-    _cov_stack,
-    _population_moments,
-    _readonly,
-)
+from .model import UncertainDataset, _population_moments, _readonly
 
 if TYPE_CHECKING:
+    from .items import Distribution
     from .metrics import ExperimentRow
     from .sensitivity import EigenCurves, FactorTrace, SweepSchedule
+
+
+_JSON_NAMES = frozenset({"load_dataset", "save_dataset", "dataset_to_json"})
+
+
+def __getattr__(name: str):
+    if name not in _JSON_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import dataset_json
+
+    value = globals()[name] = getattr(dataset_json, name)
+    return value
 
 
 class DatasetFormatError(ValueError):
     """A dataset or points file failed validation; the message says where."""
 
 
-# ---------------------------------------------------------------------------
-# JSON dataset files.
-
-# Each cell kind's JSON key, model class and parameter count.  A kind's code
-# is its position here, and the keys show in this order in the form error.
-_CELL_KINDS = (("number", Number, 1), ("interval", Interval, 2),
-               ("trapezoid", Trapezoid, 4), ("normal", Normal1D, 2))
-_NUMBER_TYPES = {int, float}  # float() would take true as 1.0 and "1_0" as 10
-
-
-def _require_utf8(text: str, where: str, what: str) -> None:
-    """Reject text UTF-8 cannot encode: the lone surrogates that JSON escapes
-    such as "\\ud800" decode to."""
-    if not text.isascii():
+def _read_text(path, newline: str | None = None) -> str:
+    """The text of a UTF-8 file with an optional BOM; bytes that are not
+    UTF-8 are a DatasetFormatError that names the file."""
+    with open(path, "r", encoding="utf-8-sig", newline=newline) as fh:
         try:
-            text.encode("utf-8")
-        except UnicodeEncodeError:
-            raise DatasetFormatError(f"{where}: {what} {text!r} holds a lone surrogate, "
-                                     f"which UTF-8 cannot encode") from None
-
-
-def _cell_number(x) -> float:
-    if type(x) not in _NUMBER_TYPES:
-        raise ValueError(f"expected a number, got {json.dumps(x)}")
-    return float(x)
-
-
-def _cell_params(spec, i: int, j: int) -> tuple[int, tuple[float, ...]]:
-    """The kind code and the parameters of value spec j of item i, checked
-    for form only: one known kind, its payload laid out as that kind's."""
-    if not isinstance(spec, dict) or len(spec) != 1:
-        raise DatasetFormatError(f"item {i}, value {j}: each value must be an object with "
-                                 f"exactly one of {tuple(key for key, _, _ in _CELL_KINDS)}")
-    (kind, payload), = spec.items()
-    try:
-        if kind == "number":
-            return 0, (_cell_number(payload),)
-        if kind == "interval":
-            lo, hi = payload
-            return 1, (_cell_number(lo), _cell_number(hi))
-        if kind == "trapezoid":
-            a, b, c, d = payload
-            return 2, (_cell_number(a), _cell_number(b), _cell_number(c), _cell_number(d))
-        if kind == "normal":
-            return 3, (_cell_number(payload["mean"]), _cell_number(payload["sd"]))
-    except (TypeError, ValueError, KeyError) as exc:
-        raise DatasetFormatError(f"item {i}, value {j}: {exc}") from exc
-    raise DatasetFormatError(f"item {i}, value {j}: unknown value kind {kind!r}")
-
-
-def _cell_json(cell: Scalar1D) -> dict:
-    """The value spec of a cell: the inverse of ``_cell_params``."""
-    for key, cls, _ in _CELL_KINDS:
-        if isinstance(cell, cls):
-            params = astuple(cell)
-            if key == "normal":
-                return {key: {"mean": params[0], "sd": params[1]}}
-            return {key: params[0] if key == "number" else list(params)}
-    raise TypeError(f"{cell!r} has no dataset-file form")
-
-
-def _cell(spec, i: int, j: int) -> Scalar1D:
-    """The model cell of value spec j of item i; its class checks its rule."""
-    code, params = _cell_params(spec, i, j)
-    return _CELL_KINDS[code][1](*params)
-
-
-def _item_fields(obj, index: int, dim: int):
-    """An item's (weight, label, values, mvn), checked for structure only:
-    exactly one of values (a list of dim cell specs) and mvn (an object with
-    'mean' and 'cov') is not None."""
-    where = f"item {index}"
-    if not isinstance(obj, dict):
-        raise DatasetFormatError(f"{where}: expected an object, got {type(obj).__name__}")
-    label = obj.get("label")
-    if label is not None and not isinstance(label, str):
-        raise DatasetFormatError(f"{where}: label must be a string")
-    if label is not None:
-        _require_utf8(label, where, "label")
-    weight = obj.get("weight", 1.0)
-    if not isinstance(weight, (int, float)) or isinstance(weight, bool):
-        raise DatasetFormatError(f"{where}: weight must be a number")
-
-    has_values = "values" in obj
-    if has_values == ("mvn" in obj):
-        raise DatasetFormatError(f"{where}: exactly one of 'values' or 'mvn' is required")
-    if has_values:
-        values = obj["values"]
-        if not isinstance(values, list) or len(values) != dim:
-            raise DatasetFormatError(
-                f"{where}: 'values' must list {dim} entries to match 'dims'"
-            )
-        return weight, label, values, None
-    mvn = obj["mvn"]
-    if not isinstance(mvn, dict) or "mean" not in mvn or "cov" not in mvn:
-        raise DatasetFormatError(f"{where}: 'mvn' needs 'mean' and 'cov'")
-    return weight, label, None, mvn
-
-
-def _mvn_error(mvn: dict, dim: int) -> str | None:
-    """What is wrong with an item's mvn, its mean checked before its cov, or
-    None if both are JSON numbers of the shapes 'dims' sets."""
-    for key, shape in (("mean", (dim,)), ("cov", (dim, dim))):
-        try:
-            array = np.asarray(mvn[key], dtype=float)
-        except (TypeError, ValueError):
-            return f"mvn {key!r} must be an array of numbers with rows of equal length"
-        if array.shape != shape:
-            return (f"mvn {key!r} has shape {array.shape}, "
-                    f"which does not match 'dims' length {dim}")
-        # asarray reads true and "1" as 1.0; with the shape right, each row is flat.
-        rows = mvn[key] if key == "cov" else [mvn[key]]
-        bad = [v for row in rows for v in row if type(v) not in _NUMBER_TYPES]
-        if bad:
-            return f"mvn {key!r} must be an array of numbers, got {json.dumps(bad[0])}"
-    return None
-
-
-def _pow(x: np.ndarray, k: int) -> np.ndarray:
-    """x ** k by CPython's float power (numpy's can differ in the last bit);
-    inf where that overflows, which rejects only the cells it enters."""
-    powers = []
-    for v in x.tolist():
-        try:
-            powers.append(v ** k)
-        except OverflowError:
-            powers.append(math.inf)
-    return np.array(powers, dtype=float)
-
-
-def _cell_moments(code: int, params: list[float]):
-    """Means, variances and rejected-cell mask of the cells of one kind, given
-    their parameters one cell after another, by the ``model`` cells'
-    formulas with their bits (each ``**`` through ``_pow``).  A cell is
-    rejected if its class would reject its parameters or its mean or
-    variance is not finite."""
-    kind, _, width = _CELL_KINDS[code]
-    p = np.array(params, dtype=float).reshape(-1, width).T
-    with np.errstate(all="ignore"):
-        bad = ~np.isfinite(p).all(axis=0)
-        if kind == "number":
-            mean, var = p[0], np.zeros(p.shape[1])
-        elif kind == "interval":
-            lo, hi = p
-            bad |= lo > hi
-            mean, var = (lo + hi) / 2.0, _pow(hi - lo, 2) / 12.0
-        elif kind == "normal":
-            mean, sd = p
-            bad |= sd < 0.0
-            var = _pow(sd, 2)
-        else:
-            a, b, c, d = p
-            bad |= (a > b) | (b > c) | (c > d)
-            span = d + c - b - a
-            b, c, d = b - a, c - a, d - a
-            first = (d * d + c * d + c * c - b * b) / (3.0 * span)
-            second = (_pow(d, 3) + _pow(d, 2) * c + d * _pow(c, 2) + _pow(c, 3)
-                      - _pow(b, 3)) / (6.0 * span)
-            first[span == 0.0] = second[span == 0.0] = 0.0
-            mean, var = a + first, second - first * first
-            var[var < 0.0] = 0.0  # max(v, 0.0): NaN and -0.0 stay
-        bad |= ~(np.isfinite(mean) & np.isfinite(var))
-    return mean, var, bad
-
-
-def _mvn_table(mvns: list, dim: int):
-    """The mvn items' means (G, D) and covariances (G, D, D), one ``np.array``
-    each, or None if an item's arrays are not JSON numbers of those shapes."""
-    if not mvns:
-        return np.empty((0, dim)), np.empty((0, dim, dim))
-    means, covs = [m["mean"] for m in mvns], [m["cov"] for m in mvns]
-    try:
-        table = np.array(means, dtype=float), np.array(covs, dtype=float)
-    except (TypeError, ValueError):
-        return None
-    entries = chain(chain.from_iterable(means), chain.from_iterable(chain.from_iterable(covs)))
-    if ((table[0].shape, table[1].shape) != ((len(mvns), dim), (len(mvns), dim, dim))
-            or not set(map(type, entries)) <= _NUMBER_TYPES):
-        return None
-    return table
-
-
-def load_dataset(path) -> UncertainDataset:
-    """Read a JSON dataset file into an UncertainDataset.
-
-    One loop checks each item's structure and reads each cell's form once,
-    gathering the cells' parameters by kind.  Each kind is then checked and
-    its moments computed as one array, the mvn arrays stacked, and the
-    covariances checked as one stack (one ``eigvalsh`` for PSD).  The error
-    reported is that of the first bad item or cell in file order; of the
-    cells, only the first rejected one is built, and its class words why.
-    Cells are built when ``items`` is first read.
-    """
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        try:
-            # An integer too long to fit a float reads as inf, not as an int
-            # that float() cannot convert.
-            doc = json.load(fh, parse_int=lambda t: int(t) if len(t) < 309 else float(t))
-        except json.JSONDecodeError as exc:
-            raise DatasetFormatError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DatasetFormatError(f"{path}: top level must be an object")
-    dims = doc.get("dims")
-    if not isinstance(dims, list) or not dims or not all(isinstance(d, str) for d in dims):
-        raise DatasetFormatError(f"{path}: 'dims' must be a non-empty list of axis names")
-    for j, name in enumerate(dims):
-        _require_utf8(name, path, f"axis {j} name")
-    items_doc = doc.get("items")
-    if not isinstance(items_doc, list):
-        raise DatasetFormatError(f"{path}: 'items' must be a list")
-    if not items_doc:
-        raise DatasetFormatError(f"{path}: empty dataset")
-
-    n, dim = len(items_doc), len(dims)
-    weights, labels, diag_index, value_lists, full_index, mvns = [], [], [], [], [], []
-    codes, params = bytearray(), ([], [], [], [])  # per cell, per kind
-    form_error = None  # every item and cell read before it has a good form
-    try:
-        for i, obj in enumerate(items_doc):
-            weight, label, values, mvn = _item_fields(obj, i, dim)
-            weights.append(weight)
-            labels.append(label)
-            if mvn is None:
-                diag_index.append(i)
-                value_lists.append(values)
-                for j, spec in enumerate(values):
-                    code, p = _cell_params(spec, i, j)
-                    codes.append(code)
-                    params[code].extend(p)
-            else:
-                full_index.append(i)
-                mvns.append(mvn)
-    except DatasetFormatError as exc:
-        form_error = exc
-
-    codes = np.frombuffer(codes, dtype=np.uint8)
-    cell_means, cell_vars = np.empty(codes.size), np.empty(codes.size)
-    bad = np.empty(codes.size, dtype=bool)
-    for code, kind_params in enumerate(params):
-        at = codes == code
-        cell_means[at], cell_vars[at], bad[at] = _cell_moments(code, kind_params)
-    errors = []  # (item, error) of the first rejected cell and of the first bad mvn
-    if bad.any():
-        row, j = divmod(int(np.argmax(bad)), dim)
-        i, spec = diag_index[row], value_lists[row][j]
-        try:
-            _cell(spec, i, j)
-        except ValueError as exc:
-            errors.append((i, f"item {i}, value {j}: {exc}"))
-        else:
-            errors.append((i, f"item {i}, value {j}: the mean or variance of "
-                              f"{json.dumps(spec)} is not finite"))
-    mvn_table = _mvn_table(mvns, dim)
-    if mvn_table is None:
-        for i, mvn in zip(full_index, mvns):
-            if error := _mvn_error(mvn, dim):
-                errors.append((i, f"item {i}: {error}"))
-                break
-    if errors or form_error:
-        raise DatasetFormatError(f"{path}: {min(errors)[1] if errors else form_error}")
-
-    means = np.empty((n, dim))
-    means[diag_index], means[full_index] = cell_means.reshape(-1, dim), mvn_table[0]
-    use_labels = tuple(
-        lab if lab is not None else f"item{i + 1}" for i, lab in enumerate(labels)
-    ) if any(lab is not None for lab in labels) else None
-    try:
-        full_covs = _cov_stack(mvn_table[1],
-                               lambda g: f"item {full_index[g]}: Gaussian covariance")
-        return UncertainDataset._from_table(
-            means, full_index, full_covs, diag_index, cell_vars.reshape(-1, dim),
-            cells=lambda r: list(map(_cell, value_lists[r], repeat(diag_index[r]), range(dim))),
-            weights=np.array(weights, dtype=float), dim_names=tuple(dims), labels=use_labels,
-        )
-    except ValueError as exc:
-        raise DatasetFormatError(f"{path}: {exc}") from exc
-
-
-def dataset_to_json(ds: UncertainDataset) -> dict:
-    """Serialize a dataset; cluster items come out as moment-equal Gaussians."""
-    items = []
-    for i, item in enumerate(ds.items):
-        obj: dict = {}
-        if ds.labels is not None:
-            obj["label"] = ds.labels[i]
-        obj["weight"] = float(ds.weights[i])
-        if isinstance(item, ProductOf1D):
-            obj["values"] = [_cell_json(c) for c in item.cells]
-        elif isinstance(item, Point):
-            obj["values"] = [{"number": float(v)} for v in item.mean()]
-        else:
-            obj["mvn"] = {
-                "mean": item.mean().tolist(),
-                "cov": item.cov().tolist(),
-            }
-        items.append(obj)
-    return {"dims": list(ds.dim_names), "items": items}
-
-
-def save_dataset(ds: UncertainDataset, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(dataset_to_json(ds), fh, indent=2)
-        fh.write("\n")
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise DatasetFormatError(f"{path}: not valid UTF-8: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +85,7 @@ def load_points(path) -> PointsData:
     cell ("row r, column 'x': ...", counting non-blank rows) or returns what
     float() reads from cells that loadtxt does not take, such as ``1_0``.
     """
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        text = fh.read()
+    text = _read_text(path, newline="")
     special = '"' in text or "\r" in text or "\0" in text
     # loadtxt strips U+001C-U+001F around a number; float() rejects them.
     loadable = not any(c in text for c in "\x1c\x1d\x1e\x1f")
@@ -496,6 +187,8 @@ def aggregate_by_label(pts: PointsData, kind: str = "gaussian") -> UncertainData
     cluster.  Item weights are the class counts, in order of first
     appearance.
     """
+    from .items import EmpiricalCluster, Gaussian
+
     if kind not in ("gaussian", "empirical"):
         raise ValueError(f"kind must be 'gaussian' or 'empirical', got {kind!r}")
     if pts.labels is None:

@@ -27,14 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cov import CovOptions, GlobalCov, global_cov
-from .model import (
-    Gaussian,
-    UncertainDataset,
-    _as_vector,
-    _median,
-    _population_moments,
-    _readonly,
-)
+from .items import Gaussian
+from .model import UncertainDataset, _as_vector, _median, _population_moments, _readonly
 
 _REG_EPS = 1e-12
 _TARGET_H = 0.1

@@ -4,19 +4,40 @@ Every input item is a probability distribution over R^D, reduced to its
 first two moments: ``mean()`` returns E[x] and ``cov()`` the covariance
 matrix Cov(x, x).  The second moment follows as E[x x^T] = mean mean^T + cov.
 All covariance bookkeeping uses population (1/N) normalization.
+
+This module holds the array helpers and the ``UncertainDataset`` table.  The
+item classes live in ``items``, which loads only when items are made or
+read; their names stay importable from here (PEP 562).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .items import Distribution
 
 # Relative floor for eigenvalues of a valid covariance matrix.
 PSD_RTOL = 1e-9
 # Relative symmetry slack accepted before symmetrization.
 SYM_RTOL = 1e-12
+
+_ITEM_NAMES = frozenset({
+    "Scalar1D", "Number", "Interval", "Trapezoid", "Normal1D",
+    "Distribution", "Point", "Gaussian", "ProductOf1D", "EmpiricalCluster",
+})
+
+
+def __getattr__(name: str):
+    if name not in _ITEM_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import items
+
+    value = globals()[name] = getattr(items, name)
+    return value
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -124,341 +145,6 @@ def _population_moments(
 
 
 # ---------------------------------------------------------------------------
-# Scalar (1-d) building blocks for independent-marginal items.
-
-
-class Scalar1D:
-    """One-dimensional distribution summarized by mean and variance."""
-
-    def mean(self) -> float:
-        raise NotImplementedError
-
-    def variance(self) -> float:
-        raise NotImplementedError
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class Number(Scalar1D):
-    """A known exact value."""
-
-    value: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ValueError("number value must be finite")
-
-    def mean(self) -> float:
-        return float(self.value)
-
-    def variance(self) -> float:
-        return 0.0
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return np.full(n, float(self.value))
-
-
-@dataclass(frozen=True)
-class Interval(Scalar1D):
-    """Uniform distribution on [lo, hi]; lo == hi collapses to a point."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError("interval bounds must be finite")
-        if self.lo > self.hi:
-            raise ValueError(f"interval bounds must satisfy lo <= hi, got [{self.lo}, {self.hi}]")
-
-    def mean(self) -> float:
-        return (self.lo + self.hi) / 2.0
-
-    def variance(self) -> float:
-        return (self.hi - self.lo) ** 2 / 12.0
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        if self.hi == self.lo:
-            return np.full(n, self.lo)
-        return rng.uniform(self.lo, self.hi, size=n)
-
-
-@dataclass(frozen=True)
-class Trapezoid(Scalar1D):
-    """Trapezoidal distribution with support [a, d] and plateau [b, c].
-
-    Density rises linearly on [a, b], is constant on [b, c], and falls
-    linearly on [c, d].  Requires a <= b <= c <= d; a == d collapses to a
-    point.  Moments come from piecewise polynomial integration on the
-    support shifted so that a = 0 (b, c, d below are offsets from a), which
-    keeps them free of cancellation however far the support sits from the
-    origin:
-
-        E[X] - a     = (d^2 + c d + c^2 - b^2) / (3 (d + c - b))
-        E[(X - a)^2] = (d^3 + d^2 c + d c^2 + c^3 - b^3) / (6 (d + c - b))
-    """
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def __post_init__(self):
-        vals = (self.a, self.b, self.c, self.d)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError("trapezoid parameters must be finite")
-        if not (self.a <= self.b <= self.c <= self.d):
-            raise ValueError(
-                f"trapezoid parameters must satisfy a <= b <= c <= d, got {vals}"
-            )
-
-    def _span(self) -> float:
-        return self.d + self.c - self.b - self.a
-
-    def _moments_about_a(self) -> tuple[float, float]:
-        """E[X - a] and E[(X - a)^2], integrated on the support shifted to a = 0."""
-        s = self._span()
-        if s == 0.0:
-            return 0.0, 0.0
-        b, c, d = self.b - self.a, self.c - self.a, self.d - self.a
-        first = (d * d + c * d + c * c - b * b) / (3.0 * s)
-        second = (d**3 + d**2 * c + d * c**2 + c**3 - b**3) / (6.0 * s)
-        return first, second
-
-    def mean(self) -> float:
-        return self.a + self._moments_about_a()[0]
-
-    def variance(self) -> float:
-        first, second = self._moments_about_a()
-        return max(second - first * first, 0.0)
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        a, b, c, d = self.a, self.b, self.c, self.d
-        s = self._span()
-        if s == 0.0:
-            return np.full(n, a)
-        u = rng.uniform(0.0, 1.0, size=n)
-        # Piecewise inverse CDF; the plateau branch is linear, the ramps are
-        # square roots of the accumulated area.
-        f_b = (b - a) / s
-        f_c = f_b + 2.0 * (c - b) / s
-        out = np.empty(n)
-        rise = u < f_b
-        flat = (~rise) & (u <= f_c)
-        fall = ~(rise | flat)
-        out[rise] = a + np.sqrt(u[rise] * s * (b - a))
-        out[flat] = b + (u[flat] - f_b) * s / 2.0
-        out[fall] = d - np.sqrt((1.0 - u[fall]) * s * (d - c))
-        return out
-
-
-@dataclass(frozen=True)
-class Normal1D(Scalar1D):
-    """Univariate normal with mean ``loc`` and standard deviation ``sd``."""
-
-    loc: float
-    sd: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.loc) and math.isfinite(self.sd)):
-            raise ValueError("normal parameters must be finite")
-        if self.sd < 0.0:
-            raise ValueError(f"normal sd must be non-negative, got {self.sd}")
-
-    def mean(self) -> float:
-        return float(self.loc)
-
-    def variance(self) -> float:
-        return float(self.sd) ** 2
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.normal(self.loc, self.sd, size=n)
-
-
-# ---------------------------------------------------------------------------
-# Multivariate distributions.
-
-
-class Distribution:
-    """A distribution over R^D exposing first and second moments."""
-
-    @property
-    def dim(self) -> int:
-        raise NotImplementedError
-
-    def mean(self) -> np.ndarray:
-        raise NotImplementedError
-
-    def cov(self) -> np.ndarray:
-        raise NotImplementedError
-
-    def sample(
-        self, n: int, rng: np.random.Generator, out: np.ndarray | None = None,
-        draws: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Draw n samples as an (n, D) array, written into ``out`` when given.
-
-        ``draws`` is an optional (n, D) buffer for intermediate standard
-        normal draws (only Gaussian items use it), so a caller that samples
-        repeatedly into its own buffers allocates nothing per call.  The
-        generator is consumed the same way, and the samples are the same
-        bits, whether or not the buffers are given.
-        """
-        raise NotImplementedError
-
-
-def _sample_buffer(buf: np.ndarray | None, n: int, dim: int) -> np.ndarray:
-    """A fresh (n, dim) array, or buf after checking that it has that shape."""
-    if buf is None:
-        return np.empty((n, dim))
-    if buf.shape != (n, dim):
-        raise ValueError(f"sample buffer has shape {buf.shape}, expected {(n, dim)}")
-    return buf
-
-
-class Point(Distribution):
-    """A point mass: zero covariance, exact location."""
-
-    def __init__(self, x):
-        self._x = _readonly(_as_vector(x, "point"))
-
-    @property
-    def dim(self) -> int:
-        return self._x.size
-
-    def mean(self) -> np.ndarray:
-        return self._x
-
-    def cov(self) -> np.ndarray:
-        return np.zeros((self.dim, self.dim))
-
-    def sample(self, n: int, rng: np.random.Generator, out=None, draws=None) -> np.ndarray:
-        out = _sample_buffer(out, n, self.dim)
-        out[...] = self._x
-        return out
-
-    def __repr__(self) -> str:
-        return f"Point({self._x.tolist()})"
-
-
-class Gaussian(Distribution):
-    """Multivariate normal given by mean vector and covariance matrix."""
-
-    def __init__(self, mean, cov):
-        m = _as_vector(mean, "mean")
-        k = cov_matrix(cov, "Gaussian covariance")
-        if k.shape[0] != m.size:
-            raise ValueError(
-                f"covariance shape {k.shape} does not match mean length {m.size}"
-            )
-        self._mean = _readonly(m)
-        self._cov = k
-        self._factor: np.ndarray | None = None
-
-    @property
-    def dim(self) -> int:
-        return self._mean.size
-
-    def mean(self) -> np.ndarray:
-        return self._mean
-
-    def cov(self) -> np.ndarray:
-        return self._cov
-
-    def _sampling_factor(self) -> np.ndarray:
-        """F with F F^T = cov, computed on first use and cached.
-
-        The eigen factor handles rank-deficient covariances; tiny negative
-        eigenvalues from round-off are clamped to zero.  Call it once before
-        sampling one item from several threads, so they only read it.
-        """
-        if self._factor is None:
-            evals, evecs = np.linalg.eigh(self._cov)
-            self._factor = evecs * np.sqrt(np.clip(evals, 0.0, None))
-        return self._factor
-
-    def sample(self, n: int, rng: np.random.Generator, out=None, draws=None) -> np.ndarray:
-        z = rng.standard_normal(out=_sample_buffer(draws, n, self.dim))
-        out = np.matmul(z, self._sampling_factor().T, out=_sample_buffer(out, n, self.dim))
-        out += self._mean
-        return out
-
-    def __repr__(self) -> str:
-        return f"Gaussian(mean={self._mean.tolist()}, dim={self.dim})"
-
-
-class ProductOf1D(Distribution):
-    """Independent per-axis marginals; covariance is diagonal."""
-
-    def __init__(self, cells):
-        cells = tuple(cells)
-        if not cells:
-            raise ValueError("product distribution needs at least one cell")
-        for i, cell in enumerate(cells):
-            if not isinstance(cell, Scalar1D):
-                raise ValueError(f"cell {i} is not a scalar distribution: {cell!r}")
-        self.cells = cells
-
-    @property
-    def dim(self) -> int:
-        return len(self.cells)
-
-    def mean(self) -> np.ndarray:
-        return np.array([c.mean() for c in self.cells])
-
-    def cov(self) -> np.ndarray:
-        return np.diag([c.variance() for c in self.cells])
-
-    def sample(self, n: int, rng: np.random.Generator, out=None, draws=None) -> np.ndarray:
-        out = _sample_buffer(out, n, self.dim)
-        for j, cell in enumerate(self.cells):
-            out[:, j] = cell.sample(n, rng)
-        return out
-
-    def __repr__(self) -> str:
-        return f"ProductOf1D({list(self.cells)!r})"
-
-
-class EmpiricalCluster(Distribution):
-    """A cluster of observed points treated as an empirical distribution.
-
-    Moments are the sample mean and the population (1/n) covariance of the
-    stored points; sampling resamples the points uniformly with replacement.
-    """
-
-    def __init__(self, points):
-        p = np.asarray(points, dtype=float)
-        if p.ndim != 2 or p.shape[0] == 0 or p.shape[1] == 0:
-            raise ValueError(f"points must be a non-empty (n, D) array, got shape {p.shape}")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("points contain non-finite entries")
-        self.points = _readonly(p.copy())
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-    def mean(self) -> np.ndarray:
-        with np.errstate(over="ignore"):  # a sum that overflows gives a non-finite mean
-            return self.points.mean(axis=0)
-
-    def cov(self) -> np.ndarray:
-        return _population_moments(self.points)[1]
-
-    def sample(self, n: int, rng: np.random.Generator, out=None, draws=None) -> np.ndarray:
-        idx = rng.integers(0, self.points.shape[0], size=n)
-        # Indices are in range, so "clip" changes nothing; it spares the
-        # temporary that take() makes for out= under the default "raise".
-        out = _sample_buffer(out, n, self.dim)
-        return np.take(self.points, idx, axis=0, out=out, mode="clip")
-
-    def __repr__(self) -> str:
-        return f"EmpiricalCluster(n={self.points.shape[0]}, dim={self.dim})"
-
-
-# ---------------------------------------------------------------------------
 # Dataset container.
 
 
@@ -483,6 +169,8 @@ class UncertainDataset:
     """
 
     def __init__(self, items, weights=None, dim_names=None, labels=None):
+        from .items import Distribution, Point, ProductOf1D
+
         items = tuple(items)
         for i, it in enumerate(items):
             if not isinstance(it, Distribution):
@@ -557,6 +245,8 @@ class UncertainDataset:
         for a full-block row, and for a diagonal-block row ``ProductOf1D`` of
         its cells, or without cells the ``Gaussian`` with that diagonal."""
         if self._items is None:
+            from .items import Gaussian, Point, ProductOf1D
+
             m = self._means
             rows = {int(i): Gaussian(m[i], k) for i, k in zip(self.full_index, self.full_covs)}
             for j, (i, v) in enumerate(zip(self.diag_index, self.diag_vars)):

@@ -3,15 +3,21 @@
 from __future__ import annotations
 
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .eigen import PcaModel, eig_sym
-from .model import Distribution, Gaussian, Point, UncertainDataset, _require_psd
+from .model import UncertainDataset, _require_psd
+
+if TYPE_CHECKING:
+    from .items import Distribution, Gaussian
 
 
 def project_point(model: PcaModel, x) -> np.ndarray:
     """Project a point: A^T (x - mean)."""
+    from .items import Point
+
     return project_items(model, [Point(x)])[0][0]
 
 
@@ -58,6 +64,8 @@ def project_items(
 
 def project_distribution(model: PcaModel, d: Distribution) -> Gaussian:
     """``project_items`` on one item, returned as a Gaussian."""
+    from .items import Gaussian
+
     means, covs = project_items(model, [d])
     return Gaussian(means[0], covs[0])
 

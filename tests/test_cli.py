@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -688,23 +689,69 @@ def test_each_command_loads_only_its_own_modules(tmp_path, students_path, iris_p
     # With bytecode writing off, every module a call loads is compiled on
     # that call; fresh processes show which ones each command loads.
     def loaded(code: str) -> set[str]:
+        # uapca's modules by their names in the package, and "json" if loaded.
         out = _fresh_process(
             f"import sys\n{code}\n"
-            "print(' '.join(m[6:] for m in sys.modules if m.startswith('uapca.')))\n")
+            "names = [m[6:] for m in sys.modules if m.startswith('uapca.')]\n"
+            "print(' '.join(names + ['json'] * ('json' in sys.modules)))\n")
         return set(out.splitlines()[-1].split())
 
     def command(*argv: str) -> str:
         return f"from uapca.cli import main\nassert main({list(argv)!r}) == 0"
 
     assert loaded("import uapca") == set()
-    assert not loaded("import uapca.cli") & {"metrics", "sensitivity", "svg", "project", "eigen"}
+    assert not loaded("import uapca.cli") & {
+        "metrics", "sensitivity", "svg", "project", "eigen", "items", "dataset_json", "json"}
     assert not loaded(command("project", "--points", "--input", str(iris_path),
-                              "--out-prefix", str(tmp_path / "p"))) & {"metrics", "sensitivity"}
-    assert "metrics" not in loaded(command("trace", "--input", str(students_path),
-                                           "--steps", "8", "--out-prefix", str(tmp_path / "t")))
+                              "--out-prefix", str(tmp_path / "p"))) & {
+        "metrics", "sensitivity", "items", "dataset_json", "json"}
+    assert "items" not in loaded(command("project", "--input", str(students_path),
+                                         "--out-prefix", str(tmp_path / "d")))
+    assert not loaded(command("trace", "--input", str(students_path),
+                              "--steps", "8", "--out-prefix", str(tmp_path / "t"))) & {
+        "metrics", "items"}
     assert not loaded(command("compare-sampling", "--dims", "2", "--runs", "2", "--samples", "8",
                               "--items", "3", "--out", str(tmp_path / "c.csv"))) & {
-        "svg", "project", "sensitivity", "eigen"}
+        "svg", "project", "sensitivity", "eigen", "dataset_json"}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["project", "--input", "{students}", "--out-prefix", "{tmp}/e"], 0),
+    (["project", "--input", "{tmp}/missing.json", "--out-prefix", "{tmp}/e"], 1),
+])
+def test_entry_point_freezes_the_heap_after_main_returns(
+        tmp_path, capsys, students_path, argv, code):
+    # The exit collections skip a frozen heap; main() itself never freezes,
+    # so an in-process caller's later garbage cycles are still collected.
+    argv = [a.format(students=students_path, tmp=tmp_path) for a in argv]
+    before = gc.get_freeze_count()
+    assert main(argv) == code
+    assert gc.get_freeze_count() == before
+    out = _fresh_process(
+        "import gc, sys\n"
+        "from uapca.cli import entry_point\n"
+        f"sys.argv[1:] = {argv!r}\n"
+        "code = entry_point()\n"
+        "print(code, gc.get_freeze_count() > 0)\n")
+    assert out.splitlines()[-1] == f"{code} True"
+
+
+_NON_UTF8_DATASET = b'{"dims": ["a"], "items": [{"label": "x\xff", "values": [{"number": 1}]}]}'
+
+
+@pytest.mark.parametrize("name, data, command", [
+    ("points.csv", b"x,y\n1,2\n3,\xff\n", ["project", "--points"]),
+    ("dataset.json", _NON_UTF8_DATASET, ["project"]),
+    ("dataset.json", _NON_UTF8_DATASET, ["trace"]),
+])
+def test_bytes_that_are_not_utf8_are_a_one_line_error_naming_the_file(
+        tmp_path, capsys, name, data, command):
+    path = tmp_path / name
+    path.write_bytes(data)
+    assert main([*command, "--input", str(path), "--out-prefix", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith(f"uapca: error: {path}: not valid UTF-8: "), err
 
 
 def test_package_exports_resolve_to_their_home_modules():
