@@ -15,7 +15,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "cov": ("CovOptions", "GlobalCov", "global_cov", "global_cov_from_points"),
+    "cov": ("GlobalCov", "global_cov"),
     "dataset_json": ("load_dataset", "save_dataset"),
     "eigen": ("EigenPairs", "PcaModel", "eig_sym", "principal_angles", "select_components"),
     "io": (
@@ -28,10 +28,10 @@ _EXPORTS = {
     ),
     "metrics": (
         "ExperimentConfig", "ExperimentRow", "PcaSummary", "bhattacharyya_coeff",
-        "hellinger", "run_convergence_experiment", "sampled_pca", "summary_of",
+        "hellinger", "run_convergence_experiment", "sampled_pca",
     ),
     "model": ("UncertainDataset", "cov_matrix"),
-    "project": ("ellipse_outline", "project_distribution", "project_items", "project_point"),
+    "project": ("ellipse_outline", "project_items"),
     "sensitivity": (
         "EigenCurves", "FactorTrace", "SweepSchedule", "detect_avoided_crossings",
         "factor_traces", "sweep",

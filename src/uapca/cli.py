@@ -60,6 +60,7 @@ def _positive_int_list(invalid: str, ranges: bool = False):
 
 _positive_int = _int_at_least(1, "expected a positive integer, got {text}")
 _steps_value = _int_at_least(2, "--steps needs at least 2 steps, got {value}")
+_seed_value = _int_at_least(0, "--seed must be >= 0, got {value}")
 _dims_list = _positive_int_list(
     "invalid dimension list {!r}; use forms like 4 or 2..12 or 2,4,8,12", ranges=True
 )
@@ -119,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="dimensions to test, e.g. 2..12 or 2,4,8,12 (default 2..12)")
     c.add_argument("--runs", type=_positive_int, default=40, metavar="N",
                    help="sampling runs per cell; the median is reported (default 40)")
-    c.add_argument("--seed", type=int, default=0, metavar="S",
+    c.add_argument("--seed", type=_seed_value, default=0, metavar="S",
                    help="experiment seed (default 0; UAPCA_SEED overrides)")
     c.add_argument("--samples", type=_counts_list, default=None, metavar="LIST",
                    help="per-item sample counts, strictly increasing (default 16,64,256,1024,4096)")
@@ -136,7 +137,7 @@ def _write_text(path: str, content: str) -> None:
 
 
 def _cmd_project(args) -> int:
-    from .cov import CovOptions, global_cov
+    from .cov import global_cov
     from .eigen import eig_sym, select_components
     from .io import (PointsData, aggregate_by_label, load_points, points_dataset,
                      standardize_dataset, standardize_points, write_projection_csv)
@@ -176,8 +177,8 @@ def _cmd_project(args) -> int:
         )
 
     s = args.scale
-    g = global_cov(ds, CovOptions(scale_s=s))
-    pairs = eig_sym(g.matrix)
+    g = global_cov(ds)
+    pairs = eig_sym(g.at(s))
     model = select_components(pairs, g.mean, args.dims)
 
     labels = list(ds.labels or (f"item{i + 1}" for i in range(len(ds))))
@@ -248,9 +249,9 @@ def _cmd_compare_sampling(args) -> int:
     raw_env = os.environ.get("UAPCA_SEED")
     if raw_env is not None:
         try:
-            seed = int(raw_env)
-        except ValueError:
-            raise UsageError(f"UAPCA_SEED must be an integer, got {raw_env!r}")
+            seed = _seed_value(raw_env)
+        except argparse.ArgumentTypeError:
+            raise UsageError(f"UAPCA_SEED must be a non-negative integer, got {raw_env!r}")
     try:
         cfg = ExperimentConfig(
             dims=args.dims,

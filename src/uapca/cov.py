@@ -16,29 +16,11 @@ the data sits relative to the origin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import UncertainDataset, _readonly
-
-
-@dataclass(frozen=True)
-class CovOptions:
-    """Options for the global covariance accumulation.
-
-    scale_s scales item covariances by s^2; it must be >= 0 and may be
-    ``math.inf`` to select the uncertainty-limit matrix.  The item weights
-    always count; an unweighted fit is ``UncertainDataset(ds.items)``.
-    """
-
-    scale_s: float = 1.0
-
-    def __post_init__(self):
-        s = float(self.scale_s)
-        if math.isnan(s) or s < 0.0:
-            raise ValueError(f"scale_s must be >= 0 or inf, got {self.scale_s}")
-        object.__setattr__(self, "scale_s", s)
 
 
 @dataclass(eq=False, repr=False)
@@ -46,22 +28,21 @@ class GlobalCov:
     """Result of the global covariance accumulation.
 
     term_means is the centered covariance of the item means and
-    term_uncertainty the weighted average of the item covariances; matrix
-    is the covariance actually used for PCA, ``at(scale_s)``.  No
+    term_uncertainty the weighted average of the item covariances; ``at(s)``
+    forms the covariance used for PCA at uncertainty scale s.  No
     eigenvalue clamping is applied here; the matrix is reported raw.
     """
 
     mean: np.ndarray
-    matrix: np.ndarray = field(init=False)
     term_means: np.ndarray
     term_uncertainty: np.ndarray
-    scale_s: float
-
-    def __post_init__(self):
-        self.matrix = self.at(self.scale_s)
 
     def at(self, s: float) -> np.ndarray:
-        """K(s) = term_means + s^2 * term_uncertainty; term_uncertainty alone at s = inf."""
+        """K(s) = term_means + s^2 * term_uncertainty for s >= 0; term_uncertainty
+        alone at s = inf.  A NaN or negative s raises ``ValueError``."""
+        s = float(s)
+        if math.isnan(s) or s < 0.0:
+            raise ValueError(f"s must be >= 0 or inf, got {s}")
         if math.isinf(s):
             return self.term_uncertainty
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite K: eig_sym rejects it
@@ -72,13 +53,13 @@ def _symmetric(a: np.ndarray) -> np.ndarray:
     return _readonly((a + a.T) / 2.0)
 
 
-def global_cov(ds: UncertainDataset, opts: CovOptions = CovOptions()) -> GlobalCov:
+def global_cov(ds: UncertainDataset) -> GlobalCov:
     """Accumulate the global covariance from the dataset's moment columns.
 
     The means term is the weighted scatter of the item means about their
     weighted average, (C o w)^T C / sum(w) with C = M - x_bar; the
-    uncertainty term is sum(w_i Psi_i) / sum(w).  Both are reported so
-    callers can form the matrix at any other s with :meth:`GlobalCov.at`.
+    uncertainty term is sum(w_i Psi_i) / sum(w).  The scale s never enters
+    the accumulation; :meth:`GlobalCov.at` forms K(s) from the two terms.
 
     The uncertainty sum adds the items in their order, block by block: the
     off-diagonal entries from the full block, then the diagonal from one
@@ -112,20 +93,5 @@ def global_cov(ds: UncertainDataset, opts: CovOptions = CovOptions()) -> GlobalC
             mean=_readonly(x_bar),
             term_means=_symmetric(t_means),
             term_uncertainty=_symmetric(t_unc),
-            scale_s=opts.scale_s,
         )
 
-
-def global_cov_from_points(points) -> GlobalCov:
-    """Ordinary PCA covariance of plain points, as a GlobalCov at s = 0.
-
-    ``global_cov`` of the rows as equally weighted point items: the
-    population covariance of the rows about their mean.  The uncertainty
-    term is identically zero.
-    """
-    p = np.asarray(points, dtype=float)
-    if p.ndim != 2 or p.shape[0] == 0:
-        raise ValueError(f"points must be a non-empty (n, D) array, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("points contain non-finite entries")
-    return global_cov(UncertainDataset._from_table(p), CovOptions(scale_s=0.0))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PSD_RTOL, _as_vector, _readonly, _symmetrized
+from .model import _as_vector, _readonly, _require_psd_spectra, _symmetrized
 
 
 @dataclass(eq=False, repr=False)
@@ -76,14 +76,9 @@ def eig_sym(k) -> EigenPairs:
     values = values[stack, order]
     rows = vectors.transpose(0, 2, 1)[stack, order]  # row j: eigenvector j
 
-    # Sorted descending, so only the last eigenvalue can be below the floor.
-    bad = np.flatnonzero(values[:, -1] < -PSD_RTOL * np.maximum(values[:, 0], 0.0))
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(
-            f"matrix{f' {i}' if a.ndim > 2 else ''} is not positive semi-definite "
-            f"(eigenvalue {values[i, -1]:.3e} below the -1e-9 * lambda_max floor)"
-        )
+    # Sorted descending: the last eigenvalue is the lowest, the first the highest.
+    _require_psd_spectra(values[:, -1], values[:, 0],
+                         lambda i: f"matrix{f' {i}' if a.ndim > 2 else ''}")
     values[values < 0.0] = 0.0
 
     lead = rows[stack, np.arange(d), np.argmax(np.abs(rows), axis=2)]

@@ -3,8 +3,9 @@
 A points file is CSV with one header row, D numeric columns, and an optional
 trailing ``label`` column.  JSON dataset files are read and written by
 ``dataset_json``; its ``load_dataset``, ``save_dataset`` and
-``dataset_to_json`` stay importable from here (PEP 562) and load that module,
-and ``json``, on first use.
+``dataset_to_json`` stay importable from here (PEP 562) for the benchmark
+tracer's ``io.load_dataset`` target, and load that module, and ``json``, on
+first use.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cov import CovOptions, global_cov
+from .cov import global_cov
 from .model import UncertainDataset, _population_moments, _readonly
 
 if TYPE_CHECKING:
@@ -205,15 +206,16 @@ def aggregate_by_label(pts: PointsData, kind: str = "gaussian") -> UncertainData
     weights: list[float] = []
     for lab in order:
         rows = pts.points[groups[lab]]
-        if kind == "gaussian":
-            if rows.shape[0] < 2:
-                raise DatasetFormatError(
-                    f"class {lab!r} has fewer than 2 points; "
-                    f"gaussian aggregation needs at least 2"
-                )
-            items.append(Gaussian(*_population_moments(rows)))
-        else:
-            items.append(EmpiricalCluster(rows))
+        if kind == "gaussian" and rows.shape[0] < 2:
+            raise DatasetFormatError(
+                f"class {lab!r} has fewer than 2 points; "
+                f"gaussian aggregation needs at least 2"
+            )
+        moments = _population_moments(rows)
+        for what, m in zip(("mean", "covariance"), moments):
+            if not np.isfinite(m).all():
+                raise DatasetFormatError(f"class {lab!r}: {what} contains non-finite entries")
+        items.append(Gaussian(*moments) if kind == "gaussian" else EmpiricalCluster(rows))
         weights.append(float(rows.shape[0]))
     return UncertainDataset(
         tuple(items),
@@ -252,8 +254,8 @@ def standardize_points(points: np.ndarray, dim_names=None) -> np.ndarray:
 
 def standardize_dataset(ds: UncertainDataset) -> UncertainDataset:
     """Z-score a dataset using its uncertainty-aware axis variances at s=1."""
-    g = global_cov(ds, CovOptions(scale_s=1.0))
-    sigma = np.sqrt(np.diag(g.matrix))
+    g = global_cov(ds)
+    sigma = np.sqrt(np.diag(g.at(1.0)))
     _require_spread(sigma, "axis", ds.dim_names)
     with np.errstate(over="ignore"):  # a non-finite offset fails in rescale
         return ds.rescale(1.0 / sigma, -g.mean / sigma)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cov import CovOptions, GlobalCov, global_cov
+from .cov import global_cov
 from .items import Gaussian
 from .model import UncertainDataset, _as_vector, _median, _population_moments, _readonly
 
@@ -51,11 +51,6 @@ class PcaSummary:
             raise ValueError("covariance contains non-finite entries")
         self.mean = _readonly(m)
         self.cov = _readonly((k + k.T) / 2.0)
-
-
-def summary_of(g: GlobalCov) -> PcaSummary:
-    """The closed-form summary of a global covariance result."""
-    return PcaSummary(mean=g.mean, cov=g.matrix)
 
 
 def _logdets(sp: np.ndarray, sq: np.ndarray, sbar: np.ndarray):
@@ -178,6 +173,8 @@ class ExperimentConfig:
             raise ValueError(f"runs must be >= 1, got {self.runs!r}")
         if int(self.n_items) < 2:
             raise ValueError(f"n_items must be >= 2, got {self.n_items!r}")
+        if int(self.rng_seed) < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed!r}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "sample_counts", counts)
         object.__setattr__(self, "runs", int(self.runs))
@@ -248,7 +245,8 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
         ds = _experiment_dataset(dim, cfg.n_items, cfg.rng_seed)
         for item in ds.items:
             item._sampling_factor()  # cached now, so the workers only read it
-        closed = summary_of(global_cov(ds, CovOptions(scale_s=1.0)))
+        g = global_cov(ds)
+        closed = PcaSummary(mean=g.mean, cov=g.at(1.0))
         cells.extend((dim, count, ds, closed) for count in cfg.sample_counts)
     tasks = [(cell, run) for cell in cells for run in range(cfg.runs)]
     dists = [0.0] * len(tasks)

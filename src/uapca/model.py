@@ -7,7 +7,7 @@ All covariance bookkeeping uses population (1/N) normalization.
 
 This module holds the array helpers and the ``UncertainDataset`` table.  The
 item classes live in ``items``, which loads only when items are made or
-read; their names stay importable from here (PEP 562).
+read.
 """
 
 from __future__ import annotations
@@ -24,21 +24,6 @@ if TYPE_CHECKING:
 PSD_RTOL = 1e-9
 # Relative symmetry slack accepted before symmetrization.
 SYM_RTOL = 1e-12
-
-_ITEM_NAMES = frozenset({
-    "Scalar1D", "Number", "Interval", "Trapezoid", "Normal1D",
-    "Distribution", "Point", "Gaussian", "ProductOf1D", "EmpiricalCluster",
-})
-
-
-def __getattr__(name: str):
-    if name not in _ITEM_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import items
-
-    value = globals()[name] = getattr(items, name)
-    return value
-
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
@@ -114,17 +99,23 @@ def _cov_stack(k: np.ndarray, name) -> np.ndarray:
 
 
 def _require_psd(k: np.ndarray, name) -> None:
-    """Raise unless each matrix of the symmetric (..., D, D) stack k has no
-    eigenvalue below -PSD_RTOL times its largest magnitude (one eigvalsh).
-    The error names the first bad matrix as ``name(flat index)``."""
+    """``_require_psd_spectra`` on each matrix of the symmetric (..., D, D)
+    stack k, from one eigvalsh; ``name`` takes the flat index."""
     evals = np.linalg.eigvalsh(k).reshape(-1, k.shape[-1])
-    lam_scale = np.abs(evals).max(axis=1)
-    bad = np.flatnonzero(evals[:, 0] < -PSD_RTOL * lam_scale)
+    _require_psd_spectra(evals[:, 0], evals[:, -1], name)
+
+
+def _require_psd_spectra(lo: np.ndarray, hi: np.ndarray, name) -> None:
+    """The PSD rule, given each matrix's lowest and highest eigenvalue: raise
+    unless lo >= -PSD_RTOL * max(|lo|, |hi|), the largest eigenvalue
+    magnitude.  The error names the first bad matrix as ``name(index)``."""
+    lam_scale = np.maximum(np.abs(lo), np.abs(hi))
+    bad = np.flatnonzero(lo < -PSD_RTOL * lam_scale)
     if bad.size:
         i = int(bad[0])
         raise ValueError(
             f"{name(i)} is not positive semi-definite "
-            f"(min eigenvalue {evals[i, 0]:.3e}, scale {lam_scale[i]:.3e})"
+            f"(min eigenvalue {lo[i]:.3e}, scale {lam_scale[i]:.3e})"
         )
 
 
@@ -206,13 +197,21 @@ class UncertainDataset:
         diag_vars = np.empty((0, d)) if diag_vars is None else diag_vars
         if not n:
             raise ValueError("empty dataset")
-        bad = np.flatnonzero(~np.isfinite(means).all(axis=1))
-        if bad.size:
-            raise ValueError(f"item {bad[0]}: mean contains non-finite entries")
+        full_index = np.asarray(full_index, dtype=np.intp)
+        diag_index = np.asarray(diag_index, dtype=np.intp)
+        # (G, d * d), not (G, -1): an empty block cannot infer the -1.
+        full_ok = np.isfinite(full_covs.reshape(len(full_covs), d * d)).all(axis=1)
+        diag_ok = np.isfinite(diag_vars).all(axis=1)
+        for what, bad in (
+            ("mean", np.flatnonzero(~np.isfinite(means).all(axis=1))),
+            ("covariance", np.sort(np.concatenate([full_index[~full_ok], diag_index[~diag_ok]]))),
+        ):
+            if bad.size:
+                raise ValueError(f"item {bad[0]}: {what} contains non-finite entries")
         self._means = _readonly(means.view())  # not the caller's array's flag
-        self.full_index = _readonly(np.asarray(full_index, dtype=np.intp))
+        self.full_index = _readonly(full_index)
         self.full_covs = _readonly(full_covs)
-        self.diag_index = _readonly(np.asarray(diag_index, dtype=np.intp))
+        self.diag_index = _readonly(diag_index)
         self.diag_vars = _readonly(diag_vars)
         self._items, self._cells = items, cells
 

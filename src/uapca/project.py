@@ -14,13 +14,6 @@ if TYPE_CHECKING:
     from .items import Distribution, Gaussian
 
 
-def project_point(model: PcaModel, x) -> np.ndarray:
-    """Project a point: A^T (x - mean)."""
-    from .items import Point
-
-    return project_items(model, [Point(x)])[0][0]
-
-
 def project_items(
     model: PcaModel, ds: UncertainDataset | Sequence[Distribution], cov_scale: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -60,14 +53,6 @@ def project_items(
     blocks = np.sort(np.concatenate([ds.full_index, ds.diag_index]))
     _require_psd(covs[blocks], lambda i: f"projected covariance of item {blocks[i]}")
     return out_means, covs
-
-
-def project_distribution(model: PcaModel, d: Distribution) -> Gaussian:
-    """``project_items`` on one item, returned as a Gaussian."""
-    from .items import Gaussian
-
-    means, covs = project_items(model, [d])
-    return Gaussian(means[0], covs[0])
 
 
 def _ellipse_outlines(means, covs, k_sigmas, segments: int) -> np.ndarray:

@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from uapca.cov import CovOptions, global_cov, global_cov_from_points
+from uapca.cov import global_cov
 from uapca.eigen import eig_sym, principal_angles, select_components
 from uapca.io import PointsData, aggregate_by_label, load_points
 from uapca.metrics import (
@@ -23,7 +23,8 @@ from uapca.metrics import (
     run_convergence_experiment,
     samples_to_reach,
 )
-from uapca.model import Gaussian, Point, UncertainDataset
+from uapca.items import Gaussian, Point
+from uapca.model import UncertainDataset
 from uapca.sensitivity import SweepSchedule, factor_traces, sweep
 
 from conftest import random_psd
@@ -47,9 +48,9 @@ def test_criterion_01_zero_scale_reduces_to_point_pca():
         d = int(rng.integers(1, 7))
         n = int(rng.integers(2, 31))
         ds = _random_gaussian_dataset(rng, d, n)
-        at_zero = global_cov(ds, CovOptions(scale_s=0.0))
-        from_means = global_cov_from_points(ds.means())
-        diff = float(np.linalg.norm(at_zero.matrix - from_means.matrix))
+        at_zero = global_cov(ds)
+        from_means = global_cov(UncertainDataset(tuple(map(Point, ds.means()))))
+        diff = float(np.linalg.norm(at_zero.at(0.0) - from_means.at(0.0)))
         diff = max(diff, float(np.abs(at_zero.mean - from_means.mean).max()))
         worst = max(worst, diff)
     elapsed = time.perf_counter() - start
@@ -70,9 +71,9 @@ def test_criterion_02_quadratic_scaling_law():
     for _ in range(20):
         d = int(rng.integers(2, 7))
         ds = _random_gaussian_dataset(rng, d, int(rng.integers(3, 12)), weighted=True)
-        base = global_cov(ds, CovOptions(scale_s=1.0))
+        base = global_cov(ds)
         for s in (0.0, 0.5, 1.0, 2.0, 10.0):
-            direct = global_cov(ds, CovOptions(scale_s=s)).matrix
+            direct = global_cov(ds).at(s)
             assembled = base.term_means + s * s * base.term_uncertainty
             worst = max(worst, float(np.linalg.norm(direct - assembled)))
     elapsed = time.perf_counter() - start
@@ -123,7 +124,7 @@ def test_criterion_03_psd_closure_fuzz():
         )
         ds = UncertainDataset(items=items)
         s = math.inf if rng.random() < 0.1 else float(rng.uniform(0.0, 3.0))
-        by_dim.setdefault(d, []).append(global_cov(ds, CovOptions(scale_s=s)).matrix)
+        by_dim.setdefault(d, []).append(global_cov(ds).at(s))
     margin_c = min(floor_margin(np.stack(group)) for group in by_dim.values())
 
     elapsed = time.perf_counter() - start
@@ -182,7 +183,7 @@ def test_criterion_05_projected_normal_matches_monte_carlo():
     for _ in range(20):
         ds = _random_gaussian_dataset(rng, 4, 8)
         g = global_cov(ds)
-        model = select_components(eig_sym(g.matrix), g.mean, 2)
+        model = select_components(eig_sym(g.at(1.0)), g.mean, 2)
         item = Gaussian(rng.normal(0.0, 1.0, 4), random_psd(rng, 4))
         expected_mean = model.components.T @ (item.mean() - model.mean)
         expected_cov = model.components.T @ item.cov() @ model.components
@@ -214,16 +215,16 @@ def test_criterion_05_projected_normal_matches_monte_carlo():
 
 def test_criterion_06_iris_clusters_match_point_pca(iris_path):
     pts = load_points(iris_path)
-    point_pca = global_cov_from_points(pts.points)
+    point_pca = global_cov(UncertainDataset(tuple(map(Point, pts.points))))
     clusters = aggregate_by_label(pts, kind="gaussian")
-    cluster_pca = global_cov(clusters, CovOptions(scale_s=1.0))
+    cluster_pca = global_cov(clusters)
 
-    a = eig_sym(point_pca.matrix).vectors[:, :2]
-    b = eig_sym(cluster_pca.matrix).vectors[:, :2]
+    a = eig_sym(point_pca.at(0.0)).vectors[:, :2]
+    b = eig_sym(cluster_pca.at(1.0)).vectors[:, :2]
     angles_deg = np.degrees(principal_angles(a, b))
     dist = hellinger(
-        PcaSummary(mean=point_pca.mean, cov=point_pca.matrix),
-        PcaSummary(mean=cluster_pca.mean, cov=cluster_pca.matrix),
+        PcaSummary(mean=point_pca.mean, cov=point_pca.at(0.0)),
+        PcaSummary(mean=cluster_pca.mean, cov=cluster_pca.at(1.0)),
     )
     ok = float(angles_deg.max()) < 5.0 and dist < 0.05
     _report(
@@ -254,9 +255,9 @@ def test_criterion_07_weighted_clusters_match_pooled_points():
     pts = PointsData(points=points, dim_names=tuple(f"x{i}" for i in range(d)),
                      labels=tuple(labels))
     clusters = aggregate_by_label(pts, kind="gaussian")
-    cluster_cov = global_cov(clusters, CovOptions(scale_s=1.0))
-    point_cov = global_cov_from_points(points)
-    diff = float(np.linalg.norm(cluster_cov.matrix - point_cov.matrix))
+    cluster_cov = global_cov(clusters).at(1.0)
+    point_cov = global_cov(UncertainDataset(tuple(map(Point, points)))).at(0.0)
+    diff = float(np.linalg.norm(cluster_cov - point_cov))
     elapsed = time.perf_counter() - start
     ok = diff <= 1e-10 and elapsed < 10.0
     _report(

@@ -16,7 +16,8 @@ import uapca.cli
 import uapca.metrics
 import uapca.svg
 from uapca.cli import main
-from uapca.io import load_dataset, load_points
+from uapca.dataset_json import load_dataset
+from uapca.io import load_points
 
 
 def _read_lines(path):
@@ -282,6 +283,24 @@ def test_compare_sampling_seed_env_override(tmp_path, capsys, monkeypatch):
     assert "UAPCA_SEED" in capsys.readouterr().err
 
 
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "x.csv"
+    args = ["compare-sampling", "--dims", "2", "--runs", "1", "--samples", "4",
+            "--items", "2", "--out", str(out)]
+    monkeypatch.delenv("UAPCA_SEED", raising=False)
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--seed", "-1"])
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--seed must be >= 0, got -1" in errors[0], errors
+
+    monkeypatch.setenv("UAPCA_SEED", "-3")
+    assert main(args) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "uapca: error: UAPCA_SEED must be a non-negative integer, got '-3'"]
+    assert not out.exists()
+
+
 def test_compare_sampling_rejects_unordered_counts(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("UAPCA_SEED", raising=False)
     code = main([
@@ -529,10 +548,10 @@ _HUGE_CLASSES = "a,b,label\n1.3e154,2,x\n-1.3e154,3,x\n5,1.2e154,y\n0,0,y\n"
      ' {"interval": [0, 8]}]}, {"values": [{"number": 3}, {"number": 1}]}]}', ["--standardize"],
      "axis 'b' has a variance that overflows; cannot standardize"),
     ("classes.csv", _HUGE_CLASSES, ["--points", "--aggregate-by", "label"],
-     "Gaussian covariance contains non-finite entries"),
+     "class 'x': covariance contains non-finite entries"),
     ("classes.csv", _HUGE_CLASSES,
      ["--points", "--aggregate-by", "label", "--cluster-kind", "empirical"],
-     "matrix contains non-finite entries"),
+     "class 'x': covariance contains non-finite entries"),
     ("span.csv", "a,b\n1e308,2\n-1e308,3\n5,1\n", ["--points", "--scale", "inf"],
      "projected items span more than the float range; cannot draw them"),
 ])

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uapca.cov import CovOptions, global_cov, global_cov_from_points
-from uapca.model import (
+from uapca.cov import global_cov
+from uapca.items import (
     EmpiricalCluster,
     Gaussian,
     Interval,
@@ -15,8 +15,8 @@ from uapca.model import (
     Point,
     ProductOf1D,
     Trapezoid,
-    UncertainDataset,
 )
+from uapca.model import UncertainDataset
 
 from conftest import random_psd
 
@@ -32,9 +32,9 @@ def random_gaussian_dataset(rng, n_items, dim, weighted=False):
 def test_scale_zero_reduces_to_point_pca():
     rng = np.random.default_rng(0)
     ds = random_gaussian_dataset(rng, 12, 4)
-    g0 = global_cov(ds, CovOptions(scale_s=0.0))
-    gp = global_cov_from_points(ds.means())
-    assert np.linalg.norm(g0.matrix - gp.matrix) <= 1e-12
+    g0 = global_cov(ds)
+    gp = global_cov(UncertainDataset(tuple(map(Point, ds.means()))))
+    assert np.linalg.norm(g0.at(0.0) - gp.at(0.0)) <= 1e-12
     assert np.abs(g0.mean - gp.mean).max() <= 1e-12
 
 
@@ -42,18 +42,18 @@ def test_scale_zero_reduces_to_point_pca():
 def test_scaling_law(s):
     rng = np.random.default_rng(3)
     ds = random_gaussian_dataset(rng, 8, 5, weighted=True)
-    g = global_cov(ds, CovOptions(scale_s=s))
+    g = global_cov(ds)
     rebuilt = g.term_means + s * s * g.term_uncertainty
-    scale = max(1.0, np.abs(g.matrix).max())
-    assert np.abs(g.matrix - rebuilt).max() <= 1e-12 * scale
+    scale = max(1.0, np.abs(g.at(s)).max())
+    assert np.abs(g.at(s) - rebuilt).max() <= 1e-12 * scale
 
 
 def test_infinity_limit_is_uncertainty_term():
     rng = np.random.default_rng(4)
     ds = random_gaussian_dataset(rng, 6, 3)
-    g = global_cov(ds, CovOptions(scale_s=math.inf))
-    assert np.array_equal(g.matrix, g.term_uncertainty)
-    g1 = global_cov(ds, CovOptions(scale_s=1.0))
+    g = global_cov(ds)
+    assert np.array_equal(g.at(math.inf), g.term_uncertainty)
+    g1 = global_cov(ds)
     assert np.allclose(g.term_means, g1.term_means, atol=1e-15)
 
 
@@ -68,8 +68,8 @@ def test_matrix_matches_paper_decomposition():
     e_psi = sum(wi * item.cov() for wi, item in zip(w, ds.items))
     x_bar = (w[:, None] * means).sum(axis=0)
     expected = e_mm + s * s * e_psi - np.outer(x_bar, x_bar)
-    g = global_cov(ds, CovOptions(scale_s=s))
-    assert np.abs(g.matrix - expected).max() <= 1e-12
+    g = global_cov(ds)
+    assert np.abs(g.at(s) - expected).max() <= 1e-12
     assert np.abs(g.mean - x_bar).max() <= 1e-14
 
 
@@ -82,7 +82,7 @@ def test_weight_duplication_equivalence():
     listed = UncertainDataset((a, a, b))
     gd = global_cov(doubled)
     gl = global_cov(listed)
-    assert np.abs(gd.matrix - gl.matrix).max() <= 1e-12
+    assert np.abs(gd.at(1.0) - gl.at(1.0)).max() <= 1e-12
     assert np.abs(gd.mean - gl.mean).max() <= 1e-14
 
 
@@ -103,8 +103,8 @@ def test_translation_leaves_matrix_unchanged(seed, n_items, dim, data):
     )
     ds = UncertainDataset(items, weights=rng.uniform(0.5, 3.0, n_items))
     shifted = ds.rescale(np.ones(dim), np.array(offset))
-    k = global_cov(ds).matrix
-    k_shifted = global_cov(shifted).matrix
+    k = global_cov(ds).at(1.0)
+    k_shifted = global_cov(shifted).at(1.0)
     assert np.abs(k_shifted - k).max() <= 1e-7 * np.abs(k).max()
 
 
@@ -134,8 +134,8 @@ def test_diagonal_rescale_maps_matrix_to_s_k_s(seed, n_items, dim, data):
     ds = UncertainDataset(items, weights=rng.uniform(0.5, 3.0, n_items))
     scaled = ds.rescale(scale, np.zeros(dim))
     for s in (0.0, 1.0, math.inf):
-        k = global_cov(ds, CovOptions(scale_s=s)).matrix
-        k_scaled = global_cov(scaled, CovOptions(scale_s=s)).matrix
+        k = global_cov(ds).at(s)
+        k_scaled = global_cov(scaled).at(s)
         # Compare in the original units: S^-1 K' S^-1 against K.
         back = k_scaled / np.outer(scale, scale)
         assert np.abs(back - k).max() <= 1e-12 * np.abs(k).max()
@@ -164,9 +164,9 @@ def test_global_cov_matrix_is_symmetric_and_psd():
     for _ in range(20):
         ds = random_gaussian_dataset(rng, int(rng.integers(2, 10)), int(rng.integers(2, 7)),
                                      weighted=True)
-        g = global_cov(ds, CovOptions(scale_s=float(rng.uniform(0, 3))))
-        assert np.array_equal(g.matrix, g.matrix.T)
-        evals = np.linalg.eigvalsh(g.matrix)
+        k = global_cov(ds).at(float(rng.uniform(0, 3)))
+        assert np.array_equal(k, k.T)
+        evals = np.linalg.eigvalsh(k)
         assert evals.min() >= -1e-9 * max(evals.max(), 0.0)
 
 
@@ -174,8 +174,8 @@ def test_two_gaussian_crossing_matrix():
     psi = np.diag([0.0, 4.0])
     ds = UncertainDataset((Gaussian([-1.0, 0.0], psi), Gaussian([1.0, 0.0], psi)))
     for s in (0.0, 0.3, 0.5, 1.0):
-        g = global_cov(ds, CovOptions(scale_s=s))
-        assert np.allclose(g.matrix, np.diag([1.0, 4.0 * s * s]), atol=1e-15)
+        k = global_cov(ds).at(s)
+        assert np.allclose(k, np.diag([1.0, 4.0 * s * s]), atol=1e-15)
 
 
 def test_from_points_iris_textbook_covariance(iris_path):
@@ -189,24 +189,18 @@ def test_from_points_iris_textbook_covariance(iris_path):
     for i in range(d):
         for j in range(d):
             oracle[i, j] = float(((pts[:, i] - mean[i]) * (pts[:, j] - mean[j])).sum() / n)
-    g = global_cov_from_points(pts)
-    assert np.abs(g.matrix - oracle).max() <= 1e-12
+    g = global_cov(UncertainDataset(tuple(map(Point, pts))))
+    assert np.abs(g.at(0.0) - oracle).max() <= 1e-12
     assert np.array_equal(g.term_uncertainty, np.zeros((d, d)))
 
 
 def test_cov_options_validation():
+    g = global_cov(UncertainDataset((Point([0.0, 1.0]), Gaussian([1.0, 0.0], np.eye(2)))))
     with pytest.raises(ValueError):
-        CovOptions(scale_s=-1.0)
+        g.at(-1.0)
     with pytest.raises(ValueError):
-        CovOptions(scale_s=float("nan"))
-    assert CovOptions(scale_s=math.inf).scale_s == math.inf
-
-
-def test_from_points_validation():
-    with pytest.raises(ValueError):
-        global_cov_from_points(np.empty((0, 3)))
-    with pytest.raises(ValueError):
-        global_cov_from_points(np.array([[1.0, np.nan]]))
+        g.at(float("nan"))
+    assert np.array_equal(g.at(math.inf), g.term_uncertainty)
 
 
 @pytest.mark.parametrize("s", [0.0, 1.0, math.inf])
@@ -240,7 +234,7 @@ def test_skipping_points_keeps_the_matrix_bits(s):
     t_means, t_unc = (t_means + t_means.T) / 2.0, (t_unc + t_unc.T) / 2.0
     expected = t_unc if math.isinf(s) else t_means + (s * s) * t_unc
 
-    assert np.array_equal(global_cov(ds, CovOptions(scale_s=s)).matrix, expected)
+    assert np.array_equal(global_cov(ds).at(s), expected)
 
 
 def _item_of_kind(rng, kind: int, dim: int):
@@ -282,13 +276,12 @@ def test_table_matches_the_per_item_formulas(seed, dim, kinds):
         t_unc += wi * item.cov()
     t_unc /= w.sum()
     t_means, t_unc = (t_means + t_means.T) / 2.0, (t_unc + t_unc.T) / 2.0
-    for s in (0.0, 1.0, math.inf):
-        g = global_cov(ds, CovOptions(scale_s=s))
-        expected = t_unc if math.isinf(s) else t_means + (s * s) * t_unc
-        assert np.array_equal(g.matrix, expected)
-
     g = global_cov(ds)
-    model = select_components(eig_sym(g.matrix), g.mean, min(2, dim))
+    for s in (0.0, 1.0, math.inf):
+        expected = t_unc if math.isinf(s) else t_means + (s * s) * t_unc
+        assert np.array_equal(g.at(s), expected)
+
+    model = select_components(eig_sym(g.at(1.0)), g.mean, min(2, dim))
     got_means, got_covs = project_items(model, ds, 2.0)
     a_t = model.components.T
     for i, item in enumerate(items):
@@ -308,4 +301,4 @@ def test_one_axis_sums_the_items_in_order():
     for wi, item in zip(w, items):
         t_unc += wi * item.cov()
     t_unc /= w.sum()
-    assert np.array_equal(global_cov(ds, CovOptions(scale_s=math.inf)).matrix, t_unc)
+    assert np.array_equal(global_cov(ds).at(math.inf), t_unc)

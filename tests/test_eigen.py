@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uapca.eigen import eig_sym, principal_angles, select_components
+from uapca.model import cov_matrix
 
 from conftest import random_psd
 
@@ -174,12 +175,19 @@ def test_stack_validation():
 def test_non_psd_slice_is_named():
     stack = np.stack([np.eye(2), np.diag([1.0, 2.0]), np.diag([1.0, -0.1])])
     with pytest.raises(ValueError, match=r"^matrix 2 is not positive semi-definite "
-                                         r"\(eigenvalue -1\.000e-01 below"):
+                                         r"\(min eigenvalue -1\.000e-01, scale"):
         eig_sym(stack)
     with pytest.raises(ValueError, match=r"^matrix 3 is not positive semi-definite"):
         eig_sym(np.stack([stack[[0, 1, 0]], stack[::-1]]))  # flat index 3
     with pytest.raises(ValueError, match=r"^matrix is not positive semi-definite"):
         eig_sym(stack[2])
+
+
+def test_eig_sym_and_cov_matrix_share_one_psd_rule():
+    for check in (eig_sym, cov_matrix):
+        with pytest.raises(ValueError, match="not positive semi-definite"):
+            check(np.diag([1.0, -1e-8]))
+        check(np.diag([1.0, -1e-10]))
 
 
 def test_select_components():

@@ -14,11 +14,8 @@ from uapca.io import (
     LABEL_COLUMN,
     PointsData,
     aggregate_by_label,
-    dataset_to_json,
-    load_dataset,
     load_points,
     points_dataset,
-    save_dataset,
     standardize_dataset,
     standardize_points,
     write_eigencurves_csv,
@@ -27,7 +24,8 @@ from uapca.io import (
     _fields,
 )
 from uapca.cov import global_cov
-from uapca.model import (
+from uapca.dataset_json import dataset_to_json, load_dataset, save_dataset
+from uapca.items import (
     EmpiricalCluster,
     Gaussian,
     Interval,
@@ -37,9 +35,8 @@ from uapca.model import (
     ProductOf1D,
     Scalar1D,
     Trapezoid,
-    UncertainDataset,
-    _cov_stack,
 )
+from uapca.model import UncertainDataset, _cov_stack
 from uapca.sensitivity import SweepSchedule, factor_traces, sweep
 
 
@@ -232,7 +229,7 @@ def test_standardize_points():
 def test_standardize_dataset_gives_unit_axis_variances(students_path):
     ds = standardize_dataset(load_dataset(students_path))
     g = global_cov(ds)
-    assert np.abs(np.diag(g.matrix) - 1.0).max() <= 1e-12
+    assert np.abs(np.diag(g.at(1.0)) - 1.0).max() <= 1e-12
     assert np.abs(g.mean).max() <= 1e-12
 
 

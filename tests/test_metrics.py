@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate, stats
 
 import uapca.metrics
-from uapca.cov import CovOptions, global_cov
+from uapca.cov import global_cov
 from uapca.metrics import (
     DEFAULT_SAMPLE_COUNTS,
     ExperimentConfig,
@@ -17,9 +17,8 @@ from uapca.metrics import (
     run_convergence_experiment,
     sampled_pca,
     samples_to_reach,
-    summary_of,
 )
-from uapca.model import (
+from uapca.items import (
     EmpiricalCluster,
     Gaussian,
     Interval,
@@ -28,9 +27,8 @@ from uapca.model import (
     Point,
     ProductOf1D,
     Trapezoid,
-    UncertainDataset,
-    _population_moments,
 )
+from uapca.model import UncertainDataset, _population_moments
 
 from conftest import random_psd
 
@@ -145,7 +143,8 @@ def test_sampled_pca_on_points_is_exact():
     pts = rng.normal(0, 2, (9, 3))
     ds = UncertainDataset(items=tuple(Point(p) for p in pts))
     got = sampled_pca(ds, 7, np.random.default_rng(0))
-    exact = summary_of(global_cov(ds))
+    g = global_cov(ds)
+    exact = PcaSummary(mean=g.mean, cov=g.at(1.0))
     assert np.abs(got.mean - exact.mean).max() <= 1e-12
     assert np.abs(got.cov - exact.cov).max() <= 1e-12
 
@@ -154,7 +153,8 @@ def test_sampled_pca_converges_to_closed_form():
     rng = np.random.default_rng(8)
     items = tuple(Gaussian(rng.normal(0, 1, 3), random_psd(rng, 3)) for _ in range(5))
     ds = UncertainDataset(items=items)
-    closed = summary_of(global_cov(ds, CovOptions(scale_s=1.0)))
+    g = global_cov(ds)
+    closed = PcaSummary(mean=g.mean, cov=g.at(1.0))
     sampled = sampled_pca(ds, 100_000, np.random.default_rng(1))
     assert hellinger(sampled, closed) < 0.05
 
@@ -219,7 +219,8 @@ def _serial_rows(cfg):
     rows = []
     for dim in cfg.dims:
         ds = uapca.metrics._experiment_dataset(dim, cfg.n_items, cfg.rng_seed)
-        closed = summary_of(global_cov(ds, CovOptions(scale_s=1.0)))
+        g = global_cov(ds)
+        closed = PcaSummary(mean=g.mean, cov=g.at(1.0))
         for count in cfg.sample_counts:
             dists = [
                 hellinger(
@@ -276,6 +277,8 @@ def test_experiment_config_validation():
         ExperimentConfig(n_items=1)
     with pytest.raises(ValueError, match="dims"):
         ExperimentConfig(dims=())
+    with pytest.raises(ValueError, match="rng_seed"):
+        ExperimentConfig(rng_seed=-1)
     assert ExperimentConfig().sample_counts == DEFAULT_SAMPLE_COUNTS
 
 

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from uapca.model import (
+from uapca.items import (
     EmpiricalCluster,
     Gaussian,
     Interval,
@@ -15,10 +15,8 @@ from uapca.model import (
     Point,
     ProductOf1D,
     Trapezoid,
-    UncertainDataset,
-    _median,
-    cov_matrix,
 )
+from uapca.model import PSD_RTOL, UncertainDataset, _median, _require_psd_spectra, cov_matrix
 
 from conftest import random_psd
 
@@ -291,6 +289,36 @@ def test_dataset_validation():
         UncertainDataset(items, dim_names=("a",))
     with pytest.raises(ValueError, match="labels"):
         UncertainDataset(items, labels=("only one",))
+
+
+def test_dataset_rejects_covariances_that_are_not_finite():
+    # Each item is valid on its own, but its variance overflows.
+    wide = ProductOf1D([Interval(-1e308, 1e308), Interval(0.0, 1.0)])
+    spread = EmpiricalCluster([[1e308, 1e308], [-1e308, -1e308]])
+    point = Point([0.0, 0.0])
+    with pytest.raises(ValueError, match=r"^item 0: covariance contains non-finite entries$"):
+        UncertainDataset([wide, point])
+    with pytest.raises(ValueError, match=r"^item 1: covariance contains non-finite entries$"):
+        UncertainDataset([point, spread])
+    # The first bad item in dataset order, whichever block holds it.
+    with pytest.raises(ValueError, match=r"^item 1: covariance"):
+        UncertainDataset([point, wide, spread])
+    with pytest.raises(ValueError, match=r"^item 2: covariance"):
+        UncertainDataset([point, Gaussian([0.0, 0.0], np.eye(2)), spread, wide])
+
+
+def test_psd_rule_on_spectra_at_the_floor():
+    hi = np.array([2.0, 2.0, 2.0, 0.0])
+    floor = -PSD_RTOL * 2.0
+    # At the floor, just above it, and a zero matrix: all accepted.
+    _require_psd_spectra(np.array([floor, np.nextafter(floor, 0.0), 0.0, 0.0]), hi, str)
+    below = np.array([floor, np.nextafter(floor, -1.0), 0.0, 0.0])
+    with pytest.raises(ValueError, match=r"^m1 is not positive semi-definite "
+                                         r"\(min eigenvalue -2\.000e-09, scale 2\.000e\+00\)$"):
+        _require_psd_spectra(below, hi, lambda i: f"m{i}")
+    # A lowest eigenvalue at least as large in magnitude as the highest.
+    with pytest.raises(ValueError, match=r"^m0 .*scale 1\.000e\+00\)$"):
+        _require_psd_spectra(np.array([-1.0]), np.array([0.5]), lambda i: f"m{i}")
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from uapca.cov import CovOptions, global_cov
+from uapca.cov import global_cov
 from uapca.eigen import eig_sym, select_components
-from uapca.model import (
+from uapca.items import (
     Distribution,
     EmpiricalCluster,
     Gaussian,
@@ -15,22 +15,16 @@ from uapca.model import (
     Point,
     ProductOf1D,
     Trapezoid,
-    UncertainDataset,
 )
-from uapca.project import (
-    _ellipse_outlines,
-    ellipse_outline,
-    project_distribution,
-    project_items,
-    project_point,
-)
+from uapca.model import UncertainDataset
+from uapca.project import _ellipse_outlines, ellipse_outline, project_items
 
 from conftest import random_psd
 
 
 def _fitted_model(ds, q):
     g = global_cov(ds)
-    return select_components(eig_sym(g.matrix), g.mean, q)
+    return select_components(eig_sym(g.at(1.0)), g.mean, q)
 
 
 def test_full_rank_projection_is_invertible():
@@ -39,7 +33,7 @@ def test_full_rank_projection_is_invertible():
     ds = UncertainDataset(items=tuple(items))
     model = _fitted_model(ds, 4)
     x = rng.normal(0, 1, 4)
-    y = project_point(model, x)
+    y = project_items(model, [Point(x)])[0][0]
     back = model.components @ y + model.mean
     assert np.abs(back - x).max() <= 1e-10
 
@@ -50,13 +44,12 @@ def test_projection_commutes_with_sampling():
     ds = UncertainDataset(items=tuple(items))
     model = _fitted_model(ds, 2)
     d = items[0]
-    image = project_distribution(model, d)
+    (mean,), (c,) = project_items(model, [d])
     n = 100_000
     draws = (d.sample(n, rng) - model.mean) @ model.components
-    se_mean = 3.0 * np.sqrt(np.diag(image.cov()) / n)
-    assert np.all(np.abs(draws.mean(axis=0) - image.mean()) <= se_mean + 1e-9)
+    se_mean = 3.0 * np.sqrt(np.diag(c) / n)
+    assert np.all(np.abs(draws.mean(axis=0) - mean) <= se_mean + 1e-9)
     sample_cov = np.cov(draws.T, bias=True)
-    c = image.cov()
     for i in range(2):
         for j in range(2):
             se = 3.0 * np.sqrt((c[i, i] * c[j, j] + c[i, j] ** 2) / n)
@@ -68,10 +61,9 @@ def test_point_maps_to_zero_covariance_gaussian():
     items = [Point(rng.normal(0, 1, 3)) for _ in range(6)]
     ds = UncertainDataset(items=tuple(items))
     model = _fitted_model(ds, 2)
-    image = project_distribution(model, items[0])
-    assert isinstance(image, Gaussian)
-    assert np.array_equal(image.cov(), np.zeros((2, 2)))
-    assert np.array_equal(image.mean(), project_point(model, items[0].mean()))
+    (mean,), (cov,) = project_items(model, [items[0]])
+    assert np.array_equal(cov, np.zeros((2, 2)))
+    assert np.array_equal(mean, model.components.T @ (items[0].mean() - model.mean))
 
 
 def test_dimension_mismatch_raises():
@@ -79,9 +71,9 @@ def test_dimension_mismatch_raises():
     items = [Gaussian(rng.normal(0, 1, 3), random_psd(rng, 3)) for _ in range(5)]
     model = _fitted_model(UncertainDataset(items=tuple(items)), 2)
     with pytest.raises(ValueError, match="does not match model dimension"):
-        project_point(model, np.ones(4))
+        project_items(model, [Point(np.ones(4))])
     with pytest.raises(ValueError, match="does not match model dimension"):
-        project_distribution(model, Gaussian(np.zeros(4), np.eye(4)))
+        project_items(model, [Gaussian(np.zeros(4), np.eye(4))])
 
 
 def _mixed_items(rng, dim=4):
@@ -108,8 +100,8 @@ def _mixed_items(rng, dim=4):
 def test_batched_projection_matches_per_item_formula(s):
     rng = np.random.default_rng(11)
     ds = UncertainDataset(_mixed_items(rng), weights=rng.uniform(0.5, 2.0, 24))
-    g = global_cov(ds, CovOptions(scale_s=s))
-    model = select_components(eig_sym(g.matrix), g.mean, 2)
+    g = global_cov(ds)
+    model = select_components(eig_sym(g.at(s)), g.mean, 2)
     cov_scale = 1.0 if math.isinf(s) else s * s
     means, covs = project_items(model, ds.items, cov_scale)
     assert means.shape == (24, 2) and covs.shape == (24, 2, 2)
@@ -127,8 +119,8 @@ def test_batched_projection_matches_per_item_formula(s):
         if isinstance(item, Point):
             assert np.array_equal(covs[i], np.zeros((2, 2)))
         # The one-item call is the same computation.
-        image = project_distribution(model, item)
-        assert np.array_equal(image.mean(), project_items(model, [item])[0][0])
+        (one_mean,), (one_cov,) = project_items(model, [item], cov_scale)
+        assert np.array_equal(one_mean, means[i]) and np.array_equal(one_cov, covs[i])
 
 
 class _Indefinite(Distribution):

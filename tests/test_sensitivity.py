@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from uapca.cov import CovOptions, global_cov
+from uapca.cov import global_cov
 from uapca.eigen import PcaModel, eig_sym, principal_angles
-from uapca.model import Gaussian, Point, UncertainDataset
+from uapca.items import Gaussian, Point
+from uapca.model import UncertainDataset
 from uapca.sensitivity import (
     EigenCurves,
     SweepSchedule,
@@ -78,11 +79,11 @@ def test_sweep_matches_direct_covariances():
     sched = SweepSchedule(steps=16)
     models, curves = sweep(ds, q=2, schedule=sched)
     for k, s in enumerate(sched.s_values()):
-        g = global_cov(ds, CovOptions(scale_s=float(s)))
-        ref = np.linalg.eigvalsh(g.matrix)[::-1]
+        g = global_cov(ds)
+        ref = np.linalg.eigvalsh(g.at(s))[::-1]
         assert np.abs(curves.values[k] - ref).max() <= 1e-10 * max(1.0, ref[0])
         assert np.array_equal(models[k].mean, g.mean)
-        pairs = eig_sym(g.matrix)
+        pairs = eig_sym(g.at(s))
         assert np.array_equal(curves.values[k], pairs.values)
         assert np.array_equal(models[k].components, pairs.vectors[:, :2])
 
@@ -220,8 +221,7 @@ def test_fine_grid_localizes_the_gap_minimum():
 def test_limit_step_agrees_with_huge_s():
     ds = near_crossing_dataset()
     models, _ = sweep(ds, q=2, schedule=SweepSchedule(steps=16))
-    g = global_cov(ds, CovOptions(scale_s=1e6))
-    evals, evecs = np.linalg.eigh(g.matrix)
+    evals, evecs = np.linalg.eigh(global_cov(ds).at(1e6))
     huge = evecs[:, ::-1][:, :2]
     assert principal_angles(models[-1].components, huge).max() <= 1e-3
 

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uapca.io import load_dataset
-from uapca.model import Gaussian, Point, UncertainDataset
+from uapca.dataset_json import load_dataset
+from uapca.items import Gaussian, Point
+from uapca.model import UncertainDataset
 from uapca.sensitivity import EigenCurves, SweepSchedule, factor_traces, sweep
 from uapca.svg import (
     PALETTE,
