@@ -16,6 +16,13 @@ import math
 import os
 import sys
 
+# compare-sampling runs one worker thread per CPU, and the other commands
+# only do small products, so OpenBLAS gets one thread rather than a second
+# pool of its own.  It reads the variable when numpy loads: a caller that
+# has loaded numpy already keeps its environment, and a user's value wins.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 # Each subcommand imports the modules it runs; .io (and numpy) serve them all.
 from .io import LABEL_COLUMN, DatasetFormatError
 

@@ -39,14 +39,22 @@ class GlobalCov:
 
     def at(self, s: float) -> np.ndarray:
         """K(s) = term_means + s^2 * term_uncertainty for s >= 0; term_uncertainty
-        alone at s = inf.  A NaN or negative s raises ``ValueError``."""
+        alone at s = inf.  A NaN or negative s raises ``ValueError``, and so
+        does a finite s at which finite terms give a K that overflows."""
         s = float(s)
         if math.isnan(s) or s < 0.0:
             raise ValueError(f"s must be >= 0 or inf, got {s}")
         if math.isinf(s):
             return self.term_uncertainty
-        with np.errstate(over="ignore", invalid="ignore"):  # non-finite K: eig_sym rejects it
-            return _readonly(self.term_means + (s * s) * self.term_uncertainty)
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite terms: eig_sym rejects K
+            k = self.term_means + (s * s) * self.term_uncertainty
+        if not np.isfinite(k).all() and all(
+                np.isfinite(t).all() for t in (self.term_means, self.term_uncertainty)):
+            raise ValueError(
+                f"K(s) overflows the float range at scale s = {s!r}; "
+                f"s = inf gives the uncertainty-only limit"
+            )
+        return _readonly(k)
 
 
 def _symmetric(a: np.ndarray) -> np.ndarray:

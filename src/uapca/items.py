@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _as_vector, _population_moments, _readonly, cov_matrix
+from .model import _as_vector, _population_moments, _readonly, _row_mean, cov_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +334,7 @@ class EmpiricalCluster(Distribution):
         return self.points.shape[1]
 
     def mean(self) -> np.ndarray:
-        with np.errstate(over="ignore"):  # a sum that overflows gives a non-finite mean
-            return self.points.mean(axis=0)
+        return _row_mean(self.points)
 
     def cov(self) -> np.ndarray:
         return _population_moments(self.points)[1]

@@ -236,6 +236,12 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
     count, run), and each worker reuses one ``sampled_pca`` scratch buffer
     across its passes, so the rows are fully determined by the config and
     do not depend on the worker count.
+
+    OpenBLAS splits the larger products over a thread pool of its own, on
+    CPUs these workers already fill.  The CLI gives it one thread by setting
+    ``OPENBLAS_NUM_THREADS`` before numpy loads; a library caller should set
+    that variable before its own first import of numpy.  The rows are the
+    same bits with one BLAS thread or two.
     """
     # Imported here, not at module top: it would add to every CLI start-up.
     from concurrent.futures import ThreadPoolExecutor

@@ -119,6 +119,21 @@ def _require_psd_spectra(lo: np.ndarray, hi: np.ndarray, name) -> None:
         )
 
 
+def _row_mean(rows: np.ndarray) -> np.ndarray:
+    """The mean of (n, D) rows, the bits of ``rows.mean(axis=0)``; an overflow
+    gives non-finite entries and no numpy warning.
+
+    For a C-contiguous array with D >= 2 both add each column in row order,
+    and einsum does it in one strided pass per column rather than one
+    inner-loop call per row.  numpy sums a single column (D = 1), or any
+    array laid out by columns, pairwise, so those keep ``mean``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if rows.shape[1] < 2 or not rows.flags.c_contiguous:
+            return rows.mean(axis=0)
+        return np.einsum("ij->j", rows) / rows.shape[0]
+
+
 def _population_moments(
     rows: np.ndarray, overwrite: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -128,8 +143,8 @@ def _population_moments(
     the result is the same bits either way.  An overflow leaves non-finite
     entries, with no numpy warning, for the caller's checks to reject.
     """
+    mean = _row_mean(rows)
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = rows.mean(axis=0)
         centered = np.subtract(rows, mean, out=rows if overwrite else None)
         k = centered.T @ centered / rows.shape[0]
         return mean, (k + k.T) / 2.0

@@ -568,6 +568,19 @@ def test_overflow_in_project_is_a_one_line_error(tmp_path, capsys, name, text, f
     assert err == [f"uapca: error: {fragment}"]
 
 
+def test_scale_at_which_k_overflows_is_a_one_line_error(tmp_path, capsys, students_path):
+    def project(scale: str, prefix: str) -> int:
+        return main(["project", "--input", str(students_path), "--scale", scale,
+                     "--out-prefix", str(tmp_path / prefix)])
+
+    assert project("1e160", "big") == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "uapca: error: K(s) overflows the float range at scale s = 1e+160; "
+        "s = inf gives the uncertainty-only limit"]
+    assert list(tmp_path.iterdir()) == []
+    assert project("1e100", "e100") == 0 and project("inf", "inf") == 0
+
+
 def test_failed_render_leaves_no_output_file(tmp_path, capsys, monkeypatch, students_path):
     path = tmp_path / "span.csv"
     path.write_text("a,b\n1e308,2\n-1e308,3\n5,1\n", encoding="utf-8")
@@ -676,11 +689,17 @@ def test_svg_text_is_escaped(tmp_path, capsys):
         assert texts <= found, (name, found)
 
 
-def _fresh_process(script: str) -> str:
-    """stdout of a fresh Python process that runs script with this uapca."""
+def _fresh_process(script: str, **variables: str | None) -> str:
+    """stdout of a fresh Python process that runs script with this uapca;
+    each keyword sets that environment variable, or unsets it when None."""
     env = {k: v for k, v in os.environ.items() if k != "UAPCA_SEED"}
     env["PYTHONPATH"] = os.pathsep.join([str(Path(uapca.cli.__file__).parents[1]),
                                         env.get("PYTHONPATH", "")])
+    for name, value in variables.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True).stdout
 
@@ -732,6 +751,31 @@ def test_each_command_loads_only_its_own_modules(tmp_path, students_path, iris_p
     assert not loaded(command("compare-sampling", "--dims", "2", "--runs", "2", "--samples", "8",
                               "--items", "3", "--out", str(tmp_path / "c.csv"))) & {
         "svg", "project", "sensitivity", "eigen", "dataset_json"}
+
+
+@pytest.mark.parametrize("imports, value, expected", [
+    ("import uapca.cli", None, "1"),
+    ("import uapca.cli", "3", "3"),
+    ("import numpy\nimport uapca.cli", None, "None"),
+])
+def test_cli_gives_openblas_one_thread_unless_set(imports, value, expected):
+    out = _fresh_process(f"import os\n{imports}\nprint(os.environ.get('OPENBLAS_NUM_THREADS'))",
+                         OPENBLAS_NUM_THREADS=value)
+    assert out.splitlines()[-1] == expected
+
+
+def test_compare_sampling_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # 4096 samples of 10 items in 12 dimensions: products large enough for
+    # OpenBLAS to split them over its threads.
+    def csv_bytes(name: str, threads: str | None) -> bytes:
+        out = tmp_path / name
+        _fresh_process("from uapca.cli import main\n"
+                       "assert main(['compare-sampling', '--dims', '12', '--samples', '4096',\n"
+                       f"             '--runs', '2', '--out', {str(out)!r}]) == 0",
+                       OPENBLAS_NUM_THREADS=threads)
+        return out.read_bytes()
+
+    assert csv_bytes("two.csv", "2") == csv_bytes("default.csv", None)
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uapca.cov import global_cov
+from uapca.cov import GlobalCov, global_cov
 from uapca.items import (
     EmpiricalCluster,
     Gaussian,
@@ -201,6 +201,17 @@ def test_cov_options_validation():
     with pytest.raises(ValueError):
         g.at(float("nan"))
     assert np.array_equal(g.at(math.inf), g.term_uncertainty)
+
+
+def test_scale_at_which_k_overflows_raises():
+    g = global_cov(UncertainDataset((Point([0.0, 1.0]), Gaussian([1.0, 0.0], np.eye(2)))))
+    with pytest.raises(ValueError, match=r"^K\(s\) overflows the float range at scale "
+                                         r"s = 1e\+160; s = inf gives the uncertainty-only limit$"):
+        g.at(1e160)
+    assert np.isfinite(g.at(1e100)).all()
+    # Terms that are not finite already are left for eig_sym to reject.
+    inf_terms = GlobalCov(g.mean, np.full_like(g.term_means, np.inf), g.term_uncertainty)
+    assert not np.isfinite(inf_terms.at(1.0)).all()
 
 
 @pytest.mark.parametrize("s", [0.0, 1.0, math.inf])

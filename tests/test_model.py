@@ -16,7 +16,15 @@ from uapca.items import (
     ProductOf1D,
     Trapezoid,
 )
-from uapca.model import PSD_RTOL, UncertainDataset, _median, _require_psd_spectra, cov_matrix
+from uapca.model import (
+    PSD_RTOL,
+    UncertainDataset,
+    _median,
+    _population_moments,
+    _require_psd_spectra,
+    _row_mean,
+    cov_matrix,
+)
 
 from conftest import random_psd
 
@@ -332,3 +340,35 @@ def test_median_has_the_bits_of_np_median(values):
     x = np.array(values)
     assert np.float64(_median(x)).tobytes() == np.median(x).tobytes()
     assert math.isnan(_median(np.append(x, math.nan)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 16),
+       n=st.one_of(st.integers(1, 64), st.integers(8100, 8300), st.integers(16000, 25000)),
+       offset=st.sampled_from([0.0, 1.0, -3e3, 1e8, -1e8]),
+       special=st.sampled_from(["none", "negative zeros", "overflow"]),
+       layout=st.sampled_from(["C", "F", "strided"]))
+@example(seed=0, dim=2, n=8193, offset=1e8, special="none", layout="C")
+@example(seed=0, dim=1, n=20000, offset=1e8, special="none", layout="C")
+@example(seed=0, dim=3, n=2, offset=0.0, special="negative zeros", layout="C")
+@example(seed=0, dim=4, n=9000, offset=0.0, special="overflow", layout="C")
+def test_row_mean_has_the_bits_of_mean(seed, dim, n, offset, special, layout):
+    # numpy adds C-ordered columns in row order but a single column (and
+    # columns laid out contiguously) pairwise; both sides of its 8192-element
+    # block, offsets that leave rounding in every sum, -0.0 columns and sums
+    # that overflow (inf, with no warning: RuntimeWarnings fail this suite).
+    rng = np.random.default_rng(seed)
+    rows = offset + rng.standard_normal((n, dim)) * rng.uniform(0.1, 1e3, dim)
+    if special == "negative zeros":
+        rows[:, rng.integers(dim)] = -0.0
+    elif special == "overflow":
+        rows[:, rng.integers(dim)] = 1e308
+    if layout == "F":
+        rows = np.asfortranarray(rows)
+    elif layout == "strided":
+        rows = np.repeat(rows, 2, axis=1)[:, ::2]
+    with np.errstate(over="ignore"):
+        expected = rows.mean(axis=0)
+    assert _row_mean(rows).tobytes() == expected.tobytes()
+    c_rows = np.ascontiguousarray(rows)
+    assert EmpiricalCluster(rows).mean().tobytes() == _population_moments(c_rows)[0].tobytes()
