@@ -12,16 +12,15 @@ A dataset file is JSON:
     }
 
 with cell forms {"number": x}, {"interval": [a, b]}, {"trapezoid":
-[a, b, c, d]}, and {"normal": {"mean": m, "sd": s}}.  Reading a clean file
-loads no item class: a cell is built, and ``items`` loaded, only when
-``items`` is read or a rejected cell words its error.
+[a, b, c, d]}, and {"normal": {"mean": m, "sd": s}}.  Reading a file loads
+no item class, even to word a rejected cell's error (the cells' rules are in
+``model``): cells are built, and ``items`` loaded, when ``items`` is read.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import astuple
 from itertools import chain, repeat
 from typing import TYPE_CHECKING
@@ -29,14 +28,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .io import DatasetFormatError, _read_text
-from .model import UncertainDataset, _cov_stack
+from .model import _CELL_KINDS, UncertainDataset, _cell_moments, _cell_rule_error, _cov_stack
 
 if TYPE_CHECKING:
     from .items import Scalar1D
 
-# Each cell kind's JSON key and parameter count.  A kind's code is its
-# position here, and the keys show in this order in the form error.
-_CELL_KINDS = (("number", 1), ("interval", 2), ("trapezoid", 4), ("normal", 2))
 _NUMBER_TYPES = {int, float}  # float() would take true as 1.0 and "1_0" as 10
 
 
@@ -62,7 +58,7 @@ def _cell_params(spec, i: int, j: int) -> tuple[int, tuple[float, ...]]:
     for form only: one known kind, its payload laid out as that kind's."""
     if not isinstance(spec, dict) or len(spec) != 1:
         raise DatasetFormatError(f"item {i}, value {j}: each value must be an object with "
-                                 f"exactly one of {tuple(key for key, _ in _CELL_KINDS)}")
+                                 f"exactly one of {tuple(kind[0] for kind in _CELL_KINDS)}")
     (kind, payload), = spec.items()
     try:
         if kind == "number":
@@ -90,17 +86,16 @@ def _cell_classes() -> tuple[type[Scalar1D], ...]:
 
 def _cell_json(cell: Scalar1D) -> dict:
     """The value spec of a cell: the inverse of ``_cell_params``."""
-    for (key, _), cls in zip(_CELL_KINDS, _cell_classes()):
-        if isinstance(cell, cls):
-            params = astuple(cell)
-            if key == "normal":
-                return {key: {"mean": params[0], "sd": params[1]}}
-            return {key: params[0] if key == "number" else list(params)}
-    raise TypeError(f"{cell!r} has no dataset-file form")
+    if not isinstance(cell, _cell_classes()):
+        raise TypeError(f"{cell!r} has no dataset-file form")
+    key, params = _CELL_KINDS[cell._code][0], astuple(cell)
+    if key == "normal":
+        return {key: {"mean": params[0], "sd": params[1]}}
+    return {key: params[0] if key == "number" else list(params)}
 
 
 def _cell(spec, i: int, j: int) -> Scalar1D:
-    """The model cell of value spec j of item i; its class checks its rule."""
+    """The model cell of value spec j of item i, checked by ``load_dataset``."""
     code, params = _cell_params(spec, i, j)
     return _cell_classes()[code](*params)
 
@@ -156,53 +151,6 @@ def _mvn_error(mvn: dict, dim: int) -> str | None:
     return None
 
 
-def _pow(x: np.ndarray, k: int) -> np.ndarray:
-    """x ** k by CPython's float power (numpy's can differ in the last bit);
-    inf where that overflows, which rejects only the cells it enters."""
-    powers = []
-    for v in x.tolist():
-        try:
-            powers.append(v ** k)
-        except OverflowError:
-            powers.append(math.inf)
-    return np.array(powers, dtype=float)
-
-
-def _cell_moments(code: int, params: list[float]):
-    """Means, variances and rejected-cell mask of the cells of one kind, given
-    their parameters one cell after another, by the ``items`` cells'
-    formulas with their bits (each ``**`` through ``_pow``).  A cell is
-    rejected if its class would reject its parameters or its mean or
-    variance is not finite."""
-    kind, width = _CELL_KINDS[code]
-    p = np.array(params, dtype=float).reshape(-1, width).T
-    with np.errstate(all="ignore"):
-        bad = ~np.isfinite(p).all(axis=0)
-        if kind == "number":
-            mean, var = p[0], np.zeros(p.shape[1])
-        elif kind == "interval":
-            lo, hi = p
-            bad |= lo > hi
-            mean, var = (lo + hi) / 2.0, _pow(hi - lo, 2) / 12.0
-        elif kind == "normal":
-            mean, sd = p
-            bad |= sd < 0.0
-            var = _pow(sd, 2)
-        else:
-            a, b, c, d = p
-            bad |= (a > b) | (b > c) | (c > d)
-            span = d + c - b - a
-            b, c, d = b - a, c - a, d - a
-            first = (d * d + c * d + c * c - b * b) / (3.0 * span)
-            second = (_pow(d, 3) + _pow(d, 2) * c + d * _pow(c, 2) + _pow(c, 3)
-                      - _pow(b, 3)) / (6.0 * span)
-            first[span == 0.0] = second[span == 0.0] = 0.0
-            mean, var = a + first, second - first * first
-            var[var < 0.0] = 0.0  # max(v, 0.0): NaN and -0.0 stay
-        bad |= ~(np.isfinite(mean) & np.isfinite(var))
-    return mean, var, bad
-
-
 def _mvn_table(mvns: list, dim: int):
     """The mvn items' means (G, D) and covariances (G, D, D), one ``np.array``
     each, or None if an item's arrays are not JSON numbers of those shapes."""
@@ -227,9 +175,9 @@ def load_dataset(path) -> UncertainDataset:
     gathering the cells' parameters by kind.  Each kind is then checked and
     its moments computed as one array, the mvn arrays stacked, and the
     covariances checked as one stack (one ``eigvalsh`` for PSD).  The error
-    reported is that of the first bad item or cell in file order; of the
-    cells, only the first rejected one is built, and its class words why.
-    Cells are built when ``items`` is first read.
+    reported is that of the first bad item or cell in file order; a rejected
+    cell is worded from its first broken rule, as its class words it, without
+    building it.  Cells are built when ``items`` is first read.
     """
     text = _read_text(path)
     try:
@@ -276,21 +224,18 @@ def load_dataset(path) -> UncertainDataset:
 
     codes = np.frombuffer(codes, dtype=np.uint8)
     cell_means, cell_vars = np.empty(codes.size), np.empty(codes.size)
-    bad = np.empty(codes.size, dtype=bool)
+    rules = np.empty((3, codes.size), dtype=bool)
     for code, kind_params in enumerate(params):
         at = codes == code
-        cell_means[at], cell_vars[at], bad[at] = _cell_moments(code, kind_params)
+        cell_means[at], cell_vars[at], rules[:, at] = _cell_moments(code, kind_params)
     errors = []  # (item, error) of the first rejected cell and of the first bad mvn
-    if bad.any():
-        row, j = divmod(int(np.argmax(bad)), dim)
+    if rules.any():
+        k = int(np.argmax(rules.any(axis=0)))
+        row, j = divmod(k, dim)
         i, spec = diag_index[row], value_lists[row][j]
-        try:
-            _cell(spec, i, j)
-        except ValueError as exc:
-            errors.append((i, f"item {i}, value {j}: {exc}"))
-        else:
-            errors.append((i, f"item {i}, value {j}: the mean or variance of "
-                              f"{json.dumps(spec)} is not finite"))
+        error = (_cell_rule_error(*_cell_params(spec, i, j), rules[:, k])
+                 or f"the mean or variance of {json.dumps(spec)} is not finite")
+        errors.append((i, f"item {i}, value {j}: {error}"))
     mvn_table = _mvn_table(mvns, dim)
     if mvn_table is None:
         for i, mvn in zip(full_index, mvns):

@@ -105,8 +105,16 @@ def select_components(pairs: EigenPairs, mean, q: int) -> PcaModel:
 
 
 def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Principal angles (radians, ascending) between two column subspaces."""
+    """Principal angles (radians, ascending) between two column subspaces.
+
+    By the sine-cosine method (Knyazev & Argentati, 2002), so that angles
+    below sqrt(eps) are not lost: the k-th angle with cos^2 >= 1/2 is the
+    arcsine of the k-th smallest singular value of Q_b - Q_a (Q_a^T Q_b).
+    """
     qa, _ = np.linalg.qr(np.asarray(a, dtype=float))
     qb, _ = np.linalg.qr(np.asarray(b, dtype=float))
-    sv = np.linalg.svd(qa.T @ qb, compute_uv=False)
-    return np.arccos(np.clip(sv, -1.0, 1.0))
+    overlap = qa.T @ qb
+    cos = np.linalg.svd(overlap, compute_uv=False)  # descending: angles ascending
+    sin = np.linalg.svd(qb - qa @ overlap, compute_uv=False)[::-1][:cos.size]
+    return np.where(cos * cos >= 0.5, np.arcsin(np.clip(sin, 0.0, 1.0)),
+                    np.arccos(np.clip(cos, -1.0, 1.0)))

@@ -4,16 +4,18 @@ Each item reduces to its first two moments, ``mean()`` and ``cov()``, and
 draws samples with ``sample()``.  ``UncertainDataset`` (in ``model``) holds
 their moments in columns and imports this module only when it is given
 items or builds them, so a command that never makes an item never loads it.
+The scalar cells' rules and moments are in ``model``, for the reader too.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from numbers import Real
 
 import numpy as np
 
-from .model import _as_vector, _population_moments, _readonly, _row_mean, cov_matrix
+from .model import (_as_vector, _cell_moments, _cell_rule_error, _population_moments,
+                    _readonly, _row_mean, cov_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -21,13 +23,25 @@ from .model import _as_vector, _population_moments, _readonly, _row_mean, cov_ma
 
 
 class Scalar1D:
-    """One-dimensional distribution summarized by mean and variance."""
+    """One-dimensional distribution summarized by mean and variance, checked and
+    reduced to them on creation by ``model._cell_moments`` (kind ``_code``)."""
+
+    _code: int
+
+    def __post_init__(self):
+        params = astuple(self)
+        if not all(isinstance(v, Real) for v in params):
+            raise TypeError(f"cell parameters must be real numbers, got {params}")
+        mean, var, rules = _cell_moments(self._code, params)
+        if error := _cell_rule_error(self._code, params, rules[:, 0]):
+            raise ValueError(error)
+        object.__setattr__(self, "_moments", (mean.item(), var.item()))
 
     def mean(self) -> float:
-        raise NotImplementedError
+        return self._moments[0]
 
     def variance(self) -> float:
-        raise NotImplementedError
+        return self._moments[1]
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
@@ -38,16 +52,7 @@ class Number(Scalar1D):
     """A known exact value."""
 
     value: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ValueError("number value must be finite")
-
-    def mean(self) -> float:
-        return float(self.value)
-
-    def variance(self) -> float:
-        return 0.0
+    _code = 0
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return np.full(n, float(self.value))
@@ -59,18 +64,7 @@ class Interval(Scalar1D):
 
     lo: float
     hi: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError("interval bounds must be finite")
-        if self.lo > self.hi:
-            raise ValueError(f"interval bounds must satisfy lo <= hi, got [{self.lo}, {self.hi}]")
-
-    def mean(self) -> float:
-        return (self.lo + self.hi) / 2.0
-
-    def variance(self) -> float:
-        return (self.hi - self.lo) ** 2 / 12.0
+    _code = 1
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if self.hi == self.lo:
@@ -82,54 +76,19 @@ class Interval(Scalar1D):
 class Trapezoid(Scalar1D):
     """Trapezoidal distribution with support [a, d] and plateau [b, c].
 
-    Density rises linearly on [a, b], is constant on [b, c], and falls
-    linearly on [c, d].  Requires a <= b <= c <= d; a == d collapses to a
-    point.  Moments come from piecewise polynomial integration on the
-    support shifted so that a = 0 (b, c, d below are offsets from a), which
-    keeps them free of cancellation however far the support sits from the
-    origin:
-
-        E[X] - a     = (d^2 + c d + c^2 - b^2) / (3 (d + c - b))
-        E[(X - a)^2] = (d^3 + d^2 c + d c^2 + c^3 - b^3) / (6 (d + c - b))
+    Density rises linearly on [a, b], is constant on [b, c], and falls linearly
+    on [c, d].  Requires a <= b <= c <= d; a == d collapses to a point.
     """
 
     a: float
     b: float
     c: float
     d: float
-
-    def __post_init__(self):
-        vals = (self.a, self.b, self.c, self.d)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError("trapezoid parameters must be finite")
-        if not (self.a <= self.b <= self.c <= self.d):
-            raise ValueError(
-                f"trapezoid parameters must satisfy a <= b <= c <= d, got {vals}"
-            )
-
-    def _span(self) -> float:
-        return self.d + self.c - self.b - self.a
-
-    def _moments_about_a(self) -> tuple[float, float]:
-        """E[X - a] and E[(X - a)^2], integrated on the support shifted to a = 0."""
-        s = self._span()
-        if s == 0.0:
-            return 0.0, 0.0
-        b, c, d = self.b - self.a, self.c - self.a, self.d - self.a
-        first = (d * d + c * d + c * c - b * b) / (3.0 * s)
-        second = (d**3 + d**2 * c + d * c**2 + c**3 - b**3) / (6.0 * s)
-        return first, second
-
-    def mean(self) -> float:
-        return self.a + self._moments_about_a()[0]
-
-    def variance(self) -> float:
-        first, second = self._moments_about_a()
-        return max(second - first * first, 0.0)
+    _code = 2
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         a, b, c, d = self.a, self.b, self.c, self.d
-        s = self._span()
+        s = d + c - b - a
         if s == 0.0:
             return np.full(n, a)
         u = rng.uniform(0.0, 1.0, size=n)
@@ -153,18 +112,7 @@ class Normal1D(Scalar1D):
 
     loc: float
     sd: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.loc) and math.isfinite(self.sd)):
-            raise ValueError("normal parameters must be finite")
-        if self.sd < 0.0:
-            raise ValueError(f"normal sd must be non-negative, got {self.sd}")
-
-    def mean(self) -> float:
-        return float(self.loc)
-
-    def variance(self) -> float:
-        return float(self.sd) ** 2
+    _code = 3
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.normal(self.loc, self.sd, size=n)

@@ -5,9 +5,9 @@ first two moments: ``mean()`` returns E[x] and ``cov()`` the covariance
 matrix Cov(x, x).  The second moment follows as E[x x^T] = mean mean^T + cov.
 All covariance bookkeeping uses population (1/N) normalization.
 
-This module holds the array helpers and the ``UncertainDataset`` table.  The
-item classes live in ``items``, which loads only when items are made or
-read.
+This module holds the array helpers, the scalar cell kinds' rules and moments
+(``_cell_moments``) and the ``UncertainDataset`` table.  The item classes
+live in ``items``, which loads only when items are made or read.
 """
 
 from __future__ import annotations
@@ -148,6 +148,80 @@ def _population_moments(
         centered = np.subtract(rows, mean, out=rows if overwrite else None)
         k = centered.T @ centered / rows.shape[0]
         return mean, (k + k.T) / 2.0
+
+
+# Each scalar cell kind's JSON key, parameter count and rule texts: parameters
+# finite, and in order (a format string; a number has none).  A kind's code is
+# its position here; the reader's form error lists the keys in this order.
+_CELL_KINDS = (
+    ("number", 1, "number value must be finite", None),
+    ("interval", 2, "interval bounds must be finite",
+     "interval bounds must satisfy lo <= hi, got [{}, {}]"),
+    ("trapezoid", 4, "trapezoid parameters must be finite",
+     "trapezoid parameters must satisfy a <= b <= c <= d, got ({}, {}, {}, {})"),
+    ("normal", 2, "normal parameters must be finite", "normal sd must be non-negative, got {1}"),
+)
+
+
+def _pow(x: np.ndarray, k: int) -> np.ndarray:
+    """x ** k by CPython's float power (numpy's can differ in the last bit);
+    inf where that overflows, which rejects only the cells it enters."""
+    powers = []
+    for v in x.tolist():
+        try:
+            powers.append(v ** k)
+        except OverflowError:
+            powers.append(math.inf)
+    return np.array(powers, dtype=float)
+
+
+def _cell_moments(code: int, params) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Means, variances and rule masks of the cells of one kind, given their
+    parameters one cell after another; each ``**`` goes through ``_pow``.
+
+    The masks are a (3, n) array, a row per rule: a parameter is not finite;
+    the kind's order rule fails; the mean or variance is not finite.  A
+    trapezoid's moments are integrated on its support shifted so that a = 0
+    (b, c, d below are offsets from a), which keeps them free of cancellation
+    however far the support sits from the origin:
+
+        E[X] - a     = (d^2 + c d + c^2 - b^2) / (3 (d + c - b))
+        E[(X - a)^2] = (d^3 + d^2 c + d c^2 + c^3 - b^3) / (6 (d + c - b))
+    """
+    kind, width = _CELL_KINDS[code][:2]
+    p = np.array(params, dtype=float).reshape(-1, width).T
+    rules = np.zeros((3, p.shape[1]), dtype=bool)
+    with np.errstate(all="ignore"):
+        rules[0] = ~np.isfinite(p).all(axis=0)
+        if kind == "number":
+            mean, var = p[0], np.zeros(p.shape[1])
+        elif kind == "interval":
+            lo, hi = p
+            rules[1] = lo > hi
+            mean, var = (lo + hi) / 2.0, _pow(hi - lo, 2) / 12.0
+        elif kind == "normal":
+            mean, sd = p
+            rules[1] = sd < 0.0
+            var = _pow(sd, 2)
+        else:
+            a, b, c, d = p
+            rules[1] = (a > b) | (b > c) | (c > d)
+            span = d + c - b - a
+            b, c, d = b - a, c - a, d - a
+            first = (d * d + c * d + c * c - b * b) / (3.0 * span)
+            second = (_pow(d, 3) + _pow(d, 2) * c + d * _pow(c, 2) + _pow(c, 3)
+                      - _pow(b, 3)) / (6.0 * span)
+            first[span == 0.0] = second[span == 0.0] = 0.0
+            mean, var = a + first, second - first * first
+            var[var < 0.0] = 0.0  # max(v, 0.0): NaN and -0.0 stay
+        rules[2] = ~(np.isfinite(mean) & np.isfinite(var))
+    return mean, var, rules
+
+
+def _cell_rule_error(code: int, params, rules) -> str | None:
+    """The text of the first rule, finite then order, that a cell's mask column breaks, or None."""
+    texts = _CELL_KINDS[code][2:]
+    return next((text.format(*params) for text, broken in zip(texts, rules) if broken), None)
 
 
 # ---------------------------------------------------------------------------

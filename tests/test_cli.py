@@ -723,6 +723,26 @@ def test_cli_runs_do_not_import_numpy_ma(tmp_path, students_path, iris_path):
     assert _fresh_process(script).splitlines()[-1] == "False"
 
 
+def test_a_rejected_cell_loads_no_item_class(tmp_path):
+    # The reader words a rejected cell from its rule masks, without building it.
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dims": ["a"], "items": [{"values": [{"interval": [2, 1]}]}]}))
+    script = (
+        "import sys\n"
+        "from uapca.dataset_json import load_dataset\n"
+        "from uapca.io import DatasetFormatError\n"
+        "try:\n"
+        f"    load_dataset({str(path)!r})\n"
+        "except DatasetFormatError as exc:\n"
+        "    print(exc)\n"
+        "print('uapca.items' in sys.modules)\n"
+    )
+    assert _fresh_process(script).splitlines() == [
+        f"{path}: item 0, value 0: interval bounds must satisfy lo <= hi, got [2.0, 1.0]",
+        "False",
+    ]
+
+
 def test_each_command_loads_only_its_own_modules(tmp_path, students_path, iris_path):
     # With bytecode writing off, every module a call loads is compiled on
     # that call; fresh processes show which ones each command loads.

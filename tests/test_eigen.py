@@ -214,3 +214,13 @@ def test_principal_angles():
     # Rotating a basis within its own span changes nothing.
     rot = np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])
     assert principal_angles(e[:, :2], e[:, :2] @ rot).max() < 1e-12
+
+
+@pytest.mark.parametrize("angle", [1e-9, 1e-12, 0.3, 1.2])
+def test_principal_angles_recovers_a_known_rotation(angle):
+    # e1 turned by angle in the e1-e2 plane; arccos of the cosine alone reads
+    # 0 for any angle below about 1.5e-8 (sqrt(eps)).
+    e = np.eye(3)
+    turned = np.cos(angle) * e[:, :1] + np.sin(angle) * e[:, 1:2]
+    for a, b in ((e[:, :1], turned), (turned, e[:, :1]), (e[:, ::2], turned)):
+        assert principal_angles(a, b) == pytest.approx([angle], rel=1e-6, abs=0.0)

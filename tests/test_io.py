@@ -762,6 +762,9 @@ def test_load_dataset_agrees_with_the_item_by_item_reader(tmp_path, text):
     # Two rejected cells; a bad mvn before a rejected cell.
     [{"values": [{"interval": [2, 1]}]}, {"values": [{"interval": [3, 1]}]}],
     [{"mvn": {"mean": [0], "cov": [[1, 2]]}}, {"values": [{"interval": [2, 1]}]}],
+    # Out of order and overflowing: the order rule is worded, as the class words it.
+    [{"values": [{"interval": [1e200, -1e200]}]}],
+    [{"values": [{"trapezoid": [1e110, 0, 0, 0]}]}],
 ])
 def test_load_dataset_edge_cases_match_the_item_by_item_reader(tmp_path, items):
     path = tmp_path / "ds.json"

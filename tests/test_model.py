@@ -127,6 +127,25 @@ def test_scalar_validation():
         Normal1D(0.0, -1.0)
     with pytest.raises(ValueError):
         Number(float("nan"))
+    with pytest.raises(TypeError):
+        Interval("0", "2")
+
+
+@pytest.mark.parametrize("cls, params, text", [
+    (Number, (math.inf,), "number value must be finite"),
+    (Interval, (math.inf, -math.inf), "interval bounds must be finite"),
+    (Interval, (2, 1), "interval bounds must satisfy lo <= hi, got [2, 1]"),
+    (Trapezoid, (0.0, math.nan, 1.0, 0.0), "trapezoid parameters must be finite"),
+    (Trapezoid, (0.0, 2.0, 1.0, 3.0),
+     "trapezoid parameters must satisfy a <= b <= c <= d, got (0.0, 2.0, 1.0, 3.0)"),
+    (Normal1D, (math.nan, -1.0), "normal parameters must be finite"),
+    (Normal1D, (0.0, -1.0), "normal sd must be non-negative, got -1.0"),
+])
+def test_cell_rules_are_checked_finite_first(cls, params, text):
+    # The dataset reader words a rejected cell by the same rules and texts.
+    with pytest.raises(ValueError) as err:
+        cls(*params)
+    assert str(err.value) == text
 
 
 def test_point_cov_is_exactly_zero():
@@ -313,6 +332,10 @@ def test_dataset_rejects_covariances_that_are_not_finite():
         UncertainDataset([point, wide, spread])
     with pytest.raises(ValueError, match=r"^item 2: covariance"):
         UncertainDataset([point, Gaussian([0.0, 0.0], np.eye(2)), spread, wide])
+    # Variances whose square overflows are inf, not an OverflowError.
+    for cell in (Interval(-1e200, 1e200), Normal1D(0.0, 1e200), Trapezoid(0.0, 0.0, 1e110, 1e110)):
+        with pytest.raises(ValueError, match=r"^item 1: covariance contains non-finite entries$"):
+            UncertainDataset([point, ProductOf1D([Number(0.0), cell])])
 
 
 def test_psd_rule_on_spectra_at_the_floor():
