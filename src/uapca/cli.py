@@ -97,8 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aggregate-by", metavar="COLUMN",
                    help=f"fold points into per-class items by the trailing "
                         f"'{LABEL_COLUMN}' column (requires --points)")
-    p.add_argument("--cluster-kind", choices=("gaussian", "empirical"), default="gaussian",
-                   help="class summary used with --aggregate-by (default gaussian)")
     p.add_argument("--dims", type=_positive_int, default=2, metavar="Q",
                    help="number of components (default 2)")
     p.add_argument("--scale", type=_scale_value, default=1.0, metavar="S",
@@ -165,7 +163,7 @@ def _cmd_project(args) -> int:
                     f"--aggregate-by supports only the trailing "
                     f"'{LABEL_COLUMN}' column, got {args.aggregate_by!r}"
                 )
-            ds = aggregate_by_label(pts, kind=args.cluster_kind)
+            ds = aggregate_by_label(pts)
         else:
             ds = points_dataset(pts)
     else:

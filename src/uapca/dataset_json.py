@@ -85,13 +85,16 @@ def _cell_classes() -> tuple[type[Scalar1D], ...]:
 
 
 def _cell_json(cell: Scalar1D) -> dict:
-    """The value spec of a cell: the inverse of ``_cell_params``."""
+    """The value spec of a cell: the inverse of ``_cell_params``.  A parameter
+    whose type is not exactly int or float, such as a bool or a numpy
+    scalar, is written as its float()."""
     if not isinstance(cell, _cell_classes()):
         raise TypeError(f"{cell!r} has no dataset-file form")
-    key, params = _CELL_KINDS[cell._code][0], astuple(cell)
+    key = _CELL_KINDS[cell._code][0]
+    params = [v if type(v) in (int, float) else float(v) for v in astuple(cell)]
     if key == "normal":
         return {key: {"mean": params[0], "sd": params[1]}}
-    return {key: params[0] if key == "number" else list(params)}
+    return {key: params[0] if key == "number" else params}
 
 
 def _cell(spec, i: int, j: int) -> Scalar1D:

@@ -21,10 +21,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .cov import global_cov
-from .model import UncertainDataset, _population_moments, _readonly
+from .model import UncertainDataset, _cov_stack, _population_moments, _readonly
 
 if TYPE_CHECKING:
-    from .items import Distribution
     from .metrics import ExperimentRow
     from .sensitivity import EigenCurves, FactorTrace, SweepSchedule
 
@@ -180,48 +179,38 @@ def points_dataset(pts: PointsData) -> UncertainDataset:
     return UncertainDataset._from_table(pts.points, dim_names=pts.dim_names, labels=pts.labels)
 
 
-def aggregate_by_label(pts: PointsData, kind: str = "gaussian") -> UncertainDataset:
-    """Fold labeled points into one distribution item per class.
+def aggregate_by_label(pts: PointsData) -> UncertainDataset:
+    """Fold labeled points into one row per class of the moment table.
 
-    kind="gaussian" summarizes each class by its mean and population (1/n)
-    covariance; kind="empirical" keeps the class points as a resampling
-    cluster.  Item weights are the class counts, in order of first
-    appearance.
+    A row holds its class's mean and population (1/n) covariance and is
+    weighted by the class count; a one-point class has zero covariance.
+    Classes, and the points within each, keep their order of first
+    appearance, so every row is ``_population_moments`` of the class points
+    bit for bit.  Errors name the first bad class: a non-finite mean before
+    a non-finite covariance, then the PSD check of ``_cov_stack``.
     """
-    from .items import EmpiricalCluster, Gaussian
-
-    if kind not in ("gaussian", "empirical"):
-        raise ValueError(f"kind must be 'gaussian' or 'empirical', got {kind!r}")
     if pts.labels is None:
         raise DatasetFormatError("points file has no label column to aggregate by")
-    order: list[str] = []
-    groups: dict[str, list[int]] = {}
-    for i, lab in enumerate(pts.labels):
-        if lab not in groups:
-            order.append(lab)
-            groups[lab] = []
-        groups[lab].append(i)
-
-    items: list[Distribution] = []
-    weights: list[float] = []
-    for lab in order:
-        rows = pts.points[groups[lab]]
-        if kind == "gaussian" and rows.shape[0] < 2:
-            raise DatasetFormatError(
-                f"class {lab!r} has fewer than 2 points; "
-                f"gaussian aggregation needs at least 2"
-            )
-        moments = _population_moments(rows)
-        for what, m in zip(("mean", "covariance"), moments):
-            if not np.isfinite(m).all():
-                raise DatasetFormatError(f"class {lab!r}: {what} contains non-finite entries")
-        items.append(Gaussian(*moments) if kind == "gaussian" else EmpiricalCluster(rows))
-        weights.append(float(rows.shape[0]))
-    return UncertainDataset(
-        tuple(items),
-        weights=np.array(weights),
-        dim_names=pts.dim_names,
-        labels=tuple(order),
+    codes: dict[str, int] = {}
+    code = np.array([codes.setdefault(lab, len(codes)) for lab in pts.labels], dtype=np.intp)
+    names = tuple(codes)
+    counts = np.bincount(code)
+    rows = pts.points[np.argsort(code, kind="stable")]
+    ends = np.cumsum(counts).tolist()
+    moments = [_population_moments(rows[end - n:end]) for n, end in zip(counts.tolist(), ends)]
+    d = rows.shape[1]
+    means = np.array([m for m, _ in moments]).reshape(-1, d)
+    covs = np.array([k for _, k in moments]).reshape(-1, d, d)
+    bad_mean = ~np.isfinite(means).all(axis=1)
+    bad = bad_mean | ~np.isfinite(covs).all(axis=(1, 2))
+    if bad.any():
+        i = int(np.argmax(bad))
+        what = "mean" if bad_mean[i] else "covariance"
+        raise DatasetFormatError(f"class {names[i]!r}: {what} contains non-finite entries")
+    covs = _cov_stack(covs, lambda i: f"class {names[i]!r}: covariance")
+    return UncertainDataset._from_table(
+        means, np.arange(len(names)), covs,
+        weights=counts.astype(float), dim_names=pts.dim_names, labels=names,
     )
 
 

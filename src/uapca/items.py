@@ -15,7 +15,7 @@ from numbers import Real
 import numpy as np
 
 from .model import (_as_vector, _cell_moments, _cell_rule_error, _population_moments,
-                    _readonly, _row_mean, cov_matrix)
+                    _readonly, _real_array, _row_mean, cov_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +270,7 @@ class EmpiricalCluster(Distribution):
     """
 
     def __init__(self, points):
-        p = np.asarray(points, dtype=float)
+        p = _real_array(points, "points")
         if p.ndim != 2 or p.shape[0] == 0 or p.shape[1] == 0:
             raise ValueError(f"points must be a non-empty (n, D) array, got shape {p.shape}")
         if not np.all(np.isfinite(p)):

@@ -42,8 +42,17 @@ def _median(x) -> float:
     return 0.0 + s[mid] if len(s) % 2 else (0.0 + s[mid - 1] + s[mid]) / 2.0
 
 
+def _real_array(x, name: str) -> np.ndarray:
+    """x as a float array; a TypeError unless its dtype is bool, int or float,
+    so that text such as "1" is refused as the cells refuse it."""
+    a = np.asarray(x)
+    if a.dtype.kind not in "biuf":
+        raise TypeError(f"{name} must hold real numbers, got dtype {a.dtype}")
+    return a.astype(float, copy=False)
+
+
 def _as_vector(x, name: str = "vector") -> np.ndarray:
-    v = np.asarray(x, dtype=float)
+    v = _real_array(x, name)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"{name} must be a non-empty 1-d array, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
@@ -59,7 +68,7 @@ def cov_matrix(entries, name: str = "covariance") -> np.ndarray:
     no lower than ``-PSD_RTOL`` times the largest eigenvalue magnitude).
     The returned array is read-only.
     """
-    k = np.asarray(entries, dtype=float)
+    k = _real_array(entries, name)
     if k.ndim != 2 or k.shape[0] != k.shape[1] or k.shape[0] == 0:
         raise ValueError(f"{name} must be a square matrix, got shape {k.shape}")
     return _cov_stack(k[None], lambda i: name)[0]

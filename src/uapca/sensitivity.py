@@ -156,14 +156,10 @@ def detect_avoided_crossings(curves: EigenCurves) -> list[tuple[int, int]]:
     vals = np.asarray(curves.values, dtype=float)
     if vals.ndim != 2 or vals.shape[0] < 3:
         raise ValueError("avoided-crossing detection needs at least 3 sweep steps")
-    n_steps, d = vals.shape
-    flags: list[tuple[int, int]] = []
-    for i in range(d - 1):
-        gap = vals[:, i] - vals[:, i + 1]
-        cutoff = 0.25 * _median(gap)
-        for k in range(1, n_steps - 1):
-            if gap[k] <= 0.0 or gap[k] >= cutoff:
-                continue
-            if gap[k] < gap[k - 1] and gap[k] <= gap[k + 1]:
-                flags.append((k, i))
-    return flags
+    gaps = vals[:, :-1] - vals[:, 1:]  # (steps, pairs)
+    cutoff = 0.25 * np.array([_median(gap) for gap in gaps.T])
+    # The negated skip test "gap <= 0 or gap >= cutoff": a NaN cut-off skips nothing.
+    g = gaps[1:-1]
+    hit = ~(g <= 0.0) & ~(g >= cutoff) & (g < gaps[:-2]) & (g <= gaps[2:])
+    pair, step = np.nonzero(hit.T)  # pair-major, as the flags are listed
+    return list(zip((step + 1).tolist(), pair.tolist()))

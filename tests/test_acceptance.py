@@ -216,7 +216,7 @@ def test_criterion_05_projected_normal_matches_monte_carlo():
 def test_criterion_06_iris_clusters_match_point_pca(iris_path):
     pts = load_points(iris_path)
     point_pca = global_cov(UncertainDataset(tuple(map(Point, pts.points))))
-    clusters = aggregate_by_label(pts, kind="gaussian")
+    clusters = aggregate_by_label(pts)
     cluster_pca = global_cov(clusters)
 
     a = eig_sym(point_pca.at(0.0)).vectors[:, :2]
@@ -254,7 +254,7 @@ def test_criterion_07_weighted_clusters_match_pooled_points():
     points = np.vstack(blocks)
     pts = PointsData(points=points, dim_names=tuple(f"x{i}" for i in range(d)),
                      labels=tuple(labels))
-    clusters = aggregate_by_label(pts, kind="gaussian")
+    clusters = aggregate_by_label(pts)
     cluster_cov = global_cov(clusters).at(1.0)
     point_cov = global_cov(UncertainDataset(tuple(map(Point, points)))).at(0.0)
     diff = float(np.linalg.norm(cluster_cov - point_cov))
@@ -268,6 +268,27 @@ def test_criterion_07_weighted_clusters_match_pooled_points():
     )
     assert diff <= 1e-10
     assert elapsed < 10.0
+
+
+def test_criterion_07_holds_with_one_point_classes():
+    # Classes of one point are rows with zero covariance, so they enter K(1)
+    # as the points themselves enter K(0).
+    rng = np.random.default_rng(207)
+    d = 4
+    labels = [f"big{i % 3}" for i in range(300)] + [f"one{i}" for i in range(12)]
+    order = rng.permutation(len(labels))
+    labels = [labels[i] for i in order]
+    points = rng.normal(0.0, 3.0, (len(labels), d)) + rng.normal(0.0, 5.0, d)
+    pts = PointsData(points=points, dim_names=tuple(f"x{i}" for i in range(d)),
+                     labels=tuple(labels))
+    clusters = aggregate_by_label(pts)
+    assert len(clusters) == 15
+    cluster_cov = global_cov(clusters).at(1.0)
+    point_cov = global_cov(UncertainDataset(tuple(map(Point, points)))).at(0.0)
+    diff = float(np.linalg.norm(cluster_cov - point_cov))
+    _report("criterion 07 with one-point classes", diff <= 1e-10,
+            f"3 classes of 100 and 12 of one point, Frobenius diff {diff:.2e} (tol 1e-10)")
+    assert diff <= 1e-10
 
 
 def test_criterion_08_sampling_converges_and_hardens_with_dimension():

@@ -77,15 +77,12 @@ def test_project_points_and_aggregation(tmp_path, iris_path, capsys):
     assert len(lines) == 4
     assert [row.split(",")[0] for row in lines[1:]] == ["setosa", "versicolor", "virginica"]
 
-    emp = tmp_path / "emp"
-    code = main([
-        "project", "--input", str(iris_path), "--points",
-        "--aggregate-by", "label", "--cluster-kind", "empirical",
-        "--out-prefix", str(emp),
-    ])
-    assert code == 0
-    # Gaussian and empirical class summaries share the same moments.
-    assert _read_lines(tmp_path / "agg.projection.csv") == _read_lines(tmp_path / "emp.projection.csv")
+    # Classes have one summary, their moments; there is no kind to choose.
+    with pytest.raises(SystemExit) as exc:
+        main(["project", "--input", str(iris_path), "--points", "--aggregate-by", "label",
+              "--cluster-kind", "empirical", "--out-prefix", str(tmp_path / "emp")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cluster-kind" in capsys.readouterr().err
 
 
 def test_project_points_shifted_by_1e8_match_unshifted(tmp_path, iris_path, capsys):
@@ -453,6 +450,22 @@ def test_project_points_output_bytes_are_pinned(tmp_path, capsys):
     }
 
 
+def test_project_aggregated_iris_bytes_are_pinned(tmp_path, iris_path, capsys):
+    # Recorded while each class was still built as an item and read back;
+    # writing the class moments straight into the table must not move a bit.
+    code = main(["project", "--points", "--input", str(iris_path), "--aggregate-by", "label",
+                 "--out-prefix", str(tmp_path / "pin")])
+    assert code == 0
+    digest = {
+        ext: hashlib.sha256((tmp_path / f"pin.projection.{ext}").read_bytes()).hexdigest()
+        for ext in ("csv", "svg")
+    }
+    assert digest == {
+        "csv": "8d9db0c130cf06723a5e505020dcaad5781f5d498d3bbc436223245b08a3fcc8",
+        "svg": "2755892addd5a9ff884b5d8b1f5f47572a6a65f32719808f1f59b94117ea10f9",
+    }
+
+
 _PSI = [[0.05, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.3]]
 _PINNED_SWEEP = {
     "dims": ["a", "b", "c"],
@@ -549,9 +562,9 @@ _HUGE_CLASSES = "a,b,label\n1.3e154,2,x\n-1.3e154,3,x\n5,1.2e154,y\n0,0,y\n"
      "axis 'b' has a variance that overflows; cannot standardize"),
     ("classes.csv", _HUGE_CLASSES, ["--points", "--aggregate-by", "label"],
      "class 'x': covariance contains non-finite entries"),
-    ("classes.csv", _HUGE_CLASSES,
-     ["--points", "--aggregate-by", "label", "--cluster-kind", "empirical"],
-     "class 'x': covariance contains non-finite entries"),
+    # A one-point class ahead of the overflowing one is accepted.
+    ("classes.csv", "a,b,label\n5,1,y\n" + _HUGE_CLASSES[10:],
+     ["--points", "--aggregate-by", "label"], "class 'x': covariance contains non-finite entries"),
     ("span.csv", "a,b\n1e308,2\n-1e308,3\n5,1\n", ["--points", "--scale", "inf"],
      "projected items span more than the float range; cannot draw them"),
 ])
@@ -763,6 +776,9 @@ def test_each_command_loads_only_its_own_modules(tmp_path, students_path, iris_p
     assert not loaded(command("project", "--points", "--input", str(iris_path),
                               "--out-prefix", str(tmp_path / "p"))) & {
         "metrics", "sensitivity", "items", "dataset_json", "json"}
+    assert not loaded(command("project", "--points", "--input", str(iris_path),
+                              "--aggregate-by", "label", "--out-prefix", str(tmp_path / "a"))) & {
+        "items", "dataset_json", "json"}
     assert "items" not in loaded(command("project", "--input", str(students_path),
                                          "--out-prefix", str(tmp_path / "d")))
     assert not loaded(command("trace", "--input", str(students_path),

@@ -33,8 +33,10 @@ _DATASET = {
         {"mvn": {"mean": [2, 1, 0], "cov": [[0.5, 0, 0], [0, 0.5, 0], [0, 0, 0.5]]}},
     ],
 }
+# Class z has one point, which aggregates to zero covariance.
 _CSV = [["a", "b", "c", "label"], ["1.0", "2.0", "0.5", "x"], ["3.0", "-1.0", "1.5", "x"],
-        ["0.5", "0.0", "2.5", "y"], ["-2.0", "1.0", "1.0", "y"], ["1.5", "4.0", "-1.0", "y"]]
+        ["0.5", "0.0", "2.5", "y"], ["-2.0", "1.0", "1.0", "y"], ["1.5", "4.0", "-1.0", "y"],
+        ["2.0", "0.5", "-0.5", "z"]]
 
 # One-value replacements: type swaps, non-finite values and extreme magnitudes.
 _SWAPS = ["7", "x", True, False, None, [], [1.0], {}, {"k": 1},
@@ -46,8 +48,7 @@ _JSON_RUNS = [["project"], ["project", "--standardize"], ["project", "--scale", 
               ["trace", "--steps", "5"]]
 _CSV_RUNS = [["project", "--points"], ["project", "--points", "--standardize"],
              ["project", "--points", "--scale", "inf"],
-             ["project", "--points", "--aggregate-by", "label"],
-             ["project", "--points", "--aggregate-by", "label", "--cluster-kind", "empirical"]]
+             ["project", "--points", "--aggregate-by", "label"]]
 
 
 def _paths(node, path=()):

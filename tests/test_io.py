@@ -36,7 +36,7 @@ from uapca.items import (
     Scalar1D,
     Trapezoid,
 )
-from uapca.model import UncertainDataset, _cov_stack
+from uapca.model import UncertainDataset, _cov_stack, _population_moments
 from uapca.sensitivity import SweepSchedule, factor_traces, sweep
 
 
@@ -75,6 +75,19 @@ def test_save_load_roundtrip_returns_equal_cells(tmp_path):
     save_dataset(ds, out)
     back = load_dataset(out)
     assert [list(item.cells) for item in back.items] == [cells, cells[::-1]]
+
+
+def test_save_load_roundtrip_of_numpy_and_bool_parameters(tmp_path):
+    # Parameters that are not exactly int or float are written as floats.
+    cells = [Interval(np.float32(0), np.int64(2)), Number(True),
+             Normal1D(np.float64(0.5), np.float16(1.5))]
+    ds = UncertainDataset(items=(ProductOf1D(cells),))
+    assert dataset_to_json(ds)["items"][0]["values"] == [
+        {"interval": [0.0, 2.0]}, {"number": 1.0}, {"normal": {"mean": 0.5, "sd": 1.5}}]
+    out = tmp_path / "numpy.json"
+    save_dataset(ds, out)
+    back = load_dataset(out)
+    assert list(back.items[0].cells) == [Interval(0.0, 2.0), Number(1.0), Normal1D(0.5, 1.5)]
 
 
 def test_cluster_items_serialize_as_gaussians(tmp_path):
@@ -179,7 +192,7 @@ def test_points_dataset_items_are_point_masses(tmp_path):
 
 def test_aggregate_gaussian_matches_class_moments(iris_path):
     pts = load_points(iris_path)
-    ds = aggregate_by_label(pts, kind="gaussian")
+    ds = aggregate_by_label(pts)
     assert len(ds) == 3
     assert ds.labels == ("setosa", "versicolor", "virginica")
     assert np.array_equal(ds.weights, [50.0, 50.0, 50.0])
@@ -189,31 +202,87 @@ def test_aggregate_gaussian_matches_class_moments(iris_path):
     assert np.abs(ds.items[0].cov() - expect).max() <= 1e-12
 
 
-def test_aggregate_empirical_keeps_points(iris_path):
-    pts = load_points(iris_path)
-    ds = aggregate_by_label(pts, kind="empirical")
-    assert all(isinstance(it, EmpiricalCluster) for it in ds.items)
-    assert sum(it.points.shape[0] for it in ds.items) == 150
-    # Moments agree with the gaussian aggregation exactly.
-    gds = aggregate_by_label(pts, kind="gaussian")
-    for e, g in zip(ds.items, gds.items):
-        assert np.abs(e.mean() - g.mean()).max() <= 1e-12
-        assert np.abs(e.cov() - g.cov()).max() <= 1e-12
+def test_aggregate_one_point_class_has_zero_covariance():
+    pts = PointsData(points=np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
+                     dim_names=("x", "y"), labels=("a", "b", "a"))
+    ds = aggregate_by_label(pts)
+    assert ds.labels == ("a", "b")
+    assert np.array_equal(ds.weights, [2.0, 1.0])
+    assert np.array_equal(ds.means(), [[3.0, 4.0], [3.0, 4.0]])
+    assert np.array_equal(ds.full_covs[1], np.zeros((2, 2)))
+    assert np.array_equal(ds.items[1].cov(), np.zeros((2, 2)))
+
+
+@st.composite
+def _labeled_points(draw):
+    """Points with labels over few classes, so that one-point classes are common."""
+    n = draw(st.integers(1, 24))
+    d = draw(st.integers(1, 4))
+    labels = draw(st.lists(st.sampled_from("abcdefg"), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=d)
+    if draw(st.booleans()):
+        points = np.asfortranarray(points)
+    return PointsData(points=points, dim_names=tuple(f"x{i}" for i in range(d)),
+                      labels=tuple(labels))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_labeled_points())
+def test_aggregate_rows_are_class_moments_bit_for_bit(pts):
+    names = tuple(dict.fromkeys(pts.labels))
+    ds = aggregate_by_label(pts)
+    assert ds.labels == names
+    assert ds.weights.tolist() == [float(pts.labels.count(lab)) for lab in names]
+    assert ds.full_index.tolist() == list(range(len(names)))
+    for i, lab in enumerate(names):
+        rows = pts.points[[j for j, x in enumerate(pts.labels) if x == lab]]
+        mean, cov = _population_moments(rows)
+        assert ds.means()[i].tobytes() == mean.tobytes()
+        assert ds.full_covs[i].tobytes() == cov.tobytes()
 
 
 def test_aggregate_errors(tmp_path):
     p = _write(tmp_path, "few.csv", "x,y,label\n1,2,a\n3,4,a\n5,6,b\n")
     pts = load_points(p)
-    with pytest.raises(DatasetFormatError, match="fewer than 2"):
-        aggregate_by_label(pts, kind="gaussian")
-    # Empirical aggregation accepts singleton classes.
-    ds = aggregate_by_label(pts, kind="empirical")
+    # A one-point class is accepted, with zero covariance.
+    ds = aggregate_by_label(pts)
     assert np.array_equal(ds.weights, [2.0, 1.0])
-    with pytest.raises(ValueError, match="kind"):
-        aggregate_by_label(pts, kind="median")
+    assert np.array_equal(ds.full_covs[1], np.zeros((2, 2)))
+    with pytest.raises(TypeError, match="kind"):
+        aggregate_by_label(pts, kind="gaussian")
     unlabeled = PointsData(points=pts.points, dim_names=pts.dim_names)
     with pytest.raises(DatasetFormatError, match="no label column"):
         aggregate_by_label(unlabeled)
+
+
+def test_aggregate_names_the_first_bad_class():
+    # The rows of b overflow the mean and the covariance; those of a with
+    # the same label the covariance only.
+    big = 1.3e154
+    points = np.array([[0.0, 0.0], [big, 0.0], [1e308, 0.0], [1e308, 0.0], [-big, 0.0]])
+    for labels, error in (
+        (("c", "a", "b", "b", "a"), "class 'a': covariance contains non-finite entries"),
+        (("c", "a", "b", "b", "c"), "class 'b': mean contains non-finite entries"),
+    ):
+        pts = PointsData(points=points, dim_names=("x", "y"), labels=labels)
+        with pytest.raises(DatasetFormatError) as err:
+            aggregate_by_label(pts)
+        assert str(err.value) == error
+
+
+def test_aggregate_psd_error_names_the_class(monkeypatch):
+    import uapca.io
+
+    def moments(rows):
+        mean, cov = _population_moments(rows)
+        return mean, cov - (rows.shape[0] == 1) * np.eye(rows.shape[1])
+
+    monkeypatch.setattr(uapca.io, "_population_moments", moments)
+    pts = PointsData(points=np.arange(6.0).reshape(3, 2), dim_names=("x", "y"),
+                     labels=("a", "a", "b"))
+    with pytest.raises(ValueError, match="^class 'b': covariance is not positive semi-definite"):
+        aggregate_by_label(pts)
 
 
 def test_standardize_points():

@@ -131,6 +131,20 @@ def test_scalar_validation():
         Interval("0", "2")
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Interval("0", "2"),
+    lambda: Point(["1", "2"]),
+    lambda: Gaussian(["0"], [["1"]]),
+    lambda: Gaussian([0.0], [["1"]]),
+    lambda: EmpiricalCluster([["1", "2"]]),
+    lambda: Point([1j]),
+], ids=["cell", "point", "gaussian-mean", "gaussian-cov", "cluster", "complex"])
+def test_non_real_entries_are_a_type_error(make):
+    # Items refuse text as the cells do, rather than reading it as a number.
+    with pytest.raises(TypeError):
+        make()
+
+
 @pytest.mark.parametrize("cls, params, text", [
     (Number, (math.inf,), "number value must be finite"),
     (Interval, (math.inf, -math.inf), "interval bounds must be finite"),

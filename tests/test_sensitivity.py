@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uapca.cov import global_cov
 from uapca.eigen import PcaModel, eig_sym, principal_angles
@@ -244,6 +246,42 @@ def test_exact_degeneracy_is_not_flagged():
     lam = np.array([[2.0, 1.0], [1.5, 1.5], [2.0, 1.0], [3.0, 1.0]])
     curves = EigenCurves(s_values=np.array([0.0, 0.5, 1.0, np.inf]), values=lam)
     assert detect_avoided_crossings(curves) == []
+
+
+def _loop_avoided_crossings(values: np.ndarray) -> list[tuple[int, int]]:
+    """The detector as a per-pair, per-step loop, with its skip test as written."""
+    flags = []
+    for i in range(values.shape[1] - 1):
+        gap = values[:, i] - values[:, i + 1]
+        cutoff = 0.25 * float(np.median(gap))
+        for k in range(1, len(gap) - 1):
+            if gap[k] <= 0.0 or gap[k] >= cutoff:
+                continue
+            if gap[k] < gap[k - 1] and gap[k] <= gap[k + 1]:
+                flags.append((k, i))
+    return flags
+
+
+# Few distinct values, so gaps tie, touch zero and go negative; NaN makes
+# both NaN gaps and, through the median, NaN cut-offs.
+_CURVE_VALUES = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, 3.0, 8.0, -1.0, math.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 12).flatmap(lambda steps: st.integers(1, 5).flatmap(
+    lambda d: st.lists(st.lists(_CURVE_VALUES, min_size=d, max_size=d),
+                       min_size=steps, max_size=steps))))
+def test_avoided_crossings_match_the_loop(rows):
+    values = np.array(rows, dtype=float)
+    curves = EigenCurves(s_values=np.linspace(0.0, 1.0, len(rows)), values=values)
+    assert detect_avoided_crossings(curves) == _loop_avoided_crossings(values)
+
+
+def test_nan_cutoff_skips_nothing():
+    # The median gap of pair 0 is NaN, so only the positive local-minimum test applies.
+    lam = np.array([[3.0, 0.0], [1.0, 0.0], [3.0, 0.0], [math.nan, 0.0], [math.nan, 0.0]])
+    curves = EigenCurves(s_values=np.linspace(0.0, 1.0, 5), values=lam)
+    assert detect_avoided_crossings(curves) == [(1, 0)]
 
 
 def test_sweep_solves_the_whole_stack_in_one_call(monkeypatch):
