@@ -5,7 +5,8 @@ writes the projected items, ``trace`` sweeps the scale and writes factor
 traces plus eigenvalue curves, ``compare-sampling`` runs the convergence
 experiment against the Monte-Carlo oracle.  Machine-readable results go to
 files; stdout carries short human summaries.  Exit codes: 0 on success, 1
-on input or validation failures (out of memory included), 2 on bad flags.
+on input or validation failures (out of memory and a killed worker process
+included), 2 on bad flags.
 """
 
 from __future__ import annotations
@@ -16,10 +17,12 @@ import math
 import os
 import sys
 
-# compare-sampling runs one worker thread per CPU, and the other commands
-# only do small products, so OpenBLAS gets one thread rather than a second
-# pool of its own.  It reads the variable when numpy loads: a caller that
-# has loaded numpy already keeps its environment, and a user's value wins.
+# compare-sampling runs one worker process per CPU, each of which calls
+# BLAS, and the other commands only do small products, so OpenBLAS gets one
+# thread rather than a second pool of its own.  It reads the variable when
+# numpy loads: a caller that has loaded numpy already keeps its environment,
+# and a user's value wins.  With one thread, no BLAS thread is alive when
+# compare-sampling forks its workers.
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
@@ -267,7 +270,16 @@ def _cmd_compare_sampling(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc))
-    rows = run_convergence_experiment(cfg)
+    try:
+        rows = run_convergence_experiment(cfg)
+    except RuntimeError as exc:
+        from concurrent.futures.process import BrokenProcessPool
+
+        if not isinstance(exc, BrokenProcessPool):
+            raise
+        # A worker killed by a signal, the OOM killer's among them.
+        raise ChildProcessError("a sampling worker process was killed "
+                                "(by a signal, or for want of memory)") from None
     write_experiment_csv(args.out, rows)
     for dim in cfg.dims:
         needed = samples_to_reach(rows, dim)

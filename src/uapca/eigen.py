@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _as_vector, _readonly, _require_psd_spectra, _symmetrized
+from .model import _frozen_vector, _readonly, _require_psd_spectra, _symmetrized
 
 
 @dataclass(eq=False, repr=False)
@@ -90,14 +90,14 @@ def eig_sym(k) -> EigenPairs:
 
 def select_components(pairs: EigenPairs, mean, q: int) -> PcaModel:
     """Take the top q eigenvectors as the projection basis."""
-    m = _as_vector(mean, "mean")
+    m = _frozen_vector(mean, "mean")
     d = pairs.vectors.shape[0]
     if m.size != d:
         raise ValueError(f"mean length {m.size} does not match dimension {d}")
     if not isinstance(q, (int, np.integer)) or not (1 <= q <= d):
         raise ValueError(f"q must be an integer in [1, {d}], got {q!r}")
     return PcaModel(
-        mean=_readonly(m.copy()),
+        mean=m,
         components=_readonly(pairs.vectors[:, :q].copy()),
         eigenvalues=_readonly(pairs.values.copy()),
         q=int(q),

@@ -14,7 +14,7 @@ from numbers import Real
 
 import numpy as np
 
-from .model import (_as_vector, _cell_moments, _cell_rule_error, _population_moments,
+from .model import (_cell_moments, _cell_rule_error, _frozen_vector, _population_moments,
                     _readonly, _real_array, _row_mean, cov_matrix)
 
 
@@ -163,7 +163,7 @@ class Point(Distribution):
     """A point mass: zero covariance, exact location."""
 
     def __init__(self, x):
-        self._x = _readonly(_as_vector(x, "point"))
+        self._x = _frozen_vector(x, "point")
 
     @property
     def dim(self) -> int:
@@ -188,13 +188,13 @@ class Gaussian(Distribution):
     """Multivariate normal given by mean vector and covariance matrix."""
 
     def __init__(self, mean, cov):
-        m = _as_vector(mean, "mean")
+        m = _frozen_vector(mean, "mean")
         k = cov_matrix(cov, "Gaussian covariance")
         if k.shape[0] != m.size:
             raise ValueError(
                 f"covariance shape {k.shape} does not match mean length {m.size}"
             )
-        self._mean = _readonly(m)
+        self._mean = m
         self._cov = k
         self._factor: np.ndarray | None = None
 

@@ -21,14 +21,13 @@ correctness argument for the accumulation scheme.
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cov import global_cov
 from .items import Gaussian
-from .model import UncertainDataset, _as_vector, _median, _population_moments, _readonly
+from .model import UncertainDataset, _frozen_vector, _median, _population_moments, _readonly
 
 _REG_EPS = 1e-12
 _TARGET_H = 0.1
@@ -43,13 +42,13 @@ class PcaSummary:
     cov: np.ndarray
 
     def __post_init__(self):
-        m = _as_vector(self.mean, "mean")
+        m = _frozen_vector(self.mean, "mean")
         k = np.asarray(self.cov, dtype=float)
         if k.shape != (m.size, m.size):
             raise ValueError(f"covariance shape {k.shape} does not match mean length {m.size}")
         if not np.all(np.isfinite(k)):
             raise ValueError("covariance contains non-finite entries")
-        self.mean = _readonly(m)
+        self.mean = m
         self.cov = _readonly((k + k.T) / 2.0)
 
 
@@ -115,7 +114,7 @@ def sampled_pca(
     ``scratch`` is an optional contiguous 1-d float64 array of at least
     (len(ds) + 1) * samples_per_item * D entries; the pooled rows and the
     Gaussian normal draws are written into it instead of fresh arrays, so a
-    caller making many passes (one buffer per thread) allocates no sample
+    caller making many passes (one buffer per worker) allocates no sample
     arrays per pass.  Its old contents do not matter, the result does not
     alias it, and the result is the same bits with or without it.
     """
@@ -223,6 +222,43 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
+def _share(tasks, seed: int, scratch_size: int, first: int = 0, step: int = 1,
+           stop=None) -> list[float]:
+    """Hellinger distances of passes ``tasks[first::step]``, in that order.
+
+    Each pass has its own generator, seeded from (seed, dim, count, run), and
+    all of them reuse one ``sampled_pca`` scratch buffer.  The list ends
+    early, short of its passes, once the event ``stop`` is set.
+    """
+    scratch = np.empty(scratch_size)
+    dists = []
+    for dim, count, ds, closed, run in tasks[first::step]:
+        if stop is not None and stop.is_set():
+            break
+        rng = np.random.default_rng([seed, dim, count, run])
+        dists.append(hellinger(sampled_pca(ds, count, rng, scratch=scratch), closed))
+    return dists
+
+
+# A worker process's arguments to _share, set by _start_worker: under fork
+# they are inherited from the parent, not pickled.
+_job: tuple = ()
+
+
+def _start_worker(*job) -> None:
+    global _job
+    _job = job
+
+
+def _worker_share(first: int, step: int) -> list[float]:
+    tasks, seed, scratch_size, stop = _job
+    try:
+        return _share(tasks, seed, scratch_size, first, step, stop)
+    except BaseException:
+        stop.set()  # the other workers stop after the pass they are in
+        raise
+
+
 def run_convergence_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
     """Median Hellinger between sampled and closed-form PCA summaries.
 
@@ -231,55 +267,59 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
     Hellinger distance to the closed-form summary at s = 1.  Rows come out
     ordered by dim, then sample count.
 
-    The passes run on a thread pool with one worker per CPU this process
-    may use.  Each pass has its own generator, seeded from (seed, dim,
-    count, run), and each worker reuses one ``sampled_pca`` scratch buffer
-    across its passes, so the rows are fully determined by the config and
-    do not depend on the worker count.
+    The passes run in forked worker processes, one per CPU this process
+    may use: of W workers, worker k runs passes k, k + W, k + 2W, ...
+    Each pass has its own generator, seeded from (seed, dim, count, run),
+    and each worker reuses one ``sampled_pca`` scratch buffer across its
+    passes, so the rows are fully determined by the config and do not
+    depend on the worker count.  A failing pass stops the other workers
+    after the pass they are in, and its exception is raised here; a worker
+    killed by a signal raises ``BrokenProcessPool``.  No worker outlives
+    the call.  With one usable CPU, or where the fork start method does not
+    exist, the same passes run in this process, one after another.
 
     OpenBLAS splits the larger products over a thread pool of its own, on
-    CPUs these workers already fill.  The CLI gives it one thread by setting
-    ``OPENBLAS_NUM_THREADS`` before numpy loads; a library caller should set
-    that variable before its own first import of numpy.  The rows are the
-    same bits with one BLAS thread or two.
+    CPUs the workers already fill.  The CLI gives it one thread by setting
+    ``OPENBLAS_NUM_THREADS`` before numpy loads, so its process has no other
+    thread when it forks; a library caller should set that variable before
+    its own first import of numpy, and should not call this while threads of
+    its own hold locks.  The rows are the same bits with one BLAS thread or
+    two.
     """
-    # Imported here, not at module top: it would add to every CLI start-up.
-    from concurrent.futures import ThreadPoolExecutor
-
     cells = []
     for dim in cfg.dims:
         ds = _experiment_dataset(dim, cfg.n_items, cfg.rng_seed)
         for item in ds.items:
-            item._sampling_factor()  # cached now, so the workers only read it
+            item._sampling_factor()  # cached now, so every worker inherits it
         g = global_cov(ds)
         closed = PcaSummary(mean=g.mean, cov=g.at(1.0))
         cells.extend((dim, count, ds, closed) for count in cfg.sample_counts)
-    tasks = [(cell, run) for cell in cells for run in range(cfg.runs)]
-    dists = [0.0] * len(tasks)
+    tasks = [(*cell, run) for cell in cells for run in range(cfg.runs)]
     scratch_size = (cfg.n_items + 1) * max(cfg.sample_counts) * max(cfg.dims)
     workers = min(_worker_count(), len(tasks))
-    stop = threading.Event()
+    if workers > 1:
+        # Imported here, not at module top: they would add to every CLI start-up.
+        import multiprocessing
 
-    def work(first: int) -> None:
-        try:
-            scratch = np.empty(scratch_size)
-            for i in range(first, len(tasks), workers):
-                if stop.is_set():
-                    return
-                (dim, count, ds, closed), run = tasks[i]
-                rng = np.random.default_rng([cfg.rng_seed, dim, count, run])
-                dists[i] = hellinger(sampled_pca(ds, count, rng, scratch=scratch), closed)
-        except BaseException:
-            stop.set()  # the other workers stop after the pass they are in
-            raise
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
+    if workers == 1:
+        dists = _share(tasks, cfg.rng_seed, scratch_size)
+    else:
+        from concurrent.futures import ProcessPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(work, first) for first in range(workers)]
-        try:
-            for future in futures:
-                future.result()
-        finally:
-            stop.set()  # on an interrupt, too, no worker starts another pass
+        ctx = multiprocessing.get_context("fork")
+        stop = ctx.Event()
+        with ProcessPoolExecutor(workers, mp_context=ctx, initializer=_start_worker,
+                                 initargs=(tasks, cfg.rng_seed, scratch_size, stop)) as pool:
+            futures = [pool.submit(_worker_share, first, workers) for first in range(workers)]
+            try:
+                shares = [future.result() for future in futures]
+            finally:
+                stop.set()  # on an interrupt, too, no worker starts another pass
+        dists = [0.0] * len(tasks)
+        for first, share in enumerate(shares):
+            dists[first::workers] = share
     return [
         ExperimentRow(
             dim=dim,

@@ -60,6 +60,13 @@ def _as_vector(x, name: str = "vector") -> np.ndarray:
     return v
 
 
+def _frozen_vector(x, name: str) -> np.ndarray:
+    """``_as_vector(x)``, read-only, in memory of its own: the caller's array,
+    or the array it views, keeps its write flag and cannot change the result."""
+    v = _as_vector(x, name)
+    return _readonly(v.copy() if v is x or not v.flags.owndata else v)
+
+
 def cov_matrix(entries, name: str = "covariance") -> np.ndarray:
     """Validate a covariance matrix and return its symmetrized copy.
 

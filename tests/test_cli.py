@@ -309,7 +309,7 @@ def test_compare_sampling_rejects_unordered_counts(tmp_path, capsys, monkeypatch
 
 
 def test_compare_sampling_csv_bytes_are_pinned(tmp_path, capsys, monkeypatch):
-    # Recorded from the serial implementation; the thread pool must not move a bit.
+    # Recorded from the serial implementation; the worker processes must not move a bit.
     monkeypatch.delenv("UAPCA_SEED", raising=False)
     out = tmp_path / "pin.csv"
     code = main([
@@ -339,16 +339,42 @@ def test_out_of_memory_is_a_one_line_error(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-def test_cli_import_leaves_the_thread_pool_unloaded():
-    # concurrent.futures is imported when the experiment runs, so it adds
-    # nothing to the start-up of the other commands.
+def test_cli_import_leaves_the_worker_pool_unloaded():
+    # concurrent.futures and multiprocessing are imported when the
+    # experiment runs, so they add nothing to the start-up of the other
+    # commands.
     result = subprocess.run(
         [sys.executable, "-c",
-         "import uapca.cli, sys; print('concurrent.futures' in sys.modules)"],
+         "import uapca.cli, sys\n"
+         "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"],
         capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"
+
+
+def test_a_killed_worker_is_a_one_line_error(tmp_path):
+    # Every pass kills its own worker process, as the OOM killer would.
+    script = (
+        "import multiprocessing, os, signal\n"
+        "import uapca.cli, uapca.metrics\n"
+        "def killed(*args, **kwargs):\n"
+        "    os.kill(os.getpid(), signal.SIGKILL)\n"
+        "uapca.metrics.sampled_pca = killed\n"
+        "uapca.metrics._worker_count = lambda: 2\n"
+        "code = uapca.cli.main(['compare-sampling', '--dims', '2', '--runs', '4',\n"
+        f"                       '--samples', '8', '--out', {str(tmp_path / 'x.csv')!r}])\n"
+        "print(code, multiprocessing.active_children())\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], env=_fresh_env(),
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["1 []"]
+    assert result.stderr.splitlines() == [
+        "uapca: error: a sampling worker process was killed "
+        "(by a signal, or for want of memory)"
+    ]
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_cli_import_builds_no_digit_table():
@@ -702,9 +728,9 @@ def test_svg_text_is_escaped(tmp_path, capsys):
         assert texts <= found, (name, found)
 
 
-def _fresh_process(script: str, **variables: str | None) -> str:
-    """stdout of a fresh Python process that runs script with this uapca;
-    each keyword sets that environment variable, or unsets it when None."""
+def _fresh_env(**variables: str | None) -> dict:
+    """An environment that runs this uapca; each keyword sets that
+    environment variable, or unsets it when None."""
     env = {k: v for k, v in os.environ.items() if k != "UAPCA_SEED"}
     env["PYTHONPATH"] = os.pathsep.join([str(Path(uapca.cli.__file__).parents[1]),
                                         env.get("PYTHONPATH", "")])
@@ -713,8 +739,13 @@ def _fresh_process(script: str, **variables: str | None) -> str:
             env.pop(name, None)
         else:
             env[name] = value
-    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, check=True).stdout
+    return env
+
+
+def _fresh_process(script: str, **variables: str | None) -> str:
+    """stdout of a fresh Python process that runs script in _fresh_env(**variables)."""
+    return subprocess.run([sys.executable, "-c", script], env=_fresh_env(**variables),
+                          capture_output=True, text=True, check=True).stdout
 
 
 def test_cli_runs_do_not_import_numpy_ma(tmp_path, students_path, iris_path):

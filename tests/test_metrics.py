@@ -1,5 +1,5 @@
-import sys
-import threading
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -235,28 +235,41 @@ def _serial_rows(cfg):
 
 @pytest.mark.parametrize("workers", [1, 3, 8])
 def test_rows_do_not_depend_on_the_worker_count(monkeypatch, workers):
+    # One worker runs the passes in this process; 3 and 8 fork more worker
+    # processes than cores, so that a pass result written to the wrong slot
+    # or lost would change a median.
     cfg = ExperimentConfig(dims=(2, 4, 5), sample_counts=(8, 64), n_items=3, runs=5, rng_seed=11)
     monkeypatch.setattr(uapca.metrics, "_worker_count", lambda: workers)
-    # More workers than cores and a short switch interval, so that a pass
-    # result written to the wrong slot or lost would change a median.
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        rows = run_convergence_experiment(cfg)
-    finally:
-        sys.setswitchinterval(interval)
+    rows = run_convergence_experiment(cfg)
     assert rows == _serial_rows(cfg)
+    assert multiprocessing.active_children() == []
+
+
+def test_without_fork_the_passes_run_in_this_process(monkeypatch):
+    cfg = ExperimentConfig(dims=(2, 3), sample_counts=(8, 16), n_items=3, runs=4, rng_seed=5)
+    monkeypatch.setattr(uapca.metrics, "_worker_count", lambda: 4)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    pid = os.getpid()
+    pids = set()
+
+    def recording(ds, n, rng, **kwargs):
+        pids.add(os.getpid())
+        return sampled_pca(ds, n, rng, **kwargs)
+
+    monkeypatch.setattr(uapca.metrics, "sampled_pca", recording)
+    assert run_convergence_experiment(cfg) == _serial_rows(cfg)
+    assert pids == {pid}
 
 
 def test_a_failing_pass_stops_the_pool(monkeypatch):
     cfg = ExperimentConfig(dims=(2, 3), sample_counts=(8, 16), n_items=3, runs=20, rng_seed=0)
-    calls = []
-    lock = threading.Lock()
+    # Counted in shared memory: each worker is a forked process.
+    calls = multiprocessing.get_context("fork").Value("i", 0)
 
     def failing(ds, n, rng, **kwargs):
-        with lock:
-            calls.append(n)
-            if len(calls) == 3:
+        with calls.get_lock():
+            calls.value += 1
+            if calls.value == 3:
                 raise MemoryError("no room")
         return sampled_pca(ds, n, rng, **kwargs)
 
@@ -265,7 +278,8 @@ def test_a_failing_pass_stops_the_pool(monkeypatch):
     with pytest.raises(MemoryError, match="no room"):
         run_convergence_experiment(cfg)
     # The other worker stops after the pass it is in, well short of all 80.
-    assert len(calls) < 10
+    assert 3 <= calls.value < 10
+    assert multiprocessing.active_children() == []
 
 
 def test_experiment_config_validation():

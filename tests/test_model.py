@@ -26,6 +26,8 @@ from uapca.model import (
     cov_matrix,
 )
 
+from uapca.metrics import PcaSummary
+
 from conftest import random_psd
 
 
@@ -409,3 +411,18 @@ def test_row_mean_has_the_bits_of_mean(seed, dim, n, offset, special, layout):
     assert _row_mean(rows).tobytes() == expected.tobytes()
     c_rows = np.ascontiguousarray(rows)
     assert EmpiricalCluster(rows).mean().tobytes() == _population_moments(c_rows)[0].tobytes()
+
+
+@pytest.mark.parametrize("build, mean_of", [
+    (Point, Point.mean),
+    (lambda a: Gaussian(a, np.eye(2)), Gaussian.mean),
+    (lambda a: PcaSummary(a, np.eye(2)), lambda p: p.mean),
+], ids=["Point", "Gaussian", "PcaSummary"])
+def test_building_leaves_the_callers_array_writeable(build, mean_of):
+    rows = np.array([[1.0, 2.0], [3.0, 4.0]])
+    for a in (np.array([1.0, 2.0]), rows[0]):
+        built = build(a)
+        assert a.flags.writeable and rows.flags.writeable
+        assert not mean_of(built).flags.writeable
+        a[0] = 9.0  # the built object holds a copy of its own
+        assert mean_of(built).tolist() == [1.0, 2.0]
