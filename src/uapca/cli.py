@@ -12,6 +12,7 @@ included), 2 on bad flags.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import math
 import os
@@ -139,9 +140,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_text(path: str, content: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(content)
+@contextlib.contextmanager
+def _outputs():
+    """Yields stage(path, pieces=()), which streams pieces into a new file
+    beside path (mode "x": a plain open's mode) and returns its name.  The
+    staged files replace their paths when the block ends, or are removed if
+    it raises, leaving every path as it was.
+    """
+    staged = {}  # path -> its temporary file
+
+    def stage(path: str, pieces=()) -> str:
+        tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+        try:
+            fh = open(tmp, "x", encoding="utf-8", newline="\n")
+        except OSError as exc:
+            exc.filename = path
+            raise
+        staged[path] = tmp
+        with fh:
+            fh.writelines(pieces)
+        return tmp
+
+    try:
+        yield stage
+        for path, tmp in list(staged.items()):
+            os.replace(tmp, path)
+            del staged[path]
+    finally:
+        for tmp in staged.values():
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
 
 
 def _cmd_project(args) -> int:
@@ -150,7 +178,7 @@ def _cmd_project(args) -> int:
     from .io import (PointsData, aggregate_by_label, load_points, points_dataset,
                      standardize_dataset, standardize_points, write_projection_csv)
     from .project import project_items
-    from .svg import render_projection_svg
+    from .svg import projection_svg_pieces
 
     if args.points:
         pts = load_points(args.input)
@@ -192,15 +220,12 @@ def _cmd_project(args) -> int:
     labels = list(ds.labels or (f"item{i + 1}" for i in range(len(ds))))
     means, covs = project_items(model, ds, cov_scale=1.0 if math.isinf(s) else s * s)
 
-    # Render before writing anything, so a failed render leaves no files.
-    svg = render_projection_svg(labels, means, covs) if args.dims == 2 else None
-    csv_path = f"{args.out_prefix}.projection.csv"
-    write_projection_csv(csv_path, labels, means, covs)
-    written = [csv_path]
-    if svg is not None:
-        svg_path = f"{args.out_prefix}.projection.svg"
-        _write_text(svg_path, svg)
-        written.append(svg_path)
+    written = [f"{args.out_prefix}.projection.csv"]
+    with _outputs() as stage:
+        write_projection_csv(stage(written[0]), labels, means, covs)
+        if args.dims == 2:
+            written.append(f"{args.out_prefix}.projection.svg")
+            stage(written[1], projection_svg_pieces(labels, means, covs))
     print("eigenvalues: " + " ".join(repr(float(v)) for v in pairs.values))
     print("wrote " + ", ".join(written))
     return 0
@@ -210,7 +235,7 @@ def _cmd_trace(args) -> int:
     from .dataset_json import load_dataset
     from .io import write_eigencurves_csv, write_traces_csv
     from .sensitivity import SweepSchedule, factor_traces, sweep
-    from .svg import render_eigencurves_svg, render_traces_svg
+    from .svg import eigencurves_svg_pieces, traces_svg_pieces
 
     if args.dims != 2:
         raise UsageError("the trace plot is two-dimensional; use --dims 2")
@@ -227,13 +252,11 @@ def _cmd_trace(args) -> int:
         "traces_svg": f"{args.out_prefix}.traces.svg",
         "eigvals_svg": f"{args.out_prefix}.eigvals.svg",
     }
-    # Render before writing anything, so a failed render leaves no files.
-    traces_svg = render_traces_svg(traces, ds.dim_names)
-    eigvals_svg = render_eigencurves_svg(curves)
-    write_traces_csv(paths["traces_csv"], traces, schedule, ds.dim_names)
-    write_eigencurves_csv(paths["eigvals_csv"], curves)
-    _write_text(paths["traces_svg"], traces_svg)
-    _write_text(paths["eigvals_svg"], eigvals_svg)
+    with _outputs() as stage:
+        write_traces_csv(stage(paths["traces_csv"]), traces, schedule, ds.dim_names)
+        write_eigencurves_csv(stage(paths["eigvals_csv"]), curves)
+        stage(paths["traces_svg"], traces_svg_pieces(traces, ds.dim_names))
+        stage(paths["eigvals_svg"], eigencurves_svg_pieces(curves))
 
     if curves.avoided_crossing_flags:
         for step, pair in curves.avoided_crossing_flags:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -55,29 +55,34 @@ def project_items(
     return out_means, covs
 
 
-def _ellipse_outlines(means, covs, k_sigmas, segments: int) -> np.ndarray:
-    """Closed isolines of N(means[i], covs[i]) at each of k_sigmas, for all i at once.
+def _ellipse_outlines(means, covs, k_sigmas, segments: int, items: int):
+    """Closed isolines of N(means[i], covs[i]) at each of k_sigmas, solved now
+    with one ``eig_sym`` call for the whole (N, 2, 2) stack.
 
-    Takes means (N, 2) and covariances (N, 2, 2) and returns (N, k,
-    segments + 1, 2): ring j of item i is means[i] + k_sigmas[j] * L_i (cos t,
-    sin t), with the eigen factors L_i of the whole stack from one
-    ``eig_sym`` call.  Each ring is scaled and shifted as a whole array and
-    written into one preallocated result; the last vertex of each ring
-    repeats the first.
+    Returns a function; each call yields the outlines anew, (n, k, segments
+    + 1, 2) for each run of n <= items items.  Ring j of item i is means[i]
+    + k_sigmas[j] * L_i (cos t, sin t), L_i the item's eigen factor; its
+    last vertex repeats the first.
     """
     pairs = eig_sym(covs)
     factors = pairs.vectors * np.sqrt(pairs.values)[..., None, :]
     theta = np.linspace(0.0, 2.0 * np.pi, segments, endpoint=False)
-    # (N, 2, segments): x and y rows, so scaling and the mean shift run along
-    # the long axis before one transposed copy into the result.
-    rings = np.matmul(factors, np.stack([np.cos(theta), np.sin(theta)]))
-    out = np.empty((len(means), len(k_sigmas), segments + 1, 2))
-    for j, k_sigma in enumerate(k_sigmas):
-        ring = k_sigma * rings
-        ring += means[..., None]
-        out[:, j, :segments] = ring.swapaxes(-1, -2)
-    out[:, :, segments] = out[:, :, 0]
-    return out
+    trig = np.stack([np.cos(theta), np.sin(theta)])
+
+    def chunks() -> Iterator[np.ndarray]:
+        for start in range(0, len(means), items):
+            # (n, 2, segments): x and y rows, so scaling and the mean shift run
+            # along the long axis before one transposed copy into the result.
+            rings = np.matmul(factors[start:start + items], trig)
+            out = np.empty((len(rings), len(k_sigmas), segments + 1, 2))
+            for j, k_sigma in enumerate(k_sigmas):
+                ring = k_sigma * rings
+                ring += means[start:start + items, :, None]
+                out[:, j, :segments] = ring.swapaxes(-1, -2)
+            out[:, :, segments] = out[:, :, 0]
+            yield out
+
+    return chunks
 
 
 def ellipse_outline(g: Gaussian, k_sigma: float, segments: int = 64) -> np.ndarray:
@@ -93,4 +98,5 @@ def ellipse_outline(g: Gaussian, k_sigma: float, segments: int = 64) -> np.ndarr
         raise ValueError(f"k_sigma must be positive, got {k_sigma}")
     if segments < 8:
         raise ValueError(f"segments must be >= 8, got {segments}")
-    return _ellipse_outlines(g.mean()[None], g.cov()[None], (k_sigma,), segments)[0, 0]
+    outlines = _ellipse_outlines(g.mean()[None], g.cov()[None], (k_sigma,), segments, 1)
+    return next(outlines())[0, 0]

@@ -6,6 +6,10 @@ number in a document is the correctly rounded ``%.3f`` text of its binary
 value, with ``-0.000`` written ``0.000``.  Vertex and per-item numbers come
 from array passes over small chunks (``_vertex_texts``, ``_number_texts``);
 a few fixed scalars in headers, axes and legends use ``_fmt``.
+
+Each ``*_svg_pieces`` generator yields its document a block of text at a
+time, to be written out as it comes, so memory does not grow with the
+drawing; ``render_*_svg`` joins the same blocks into one string.
 """
 
 from __future__ import annotations
@@ -13,11 +17,10 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterable, Iterator
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
-
-from .project import _ellipse_outlines
 
 if TYPE_CHECKING:
     from .sensitivity import EigenCurves, FactorTrace
@@ -39,6 +42,10 @@ _HEADER = (
 # This bounds the pass's scratch arrays to a few hundred kilobytes; one pass
 # over all of a document's numbers costs tens of megabytes of peak memory.
 _CHUNK = 4096
+# Items per outline pass of a projection: a few hundred kilobytes of rings.
+_OUTLINE_ITEMS = 256
+# Pieces per block of a streamed document: one write each, not one per piece.
+_BLOCK = 512
 
 
 def _fmt(v: float) -> str:
@@ -164,9 +171,9 @@ def _number_texts(values: np.ndarray) -> Iterator[str]:
         yield from _encode(chunk, np.full(len(chunk), 2))[0].split(" ")[1:]
 
 
-def _document(parts: list, texts: Iterable[str]) -> str:
-    """The document, one part per line; a tuple part takes the next of texts
-    between each two of its strings."""
+def _document(parts: Iterable, texts: Iterable[str]) -> Iterator[str]:
+    """The document in blocks of text, one part per line; a tuple part takes
+    the next of texts between each two of its strings."""
     texts = iter(texts)
     out = [_HEADER]
     for part in parts:
@@ -177,8 +184,11 @@ def _document(parts: list, texts: Iterable[str]) -> str:
             out.append(part[0])
             for tail in part[1:]:
                 out += (next(texts), tail)
+        if len(out) >= _BLOCK:
+            yield "".join(out)
+            out.clear()
     out.append("\n</svg>\n")
-    return "".join(out)
+    yield "".join(out)
 
 
 def _runs(pieces: list) -> Iterator[str]:
@@ -251,6 +261,11 @@ def _arrowhead(tip, prev) -> np.ndarray | None:
 
 
 def render_traces_svg(traces: list[FactorTrace], dim_names: tuple[str, ...]) -> str:
+    """The document of ``traces_svg_pieces`` as one string."""
+    return "".join(traces_svg_pieces(traces, dim_names))
+
+
+def traces_svg_pieces(traces: list[FactorTrace], dim_names: tuple[str, ...]) -> Iterator[str]:
     """Factor traces on the unit circle, both orientations per axis.
 
     The area swept on the interpolation side (s in [0, 1]) is shaded; an
@@ -298,10 +313,15 @@ def render_traces_svg(traces: list[FactorTrace], dim_names: tuple[str, ...]) -> 
         label = to_px(pts[0])
         parts.append(_text(dim_names[trace.axis_index], color=color))
         pieces += [label[0] + 6.0, label[1] - 6.0]
-    return _document(parts, _runs(pieces))
+    yield from _document(parts, _runs(pieces))
 
 
 def render_eigencurves_svg(curves: EigenCurves) -> str:
+    """The document of ``eigencurves_svg_pieces`` as one string."""
+    return "".join(eigencurves_svg_pieces(curves))
+
+
+def eigencurves_svg_pieces(curves: EigenCurves) -> Iterator[str]:
     """Eigenvalue share of total variance per component over the sweep.
 
     Shares (lambda_i / sum lambda) keep the diverging raw eigenvalues
@@ -340,35 +360,42 @@ def render_eigencurves_svg(curves: EigenCurves) -> str:
         parts.append(_line(x, top + plot_h, x, top + plot_h + 6.0, "#333333"))
         parts.append(_at(_text(label), x - 14.0, top + plot_h + 24.0))
     parts.append(_at(_text("share of total variance"), left, top - 12.0))
-    return _document(parts, _runs(pieces))
+    yield from _document(parts, _runs(pieces))
 
 
 def render_projection_svg(labels: list[str], means, covs) -> str:
+    """The document of ``projection_svg_pieces`` as one string."""
+    return "".join(projection_svg_pieces(labels, means, covs))
+
+
+def projection_svg_pieces(labels: list[str], means, covs) -> Iterator[str]:
     """Projected items in component space: means plus 1 and 2 sigma ellipses.
 
     Takes the stacked projected means (N, 2) and covariances (N, 2, 2).
     Items are colored by label (first-appearance order); items with zero
     covariance render as a plain dot.  The outlines of every other item
-    come from one stacked eigensolve (``_ellipse_outlines``); the view
-    bounds are read from the means and that outline array, which is then
-    mapped to pixels in place and formatted a chunk of rings at a time.
-    Items whose outlines or view span overflow the float range are a
-    ValueError, with no numpy warning.
+    come from one stacked eigensolve and are built ``_OUTLINE_ITEMS`` items
+    at a time, twice: for the view bounds, then mapped to pixels in place
+    and formatted.  Items whose outlines or view span overflow the float
+    range are a ValueError, with no numpy warning.
     """
     if not len(labels):
         raise ValueError("nothing to render")
     if means.shape[1:] != (2,) or covs.shape[1:] != (2, 2):
         raise ValueError("projection rendering is defined for q = 2")
+    from .project import _ellipse_outlines  # here, so the trace renderers do not load it
 
     drawn = np.flatnonzero(np.abs(covs).reshape(len(covs), -1).max(axis=1) != 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        outlines = _ellipse_outlines(means[drawn], covs[drawn], (1.0, 2.0), 64)
-        # One reduction per axis: reducing an (n, 2) array over axis 0 is many
+        outlines = _ellipse_outlines(means[drawn], covs[drawn], (1.0, 2.0), 64, _OUTLINE_ITEMS)
+        # One reduction per axis: reducing over all other axes at once is many
         # times slower than reducing each strided column.
-        lo = np.array([min(means[:, c].min(), outlines[..., c].min(initial=np.inf))
-                       for c in (0, 1)])
-        hi = np.array([max(means[:, c].max(), outlines[..., c].max(initial=-np.inf))
-                       for c in (0, 1)])
+        lo = [means[:, c].min() for c in (0, 1)]
+        hi = [means[:, c].max() for c in (0, 1)]
+        for chunk in outlines():
+            lo = [min(v, chunk[..., c].min()) for c, v in enumerate(lo)]
+            hi = [max(v, chunk[..., c].max()) for c, v in enumerate(hi)]
+        lo, hi = np.array(lo), np.array(hi)
         span = np.maximum(hi - lo, 1e-12)
         mid = (lo + hi) / 2.0
     # A non-finite outline makes lo or hi, and so span, non-finite too.
@@ -387,21 +414,19 @@ def render_projection_svg(labels: list[str], means, covs) -> str:
 
     color_of = {label: PALETTE[j % len(PALETTE)]
                 for j, label in enumerate(dict.fromkeys(labels))}
-    rings = {color: [_polyline(color, 1.5, opacity=o) for o in (0.9, 0.45)]  # 1 and 2 sigma
-             for color in color_of.values()}
-    dots = {color: _dot(color, 3.5) for color in color_of.values()}
-
-    parts: list = []
-    for i in drawn.tolist():
-        parts += rings[color_of[labels[i]]]
-    # Each dot is joined into one short line at once: fewer live objects
-    # than leaving its two numbers as slots.
-    centres = _number_texts(to_px(np.array(means, dtype=float)).ravel())
-    for label, cx, cy in zip(labels, centres, centres):
-        head, between, tail = dots[color_of[label]]
-        parts.append("".join((head, cx, between, cy, tail)))
+    rings = {label: [_polyline(color, 1.5, opacity=o) for o in (0.9, 0.45)]  # 1 and 2 sigma
+             for label, color in color_of.items()}
+    dots = {label: _dot(color, 3.5) for label, color in color_of.items()}
+    legend = []
     for j, (label, color) in enumerate(color_of.items()):
-        parts.append(_at(_dot(color, 4.0), 24.0, 24.0 + 18.0 * j))
-        parts.append(_at(_text(label), 34.0, 28.0 + 18.0 * j))
-    return _document(parts, _vertex_texts(to_px(outlines),
-                                          np.full(2 * len(drawn), 2 * outlines.shape[2])))
+        legend.append(_at(_dot(color, 4.0), 24.0, 24.0 + 18.0 * j))
+        legend.append(_at(_text(label), 34.0, 28.0 + 18.0 * j))
+    centres = _number_texts(to_px(np.array(means, dtype=float)).ravel())
+    # Each dot is joined into one short line at once: less work per dot
+    # than leaving its two numbers as slots.
+    dot_lines = ("".join((head, cx, between, cy, tail)) for (head, between, tail), cx, cy
+                 in zip(map(dots.__getitem__, labels), centres, centres))
+    parts = chain((ring for i in drawn.tolist() for ring in rings[labels[i]]), dot_lines, legend)
+    yield from _document(parts, chain.from_iterable(
+        _vertex_texts(to_px(chunk), np.full(2 * len(chunk), 2 * chunk.shape[2]))
+        for chunk in outlines()))

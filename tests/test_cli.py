@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import xml.dom.minidom
@@ -11,13 +12,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import random_psd
 
 import uapca.cli
 import uapca.metrics
 import uapca.svg
 from uapca.cli import main
+from uapca.cov import global_cov
 from uapca.dataset_json import load_dataset
+from uapca.eigen import eig_sym, select_components
 from uapca.io import load_points
+from uapca.project import project_items
+from uapca.sensitivity import SweepSchedule, factor_traces, sweep
 
 
 def _read_lines(path):
@@ -635,13 +641,94 @@ def test_failed_render_leaves_no_output_file(tmp_path, capsys, monkeypatch, stud
     def broken(curves):
         raise ValueError("cannot draw the eigenvalue curves")
 
-    monkeypatch.setattr(uapca.svg, "render_eigencurves_svg", broken)
+    monkeypatch.setattr(uapca.svg, "eigencurves_svg_pieces", broken)
     code = main(["trace", "--input", str(students_path), "--out-prefix", str(out / "t")])
     assert code == 1
     assert capsys.readouterr().err.splitlines() == [
         "uapca: error: cannot draw the eigenvalue curves"
     ]
     assert list(out.iterdir()) == []
+
+
+def _write_many_ellipses(path, count: int = 600) -> None:
+    """count 2-d Gaussian items, more than two outline chunks of them; the
+    last item's 2-sigma ring is by far the widest, so it sets the view."""
+    assert count > 2 * uapca.svg._OUTLINE_ITEMS
+    rng = np.random.default_rng(31)
+    items = [{"label": f"k{i % 3}", "mvn": {"mean": rng.normal(size=2).tolist(),
+                                            "cov": (random_psd(rng, 2) * 0.01).tolist()}}
+             for i in range(count - 1)]
+    items.append({"label": "wide", "mvn": {"mean": [0.5, -0.5],
+                                           "cov": [[400.0, 30.0], [30.0, 100.0]]}})
+    path.write_text(json.dumps({"dims": ["a", "b"], "items": items}), encoding="utf-8")
+
+
+def test_streamed_projection_svg_matches_the_joined_document(tmp_path, capsys):
+    data = tmp_path / "many.json"
+    _write_many_ellipses(data)
+    assert main(["project", "--input", str(data), "--out-prefix", str(tmp_path / "m")]) == 0
+    streamed = (tmp_path / "m.projection.svg").read_text(encoding="utf-8")
+
+    ds = load_dataset(data)
+    g = global_cov(ds)
+    model = select_components(eig_sym(g.at(1.0)), g.mean, 2)
+    means, covs = project_items(model, ds)
+    assert streamed == uapca.svg.render_projection_svg(list(ds.labels), means, covs)
+    # Every ring lies inside the view, and the last item's 2-sigma ring,
+    # from the last chunk, spans it edge to edge along one axis.
+    rings = [[tuple(map(float, vertex.split(","))) for vertex in points.split()]
+             for points in re.findall(r'<polyline [^>]* points="([^"]*)"', streamed)]
+    assert len(rings) == 2 * len(means)
+    assert all(70.0 <= v <= 730.0 for ring in rings for vertex in ring for v in vertex)
+    last = np.array(rings[-1])
+    assert any(last[:, c].min() == 70.0 and last[:, c].max() == 730.0 for c in (0, 1))
+
+
+def test_streamed_trace_svgs_match_the_joined_documents(tmp_path, capsys):
+    # 2 100 steps: each trace polyline holds 4 200 numbers, more than one
+    # formatting chunk.
+    steps = 2100
+    assert 2 * steps > uapca.svg._CHUNK
+    data = tmp_path / "sweep.json"
+    data.write_text(json.dumps(_PINNED_SWEEP), encoding="utf-8")
+    assert main(["trace", "--input", str(data), "--steps", str(steps),
+                 "--out-prefix", str(tmp_path / "t")]) == 0
+    ds = load_dataset(data)
+    schedule = SweepSchedule(steps)
+    models, curves = sweep(ds, 2, schedule)
+    assert (tmp_path / "t.traces.svg").read_text(encoding="utf-8") == (
+        uapca.svg.render_traces_svg(factor_traces(models, schedule), ds.dim_names))
+    assert (tmp_path / "t.eigvals.svg").read_text(encoding="utf-8") == (
+        uapca.svg.render_eigencurves_svg(curves))
+
+
+def test_failure_mid_stream_leaves_no_file_and_keeps_old_ones(tmp_path, capsys, monkeypatch):
+    data = tmp_path / "many.json"
+    _write_many_ellipses(data)
+    out = tmp_path / "out"
+    out.mkdir()
+    old = {name: f"old {name}\n" for name in ("m.projection.csv", "m.projection.svg")}
+    for name, text in old.items():
+        (out / name).write_text(text, encoding="utf-8")
+    vertex_texts = uapca.svg._vertex_texts
+    seen = []
+
+    def fail_on_the_second_chunk(values, sizes):
+        if seen:
+            # The CSV and the first chunk of outlines are in the staged files.
+            staged = {p.name.rsplit(".", 2)[0]: p.stat().st_size
+                      for p in out.iterdir() if p.name not in old}
+            assert set(staged) == set(old) and staged["m.projection.svg"] > 100_000
+            raise ValueError("cannot draw the second chunk")
+        seen.append(len(sizes))
+        yield from vertex_texts(values, sizes)
+
+    monkeypatch.setattr(uapca.svg, "_vertex_texts", fail_on_the_second_chunk)
+    code = main(["project", "--input", str(data), "--out-prefix", str(out / "m")])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == ["uapca: error: cannot draw the second chunk"]
+    assert seen == [2 * uapca.svg._OUTLINE_ITEMS]
+    assert {p.name: p.read_text(encoding="utf-8") for p in out.iterdir()} == old
 
 
 @pytest.mark.parametrize("field", ['"' + "x" * 200_000 + '"', "x" * 200_000],
@@ -814,7 +901,7 @@ def test_each_command_loads_only_its_own_modules(tmp_path, students_path, iris_p
                                          "--out-prefix", str(tmp_path / "d")))
     assert not loaded(command("trace", "--input", str(students_path),
                               "--steps", "8", "--out-prefix", str(tmp_path / "t"))) & {
-        "metrics", "items"}
+        "metrics", "items", "project"}
     assert not loaded(command("compare-sampling", "--dims", "2", "--runs", "2", "--samples", "8",
                               "--items", "3", "--out", str(tmp_path / "c.csv"))) & {
         "svg", "project", "sensitivity", "eigen", "dataset_json"}

@@ -199,7 +199,12 @@ def test_stacked_outlines_match_one_item_at_a_time():
                      *(random_psd(rng, 2) * 10.0 ** rng.uniform(-3, 3) for _ in range(20))])
     means = rng.normal(0.0, 5.0, (len(covs), 2))
     k_sigmas, segments = (1.0, 2.0, 2.5), 64
-    out = _ellipse_outlines(means, covs, k_sigmas, segments)
+    outlines = _ellipse_outlines(means, covs, k_sigmas, segments, 10)
+    # Runs of 10, 10 and 3 items, the same arrays on every pass.
+    chunks = list(outlines())
+    assert [len(c) for c in chunks] == [10, 10, 3]
+    assert all(np.array_equal(a, b) for a, b in zip(chunks, outlines()))
+    out = np.concatenate(chunks)
     assert out.shape == (len(covs), len(k_sigmas), segments + 1, 2)
     theta = np.linspace(0.0, 2.0 * np.pi, segments, endpoint=False)
     trig = np.stack([np.cos(theta), np.sin(theta)])
@@ -209,8 +214,7 @@ def test_stacked_outlines_match_one_item_at_a_time():
         for j, k_sigma in enumerate(k_sigmas):
             pts = mean + k_sigma * ring
             assert np.array_equal(out[i, j], np.vstack([pts, pts[:1]]))
-    assert _ellipse_outlines(means[:0], covs[:0], k_sigmas, segments).shape == (
-        0, len(k_sigmas), segments + 1, 2)
+    assert list(_ellipse_outlines(means[:0], covs[:0], k_sigmas, segments, 10)()) == []
 
 
 def test_psd_check_runs_on_block_rows_only(monkeypatch):

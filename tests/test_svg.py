@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from uapca.svg import (
     _fmt,
     _number_texts,
     _vertex_texts,
+    projection_svg_pieces,
     render_eigencurves_svg,
     render_projection_svg,
     render_traces_svg,
@@ -155,6 +158,29 @@ def test_projection_svg_of_points_only_has_no_outlines():
     # The two means span the view: x from 70 to 730 at the centre height.
     assert '<circle cx="70.000" cy="565.000" r="3.500"' in doc
     assert '<circle cx="730.000" cy="235.000" r="3.500"' in doc
+
+
+def test_streamed_projection_memory_does_not_grow_with_the_document(tmp_path):
+    def streamed(n: int) -> tuple[int, int]:
+        """Traced peak bytes of streaming n ellipses into a file, and the file's size."""
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(n, 2, 2))
+        args = [f"k{i % 4}" for i in range(n)], rng.normal(size=(n, 2)), a @ a.swapaxes(1, 2)
+        tracemalloc.start()
+        try:
+            with open(tmp_path / "p.svg", "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines(projection_svg_pieces(*args))
+                size = fh.tell()
+            return tracemalloc.get_traced_memory()[1], size
+        finally:
+            tracemalloc.stop()
+
+    streamed(10)  # the formatter's tables are built once, on first use
+    (peak, size), (peak4, size4) = streamed(1000), streamed(4000)
+    # Holding the whole document (its pieces or their join) costs at least
+    # its size again; streamed, the peak grows by a small share of it.
+    assert size4 - size > 6_000_000
+    assert peak4 - peak < 0.1 * (size4 - size)
 
 
 def test_projection_svg_validation():
