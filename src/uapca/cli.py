@@ -4,15 +4,17 @@ Three subcommands: ``project`` fits the model at one uncertainty scale and
 writes the projected items, ``trace`` sweeps the scale and writes factor
 traces plus eigenvalue curves, ``compare-sampling`` runs the convergence
 experiment against the Monte-Carlo oracle.  Machine-readable results go to
-files; stdout carries short human summaries.  Exit codes: 0 on success, 1
-on input or validation failures (out of memory and a killed worker process
-included), 2 on bad flags.
+files; stdout carries short human summaries.  Exit codes: 0 on success; 1
+on input or validation failures, out of memory, or the ``ChildProcessError``
+of a compare-sampling worker, forked by ``os.fork``, killed by a signal; 2
+on bad flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import gc
 import math
 import os
@@ -145,7 +147,7 @@ def _outputs():
     """Yields stage(path, pieces=()), which streams pieces into a new file
     beside path (mode "x": a plain open's mode) and returns its name.  The
     staged files replace their paths when the block ends, or are removed if
-    it raises, leaving every path as it was.
+    it raises, leaving every path as it was, as when a path is a directory.
     """
     staged = {}  # path -> its temporary file
 
@@ -163,6 +165,9 @@ def _outputs():
 
     try:
         yield stage
+        for path in staged:  # before the first rename, so that none is done
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         for path, tmp in list(staged.items()):
             os.replace(tmp, path)
             del staged[path]
@@ -293,16 +298,7 @@ def _cmd_compare_sampling(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc))
-    try:
-        rows = run_convergence_experiment(cfg)
-    except RuntimeError as exc:
-        from concurrent.futures.process import BrokenProcessPool
-
-        if not isinstance(exc, BrokenProcessPool):
-            raise
-        # A worker killed by a signal, the OOM killer's among them.
-        raise ChildProcessError("a sampling worker process was killed "
-                                "(by a signal, or for want of memory)") from None
+    rows = run_convergence_experiment(cfg)
     write_experiment_csv(args.out, rows)
     for dim in cfg.dims:
         needed = samples_to_reach(rows, dim)

@@ -213,7 +213,7 @@ class Gaussian(Distribution):
 
         The eigen factor handles rank-deficient covariances; tiny negative
         eigenvalues from round-off are clamped to zero.  Call it once before
-        sampling one item from several threads, so they only read it.
+        forking processes that sample the item, so each inherits the factor.
         """
         if self._factor is None:
             evals, evecs = np.linalg.eigh(self._cov)

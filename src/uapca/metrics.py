@@ -20,7 +20,9 @@ correctness argument for the accumulation scheme.
 
 from __future__ import annotations
 
+import mmap
 import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,40 +225,77 @@ def _worker_count() -> int:
 
 
 def _share(tasks, seed: int, scratch_size: int, first: int = 0, step: int = 1,
-           stop=None) -> list[float]:
+           stop=b"\0") -> list[float]:
     """Hellinger distances of passes ``tasks[first::step]``, in that order.
 
     Each pass has its own generator, seeded from (seed, dim, count, run), and
     all of them reuse one ``sampled_pca`` scratch buffer.  The list ends
-    early, short of its passes, once the event ``stop`` is set.
+    early, short of its passes, once the first byte of ``stop`` is set.
     """
     scratch = np.empty(scratch_size)
     dists = []
     for dim, count, ds, closed, run in tasks[first::step]:
-        if stop is not None and stop.is_set():
+        if stop[0]:
             break
         rng = np.random.default_rng([seed, dim, count, run])
         dists.append(hellinger(sampled_pca(ds, count, rng, scratch=scratch), closed))
     return dists
 
 
-# A worker process's arguments to _share, set by _start_worker: under fork
-# they are inherited from the parent, not pickled.
-_job: tuple = ()
-
-
-def _start_worker(*job) -> None:
-    global _job
-    _job = job
-
-
-def _worker_share(first: int, step: int) -> list[float]:
-    tasks, seed, scratch_size, stop = _job
+def _child(writer, stop, *share) -> None:
+    """A forked worker: writes ``_share(*share, stop)`` as float64 bytes (exit
+    status 0), or its pickled exception (1), then ends the process by ``os._exit``.
+    """
+    code = 1
     try:
-        return _share(tasks, seed, scratch_size, first, step, stop)
-    except BaseException:
-        stop.set()  # the other workers stop after the pass they are in
-        raise
+        try:
+            out = np.array(_share(*share, stop), dtype=float).tobytes()
+            code = 0
+        except BaseException as exc:  # sent to the parent, which raises it
+            stop[0] = 1  # the other workers stop after the pass they are in
+            try:
+                out = pickle.dumps(exc)
+            except Exception:  # an exception pickle cannot send, say a local class
+                out = pickle.dumps(RuntimeError(
+                    f"a sampling worker process raised {type(exc).__name__}"))
+        writer.write(out)
+        writer.flush()
+    finally:
+        os._exit(code)
+
+
+def _forked_shares(tasks, seed: int, scratch_size: int, workers: int) -> list[list[float]]:
+    """``_share(tasks, seed, scratch_size, k, workers)`` for each k < workers,
+    run by child k, forked from this process: it inherits the tasks and
+    sends its result through a pipe of its own.  A failing child sets the
+    shared stop byte; the first error is raised here.  Every child is
+    reaped before this returns or raises, on an interrupt too.
+    """
+    readers, pids = [], []
+    with mmap.mmap(-1, 1) as stop:  # anonymous and shared with the children
+        try:
+            for k in range(workers):
+                r, w = os.pipe()
+                readers.append(open(r, "rb"))
+                with open(w, "wb") as writer:  # the parent's copy closes after the fork
+                    pid = os.fork()
+                    if pid == 0:
+                        readers[-1].close()  # so a write fails once the parent stops reading
+                        _child(writer, stop, tasks, seed, scratch_size, k, workers)
+                    pids.append(pid)
+            payloads = [reader.read() for reader in readers]
+        finally:
+            stop[0] = 1  # on an interrupt, too, no child starts another pass
+            for reader in readers:
+                reader.close()
+            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    for code, payload in zip(codes, payloads):
+        if code == 1 and payload:
+            raise pickle.loads(payload)
+    if any(codes):  # killed by a signal, or ended without a word
+        raise ChildProcessError("a sampling worker process was killed "
+                                "(by a signal, or for want of memory)")
+    return [np.frombuffer(payload).tolist() for payload in payloads]
 
 
 def run_convergence_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
@@ -267,15 +306,15 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
     Hellinger distance to the closed-form summary at s = 1.  Rows come out
     ordered by dim, then sample count.
 
-    The passes run in forked worker processes, one per CPU this process
-    may use: of W workers, worker k runs passes k, k + W, k + 2W, ...
-    Each pass has its own generator, seeded from (seed, dim, count, run),
-    and each worker reuses one ``sampled_pca`` scratch buffer across its
-    passes, so the rows are fully determined by the config and do not
-    depend on the worker count.  A failing pass stops the other workers
-    after the pass they are in, and its exception is raised here; a worker
-    killed by a signal raises ``BrokenProcessPool``.  No worker outlives
-    the call.  With one usable CPU, or where the fork start method does not
+    The passes run in worker processes forked by ``os.fork``, one per CPU
+    this process may use: of W workers, worker k runs passes k, k + W,
+    k + 2W, ...  Each pass has its own generator, seeded from (seed, dim,
+    count, run), and each worker reuses one ``sampled_pca`` scratch buffer
+    across its passes, so the rows are fully determined by the config and
+    do not depend on the worker count.  A failing pass stops the other
+    workers after the pass they are in, and its exception is raised here; a
+    worker killed by a signal raises ``ChildProcessError``.  No worker
+    outlives the call.  With one usable CPU, or where ``os.fork`` does not
     exist, the same passes run in this process, one after another.
 
     OpenBLAS splits the larger products over a thread pool of its own, on
@@ -297,28 +336,11 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
     tasks = [(*cell, run) for cell in cells for run in range(cfg.runs)]
     scratch_size = (cfg.n_items + 1) * max(cfg.sample_counts) * max(cfg.dims)
     workers = min(_worker_count(), len(tasks))
-    if workers > 1:
-        # Imported here, not at module top: they would add to every CLI start-up.
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            workers = 1
-    if workers == 1:
+    if workers == 1 or not hasattr(os, "fork"):
         dists = _share(tasks, cfg.rng_seed, scratch_size)
     else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        ctx = multiprocessing.get_context("fork")
-        stop = ctx.Event()
-        with ProcessPoolExecutor(workers, mp_context=ctx, initializer=_start_worker,
-                                 initargs=(tasks, cfg.rng_seed, scratch_size, stop)) as pool:
-            futures = [pool.submit(_worker_share, first, workers) for first in range(workers)]
-            try:
-                shares = [future.result() for future in futures]
-            finally:
-                stop.set()  # on an interrupt, too, no worker starts another pass
         dists = [0.0] * len(tasks)
-        for first, share in enumerate(shares):
+        for first, share in enumerate(_forked_shares(tasks, cfg.rng_seed, scratch_size, workers)):
             dists[first::workers] = share
     return [
         ExperimentRow(

@@ -1,4 +1,5 @@
 import csv
+import errno
 import gc
 import hashlib
 import io
@@ -346,9 +347,9 @@ def test_out_of_memory_is_a_one_line_error(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_import_leaves_the_worker_pool_unloaded():
-    # concurrent.futures and multiprocessing are imported when the
-    # experiment runs, so they add nothing to the start-up of the other
-    # commands.
+    # compare-sampling forks its workers with os.fork, so neither
+    # concurrent.futures nor multiprocessing adds to the start-up of any
+    # command.
     result = subprocess.run(
         [sys.executable, "-c",
          "import uapca.cli, sys\n"
@@ -362,7 +363,7 @@ def test_cli_import_leaves_the_worker_pool_unloaded():
 def test_a_killed_worker_is_a_one_line_error(tmp_path):
     # Every pass kills its own worker process, as the OOM killer would.
     script = (
-        "import multiprocessing, os, signal\n"
+        "import os, signal\n"
         "import uapca.cli, uapca.metrics\n"
         "def killed(*args, **kwargs):\n"
         "    os.kill(os.getpid(), signal.SIGKILL)\n"
@@ -370,12 +371,15 @@ def test_a_killed_worker_is_a_one_line_error(tmp_path):
         "uapca.metrics._worker_count = lambda: 2\n"
         "code = uapca.cli.main(['compare-sampling', '--dims', '2', '--runs', '4',\n"
         f"                       '--samples', '8', '--out', {str(tmp_path / 'x.csv')!r}])\n"
-        "print(code, multiprocessing.active_children())\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "except ChildProcessError:\n"
+        "    print(code, 'no child left')\n"
     )
     result = subprocess.run([sys.executable, "-c", script], env=_fresh_env(),
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == ["1 []"]
+    assert result.stdout.splitlines() == ["1 no child left"]
     assert result.stderr.splitlines() == [
         "uapca: error: a sampling worker process was killed "
         "(by a signal, or for want of memory)"
@@ -731,6 +735,26 @@ def test_failure_mid_stream_leaves_no_file_and_keeps_old_ones(tmp_path, capsys, 
     assert {p.name: p.read_text(encoding="utf-8") for p in out.iterdir()} == old
 
 
+def test_a_directory_at_an_output_path_replaces_no_file(tmp_path, capsys, students_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "d.projection.svg").mkdir()
+    argv = ["project", "--input", str(students_path), "--out-prefix", str(out / "d")]
+    for old_csv in (None, "old csv\n"):
+        if old_csv is not None:
+            (out / "d.projection.csv").write_text(old_csv, encoding="utf-8")
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"uapca: error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: "
+            f"{str(out / 'd.projection.svg')!r}"]
+        # No new CSV, an old one kept byte for byte, and no temporary file.
+        assert sorted(p.name for p in out.iterdir()) == (
+            ["d.projection.svg"] if old_csv is None else ["d.projection.csv", "d.projection.svg"])
+        if old_csv is not None:
+            assert (out / "d.projection.csv").read_text(encoding="utf-8") == old_csv
+    assert list((out / "d.projection.svg").iterdir()) == []
+
+
 @pytest.mark.parametrize("field", ['"' + "x" * 200_000 + '"', "x" * 200_000],
                          ids=["quoted", "unquoted"])
 def test_oversized_csv_field_is_a_one_line_error(tmp_path, capsys, field):
@@ -878,11 +902,12 @@ def test_each_command_loads_only_its_own_modules(tmp_path, students_path, iris_p
     # With bytecode writing off, every module a call loads is compiled on
     # that call; fresh processes show which ones each command loads.
     def loaded(code: str) -> set[str]:
-        # uapca's modules by their names in the package, and "json" if loaded.
+        # uapca's modules by their names in the package, and those of `others` loaded.
+        others = ("json", "concurrent.futures", "multiprocessing")
         out = _fresh_process(
             f"import sys\n{code}\n"
             "names = [m[6:] for m in sys.modules if m.startswith('uapca.')]\n"
-            "print(' '.join(names + ['json'] * ('json' in sys.modules)))\n")
+            f"print(' '.join(names + [m for m in {others!r} if m in sys.modules]))\n")
         return set(out.splitlines()[-1].split())
 
     def command(*argv: str) -> str:
@@ -902,9 +927,12 @@ def test_each_command_loads_only_its_own_modules(tmp_path, students_path, iris_p
     assert not loaded(command("trace", "--input", str(students_path),
                               "--steps", "8", "--out-prefix", str(tmp_path / "t"))) & {
         "metrics", "items", "project"}
-    assert not loaded(command("compare-sampling", "--dims", "2", "--runs", "2", "--samples", "8",
-                              "--items", "3", "--out", str(tmp_path / "c.csv"))) & {
-        "svg", "project", "sensitivity", "eigen", "dataset_json"}
+    # Two workers whatever the host's CPU count, so the forked route runs.
+    assert not loaded("import uapca.cli, uapca.metrics\nuapca.metrics._worker_count = lambda: 2\n"
+                      + command("compare-sampling", "--dims", "2", "--runs", "2", "--samples", "8",
+                                "--items", "3", "--out", str(tmp_path / "c.csv"))) & {
+        "svg", "project", "sensitivity", "eigen", "dataset_json",
+        "concurrent.futures", "multiprocessing"}
 
 
 @pytest.mark.parametrize("imports, value, expected", [

@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -233,6 +234,13 @@ def _serial_rows(cfg):
     return rows
 
 
+def _assert_no_child_left():
+    # waitpid(-1) raises ChildProcessError once this process has no child,
+    # running or unreaped, at all.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("workers", [1, 3, 8])
 def test_rows_do_not_depend_on_the_worker_count(monkeypatch, workers):
     # One worker runs the passes in this process; 3 and 8 fork more worker
@@ -242,13 +250,13 @@ def test_rows_do_not_depend_on_the_worker_count(monkeypatch, workers):
     monkeypatch.setattr(uapca.metrics, "_worker_count", lambda: workers)
     rows = run_convergence_experiment(cfg)
     assert rows == _serial_rows(cfg)
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
 
 
 def test_without_fork_the_passes_run_in_this_process(monkeypatch):
     cfg = ExperimentConfig(dims=(2, 3), sample_counts=(8, 16), n_items=3, runs=4, rng_seed=5)
     monkeypatch.setattr(uapca.metrics, "_worker_count", lambda: 4)
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.delattr(os, "fork")
     pid = os.getpid()
     pids = set()
 
@@ -279,7 +287,53 @@ def test_a_failing_pass_stops_the_pool(monkeypatch):
         run_convergence_experiment(cfg)
     # The other worker stops after the pass it is in, well short of all 80.
     assert 3 <= calls.value < 10
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
+
+
+def test_an_exception_pickle_cannot_send_still_reaches_the_caller(monkeypatch):
+    cfg = ExperimentConfig(dims=(2,), sample_counts=(8,), n_items=3, runs=4, rng_seed=0)
+
+    class Local(Exception):  # pickle finds no class by this name
+        pass
+
+    def failing(ds, n, rng, **kwargs):
+        raise Local("cannot be sent")
+
+    monkeypatch.setattr(uapca.metrics, "_worker_count", lambda: 2)
+    monkeypatch.setattr(uapca.metrics, "sampled_pca", failing)
+    with pytest.raises(RuntimeError, match="a sampling worker process raised Local"):
+        run_convergence_experiment(cfg)
+    _assert_no_child_left()
+
+
+def test_an_interrupt_reaps_every_worker(monkeypatch, tmp_path):
+    cfg = ExperimentConfig(dims=(2, 3), sample_counts=(8, 16), n_items=3, runs=20, rng_seed=0)
+    parent = os.getpid()
+    sent = tmp_path / "sent"
+    calls = multiprocessing.get_context("fork").Value("i", 0)
+
+    def interrupting(ds, n, rng, **kwargs):
+        with calls.get_lock():
+            calls.value += 1
+        # One SIGINT, from the first 3-dimensional pass: the forks are long done.
+        if ds.dim == 3:
+            try:
+                os.close(os.open(sent, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                pass
+            else:
+                os.kill(parent, signal.SIGINT)
+        return sampled_pca(ds, n, rng, **kwargs)
+
+    monkeypatch.setattr(uapca.metrics, "_worker_count", lambda: 2)
+    monkeypatch.setattr(uapca.metrics, "sampled_pca", interrupting)
+    with pytest.raises(KeyboardInterrupt):
+        run_convergence_experiment(cfg)
+    # Each worker's first 20 passes are 2-dimensional.  The workers stop after
+    # the pass they are in, so at most the other's 40 passes and the sender's
+    # 21 run, not all 80.
+    assert sent.exists() and 21 <= calls.value < 70
+    _assert_no_child_left()
 
 
 def test_experiment_config_validation():
