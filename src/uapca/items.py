@@ -135,28 +135,9 @@ class Distribution:
     def cov(self) -> np.ndarray:
         raise NotImplementedError
 
-    def sample(
-        self, n: int, rng: np.random.Generator, out: np.ndarray | None = None,
-        draws: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Draw n samples as an (n, D) array, written into ``out`` when given.
-
-        ``draws`` is an optional (n, D) buffer for intermediate standard
-        normal draws (only Gaussian items use it), so a caller that samples
-        repeatedly into its own buffers allocates nothing per call.  The
-        generator is consumed the same way, and the samples are the same
-        bits, whether or not the buffers are given.
-        """
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Draw n samples, returned as a new (n, D) array."""
         raise NotImplementedError
-
-
-def _sample_buffer(buf: np.ndarray | None, n: int, dim: int) -> np.ndarray:
-    """A fresh (n, dim) array, or buf after checking that it has that shape."""
-    if buf is None:
-        return np.empty((n, dim))
-    if buf.shape != (n, dim):
-        raise ValueError(f"sample buffer has shape {buf.shape}, expected {(n, dim)}")
-    return buf
 
 
 class Point(Distribution):
@@ -175,10 +156,8 @@ class Point(Distribution):
     def cov(self) -> np.ndarray:
         return np.zeros((self.dim, self.dim))
 
-    def sample(self, n: int, rng: np.random.Generator, out=None, draws=None) -> np.ndarray:
-        out = _sample_buffer(out, n, self.dim)
-        out[...] = self._x
-        return out
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return np.tile(self._x, (n, 1))
 
     def __repr__(self) -> str:
         return f"Point({self._x.tolist()})"
@@ -212,19 +191,16 @@ class Gaussian(Distribution):
         """F with F F^T = cov, computed on first use and cached.
 
         The eigen factor handles rank-deficient covariances; tiny negative
-        eigenvalues from round-off are clamped to zero.  Call it once before
-        forking processes that sample the item, so each inherits the factor.
+        eigenvalues from round-off are clamped to zero.
         """
         if self._factor is None:
             evals, evecs = np.linalg.eigh(self._cov)
             self._factor = evecs * np.sqrt(np.clip(evals, 0.0, None))
         return self._factor
 
-    def sample(self, n: int, rng: np.random.Generator, out=None, draws=None) -> np.ndarray:
-        z = rng.standard_normal(out=_sample_buffer(draws, n, self.dim))
-        out = np.matmul(z, self._sampling_factor().T, out=_sample_buffer(out, n, self.dim))
-        out += self._mean
-        return out
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        z = rng.standard_normal((n, self.dim))
+        return z @ self._sampling_factor().T + self._mean
 
     def __repr__(self) -> str:
         return f"Gaussian(mean={self._mean.tolist()}, dim={self.dim})"
@@ -252,8 +228,8 @@ class ProductOf1D(Distribution):
     def cov(self) -> np.ndarray:
         return np.diag([c.variance() for c in self.cells])
 
-    def sample(self, n: int, rng: np.random.Generator, out=None, draws=None) -> np.ndarray:
-        out = _sample_buffer(out, n, self.dim)
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        out = np.empty((n, self.dim))
         for j, cell in enumerate(self.cells):
             out[:, j] = cell.sample(n, rng)
         return out
@@ -287,12 +263,8 @@ class EmpiricalCluster(Distribution):
     def cov(self) -> np.ndarray:
         return _population_moments(self.points)[1]
 
-    def sample(self, n: int, rng: np.random.Generator, out=None, draws=None) -> np.ndarray:
-        idx = rng.integers(0, self.points.shape[0], size=n)
-        # Indices are in range, so "clip" changes nothing; it spares the
-        # temporary that take() makes for out= under the default "raise".
-        out = _sample_buffer(out, n, self.dim)
-        return np.take(self.points, idx, axis=0, out=out, mode="clip")
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return self.points[rng.integers(0, self.points.shape[0], size=n)]
 
     def __repr__(self) -> str:
         return f"EmpiricalCluster(n={self.points.shape[0]}, dim={self.dim})"

@@ -15,14 +15,16 @@ For normals BC has a closed form, exp(-D_B) with
 The sampling harness draws from every item, pools the samples, and fits
 plain PCA moments to them; driving the sample count up makes the pooled
 moments converge to the closed-form global covariance, which is the
-correctness argument for the accumulation scheme.
+correctness argument for the accumulation scheme.  ``sampled_pca`` draws
+the rows, for any item kind.  The convergence experiment, whose items are
+Gaussians with one shared covariance, draws the same pooled moments from
+their sufficient statistics (item sample means and one Wishart scatter),
+so a pass costs the same at any sample count.
 """
 
 from __future__ import annotations
 
-import mmap
-import os
-import pickle
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,43 +101,18 @@ def hellinger(p: PcaSummary, q: PcaSummary) -> float:
 
 
 def sampled_pca(
-    ds: UncertainDataset,
-    samples_per_item: int,
-    rng: np.random.Generator,
-    *,
-    scratch: np.ndarray | None = None,
+    ds: UncertainDataset, samples_per_item: int, rng: np.random.Generator
 ) -> PcaSummary:
     """Monte-Carlo counterpart of the closed-form global covariance.
 
-    Draws ``samples_per_item`` samples from every item in order straight
-    into one pooled (M, D) array, centres it in place, and returns the
-    pooled mean and population (1/M) covariance.  Weights are ignored:
-    every item contributes the same number of draws.  Deterministic for a
-    seeded generator.
-
-    ``scratch`` is an optional contiguous 1-d float64 array of at least
-    (len(ds) + 1) * samples_per_item * D entries; the pooled rows and the
-    Gaussian normal draws are written into it instead of fresh arrays, so a
-    caller making many passes (one buffer per worker) allocates no sample
-    arrays per pass.  Its old contents do not matter, the result does not
-    alias it, and the result is the same bits with or without it.
+    Draws ``samples_per_item`` samples from every item in order, pools them
+    into one (M, D) array, and returns the pooled mean and population (1/M)
+    covariance.  Weights are ignored: every item contributes the same number
+    of draws.  Works for any item kind; deterministic for a seeded generator.
     """
     if not isinstance(samples_per_item, (int, np.integer)) or samples_per_item < 1:
         raise ValueError(f"samples_per_item must be a positive integer, got {samples_per_item!r}")
-    n, dim = int(samples_per_item), ds.dim
-    rows = len(ds) * n
-    size = (rows + n) * dim
-    if scratch is None:
-        scratch = np.empty(size)
-    elif (scratch.dtype != np.float64 or scratch.ndim != 1
-          or not scratch.flags.c_contiguous or scratch.size < size):
-        raise ValueError(
-            f"scratch must be a contiguous 1-d float64 array of at least {size} entries"
-        )
-    pooled = scratch[: rows * dim].reshape(rows, dim)
-    draws = scratch[rows * dim : size].reshape(n, dim)
-    for i, item in enumerate(ds.items):
-        item.sample(n, rng, out=pooled[i * n : (i + 1) * n], draws=draws)
+    pooled = np.concatenate([item.sample(int(samples_per_item), rng) for item in ds.items])
     return PcaSummary(*_population_moments(pooled, overwrite=True))
 
 
@@ -216,142 +193,67 @@ def _experiment_dataset(dim: int, n_items: int, seed: int) -> UncertainDataset:
     return UncertainDataset(tuple(Gaussian(mu, psi) for mu in means))
 
 
-def _worker_count() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
+def _pooled_gaussian_moments(means: np.ndarray, factor: np.ndarray, n: int,
+                             rng: np.random.Generator) -> PcaSummary:
+    """What ``sampled_pca`` returns for n draws from each item N(m_i, F F^T),
+    drawn from its sufficient statistics instead of its N n rows.
 
-
-def _share(tasks, seed: int, scratch_size: int, first: int = 0, step: int = 1,
-           stop=b"\0") -> list[float]:
-    """Hellinger distances of passes ``tasks[first::step]``, in that order.
-
-    Each pass has its own generator, seeded from (seed, dim, count, run), and
-    all of them reuse one ``sampled_pca`` scratch buffer.  The list ends
-    early, short of its passes, once the first byte of ``stop`` is set.
+    ``means`` is the (N, D) stack of the m_i and ``factor`` the (D, D) F.
+    The item sample means are N(m_i, F F^T / n), drawn as m_i + F z_i / sqrt(n).
+    Independent of them, the pooled scatter of the rows about their item
+    means is one Wishart W(F F^T, df) draw, df = N (n - 1): F A A^T F^T with
+    A lower-triangular, sqrt(chi^2(df - i)) on its diagonal and N(0, 1)
+    below it (Bartlett's decomposition), or F Z^T Z F^T with Z a (df, D)
+    standard-normal matrix when df < D (zero when n = 1).  The pooled
+    covariance is then the population covariance of the sample means plus
+    that scatter over N n.  A draw costs O(N D + D^3), whatever n is.
     """
-    scratch = np.empty(scratch_size)
-    dists = []
-    for dim, count, ds, closed, run in tasks[first::step]:
-        if stop[0]:
-            break
-        rng = np.random.default_rng([seed, dim, count, run])
-        dists.append(hellinger(sampled_pca(ds, count, rng, scratch=scratch), closed))
-    return dists
-
-
-def _child(writer, stop, *share) -> None:
-    """A forked worker: writes ``_share(*share, stop)`` as float64 bytes (exit
-    status 0), or its pickled exception (1), then ends the process by ``os._exit``.
-    """
-    code = 1
-    try:
-        try:
-            out = np.array(_share(*share, stop), dtype=float).tobytes()
-            code = 0
-        except BaseException as exc:  # sent to the parent, which raises it
-            stop[0] = 1  # the other workers stop after the pass they are in
-            try:
-                out = pickle.dumps(exc)
-            except Exception:  # an exception pickle cannot send, say a local class
-                out = pickle.dumps(RuntimeError(
-                    f"a sampling worker process raised {type(exc).__name__}"))
-        writer.write(out)
-        writer.flush()
-    finally:
-        os._exit(code)
-
-
-def _forked_shares(tasks, seed: int, scratch_size: int, workers: int) -> list[list[float]]:
-    """``_share(tasks, seed, scratch_size, k, workers)`` for each k < workers,
-    run by child k, forked from this process: it inherits the tasks and
-    sends its result through a pipe of its own.  A failing child sets the
-    shared stop byte; the first error is raised here.  Every child is
-    reaped before this returns or raises, on an interrupt too.
-    """
-    readers, pids = [], []
-    with mmap.mmap(-1, 1) as stop:  # anonymous and shared with the children
-        try:
-            for k in range(workers):
-                r, w = os.pipe()
-                readers.append(open(r, "rb"))
-                with open(w, "wb") as writer:  # the parent's copy closes after the fork
-                    pid = os.fork()
-                    if pid == 0:
-                        readers[-1].close()  # so a write fails once the parent stops reading
-                        _child(writer, stop, tasks, seed, scratch_size, k, workers)
-                    pids.append(pid)
-            payloads = [reader.read() for reader in readers]
-        finally:
-            stop[0] = 1  # on an interrupt, too, no child starts another pass
-            for reader in readers:
-                reader.close()
-            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    for code, payload in zip(codes, payloads):
-        if code == 1 and payload:
-            raise pickle.loads(payload)
-    if any(codes):  # killed by a signal, or ended without a word
-        raise ChildProcessError("a sampling worker process was killed "
-                                "(by a signal, or for want of memory)")
-    return [np.frombuffer(payload).tolist() for payload in payloads]
+    count, dim = means.shape
+    sample_means = means + rng.standard_normal((count, dim)) @ factor.T / math.sqrt(n)
+    df = count * (n - 1)
+    if df >= dim:
+        a = np.zeros((dim, dim))
+        np.fill_diagonal(a, np.sqrt(rng.chisquare(df - np.arange(dim))))
+        a[np.tril_indices(dim, -1)] = rng.standard_normal(dim * (dim - 1) // 2)
+    else:
+        a = rng.standard_normal((df, dim)).T
+    fa = factor @ a
+    mean, between = _population_moments(sample_means, overwrite=True)
+    return PcaSummary(mean, between + fa @ fa.T / (count * n))
 
 
 def run_convergence_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
     """Median Hellinger between sampled and closed-form PCA summaries.
 
     For every (dim, sample count) cell the experiment runs ``cfg.runs``
-    independent sampling passes with derived seeds and reports the median
-    Hellinger distance to the closed-form summary at s = 1.  Rows come out
-    ordered by dim, then sample count.
+    independent sampling passes and reports the median Hellinger distance
+    to the closed-form summary at s = 1.  Rows come out ordered by dim, then
+    sample count.
 
-    The passes run in worker processes forked by ``os.fork``, one per CPU
-    this process may use: of W workers, worker k runs passes k, k + W,
-    k + 2W, ...  Each pass has its own generator, seeded from (seed, dim,
-    count, run), and each worker reuses one ``sampled_pca`` scratch buffer
-    across its passes, so the rows are fully determined by the config and
-    do not depend on the worker count.  A failing pass stops the other
-    workers after the pass they are in, and its exception is raised here; a
-    worker killed by a signal raises ``ChildProcessError``.  No worker
-    outlives the call.  With one usable CPU, or where ``os.fork`` does not
-    exist, the same passes run in this process, one after another.
-
-    OpenBLAS splits the larger products over a thread pool of its own, on
-    CPUs the workers already fill.  The CLI gives it one thread by setting
-    ``OPENBLAS_NUM_THREADS`` before numpy loads, so its process has no other
-    thread when it forks; a library caller should set that variable before
-    its own first import of numpy, and should not call this while threads of
-    its own hold locks.  The rows are the same bits with one BLAS thread or
-    two.
+    Every item of the synthetic dataset is a Gaussian with the same
+    covariance, so a pass draws the pooled moments of its rows from their
+    sufficient statistics (``_pooled_gaussian_moments``), with the same law
+    as ``sampled_pca`` on that dataset but without drawing a row.  Each pass
+    has its own generator, seeded from (seed, dim, count, run), so the rows
+    are fully determined by the config.  The passes run one after another
+    in this process.
     """
-    cells = []
+    rows = []
     for dim in cfg.dims:
         ds = _experiment_dataset(dim, cfg.n_items, cfg.rng_seed)
-        for item in ds.items:
-            item._sampling_factor()  # cached now, so every worker inherits it
+        means, factor = ds.means(), ds.items[0]._sampling_factor()
         g = global_cov(ds)
         closed = PcaSummary(mean=g.mean, cov=g.at(1.0))
-        cells.extend((dim, count, ds, closed) for count in cfg.sample_counts)
-    tasks = [(*cell, run) for cell in cells for run in range(cfg.runs)]
-    scratch_size = (cfg.n_items + 1) * max(cfg.sample_counts) * max(cfg.dims)
-    workers = min(_worker_count(), len(tasks))
-    if workers == 1 or not hasattr(os, "fork"):
-        dists = _share(tasks, cfg.rng_seed, scratch_size)
-    else:
-        dists = [0.0] * len(tasks)
-        for first, share in enumerate(_forked_shares(tasks, cfg.rng_seed, scratch_size, workers)):
-            dists[first::workers] = share
-    return [
-        ExperimentRow(
-            dim=dim,
-            samples=count,
-            median_hellinger=_median(dists[c * cfg.runs : (c + 1) * cfg.runs]),
-            runs=cfg.runs,
-            seed=cfg.rng_seed,
-        )
-        for c, (dim, count, _, _) in enumerate(cells)
-    ]
+        for count in cfg.sample_counts:
+            dists = [
+                hellinger(_pooled_gaussian_moments(
+                    means, factor, count, np.random.default_rng([cfg.rng_seed, dim, count, run])),
+                    closed)
+                for run in range(cfg.runs)
+            ]
+            rows.append(ExperimentRow(dim=dim, samples=count, median_hellinger=_median(dists),
+                                      runs=cfg.runs, seed=cfg.rng_seed))
+    return rows
 
 
 def samples_to_reach(rows: list[ExperimentRow], dim: int, target: float = _TARGET_H) -> int | None:

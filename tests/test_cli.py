@@ -316,7 +316,9 @@ def test_compare_sampling_rejects_unordered_counts(tmp_path, capsys, monkeypatch
 
 
 def test_compare_sampling_csv_bytes_are_pinned(tmp_path, capsys, monkeypatch):
-    # Recorded from the serial implementation; the worker processes must not move a bit.
+    # Recorded from the moment route (each pass draws its item sample means and
+    # one Wishart scatter from its own seeded generator); any change to the
+    # draws or their order moves these bytes.
     monkeypatch.delenv("UAPCA_SEED", raising=False)
     out = tmp_path / "pin.csv"
     code = main([
@@ -325,7 +327,7 @@ def test_compare_sampling_csv_bytes_are_pinned(tmp_path, capsys, monkeypatch):
     ])
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "97426ac853b50594c60ebb7aa48bf49a3b406bdf5b7b5f0f312655549f862d7a"
+        "aba2b9182f5a898e936767de96b66bd7125fc2473c8eae1ee01ba2a68506e409"
     )
 
 
@@ -347,7 +349,7 @@ def test_out_of_memory_is_a_one_line_error(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_import_leaves_the_worker_pool_unloaded():
-    # compare-sampling forks its workers with os.fork, so neither
+    # compare-sampling runs every pass in the CLI process, so neither
     # concurrent.futures nor multiprocessing adds to the start-up of any
     # command.
     result = subprocess.run(
@@ -358,33 +360,6 @@ def test_cli_import_leaves_the_worker_pool_unloaded():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
-
-
-def test_a_killed_worker_is_a_one_line_error(tmp_path):
-    # Every pass kills its own worker process, as the OOM killer would.
-    script = (
-        "import os, signal\n"
-        "import uapca.cli, uapca.metrics\n"
-        "def killed(*args, **kwargs):\n"
-        "    os.kill(os.getpid(), signal.SIGKILL)\n"
-        "uapca.metrics.sampled_pca = killed\n"
-        "uapca.metrics._worker_count = lambda: 2\n"
-        "code = uapca.cli.main(['compare-sampling', '--dims', '2', '--runs', '4',\n"
-        f"                       '--samples', '8', '--out', {str(tmp_path / 'x.csv')!r}])\n"
-        "try:\n"
-        "    os.waitpid(-1, os.WNOHANG)\n"
-        "except ChildProcessError:\n"
-        "    print(code, 'no child left')\n"
-    )
-    result = subprocess.run([sys.executable, "-c", script], env=_fresh_env(),
-                            capture_output=True, text=True, timeout=60)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == ["1 no child left"]
-    assert result.stderr.splitlines() == [
-        "uapca: error: a sampling worker process was killed "
-        "(by a signal, or for want of memory)"
-    ]
-    assert not (tmp_path / "x.csv").exists()
 
 
 def test_cli_import_builds_no_digit_table():
@@ -927,10 +902,8 @@ def test_each_command_loads_only_its_own_modules(tmp_path, students_path, iris_p
     assert not loaded(command("trace", "--input", str(students_path),
                               "--steps", "8", "--out-prefix", str(tmp_path / "t"))) & {
         "metrics", "items", "project"}
-    # Two workers whatever the host's CPU count, so the forked route runs.
-    assert not loaded("import uapca.cli, uapca.metrics\nuapca.metrics._worker_count = lambda: 2\n"
-                      + command("compare-sampling", "--dims", "2", "--runs", "2", "--samples", "8",
-                                "--items", "3", "--out", str(tmp_path / "c.csv"))) & {
+    assert not loaded(command("compare-sampling", "--dims", "2", "--runs", "2", "--samples", "8",
+                              "--items", "3", "--out", str(tmp_path / "c.csv"))) & {
         "svg", "project", "sensitivity", "eigen", "dataset_json",
         "concurrent.futures", "multiprocessing"}
 
@@ -947,8 +920,8 @@ def test_cli_gives_openblas_one_thread_unless_set(imports, value, expected):
 
 
 def test_compare_sampling_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # 4096 samples of 10 items in 12 dimensions: products large enough for
-    # OpenBLAS to split them over its threads.
+    # The CLI's one-thread OpenBLAS default, kept for the project and trace
+    # commands, must not move a compare-sampling byte against two threads.
     def csv_bytes(name: str, threads: str | None) -> bytes:
         out = tmp_path / name
         _fresh_process("from uapca.cli import main\n"

@@ -1,18 +1,16 @@
-import multiprocessing
-import os
-import signal
-
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
 import uapca.metrics
+from uapca.cli import main
 from uapca.cov import global_cov
 from uapca.metrics import (
     DEFAULT_SAMPLE_COUNTS,
     ExperimentConfig,
     ExperimentRow,
     PcaSummary,
+    _pooled_gaussian_moments,
     bhattacharyya_coeff,
     hellinger,
     run_convergence_experiment,
@@ -195,145 +193,82 @@ def test_pooled_sampling_is_bit_identical_to_stacked_draws():
         rng = np.random.default_rng(seed)
         return _population_moments(np.vstack([item.sample(n, rng) for item in ds.items]))
 
-    scratch = np.empty((len(ds) + 1) * 200 * ds.dim)
     for n, seed in [(200, 1), (33, 2), (1, 3)]:
         mean, cov = reference(n, seed)
-        # The first pass uses a fresh buffer; the later ones reuse the
-        # scratch that the earlier, larger passes left dirty.
-        for kwargs in ({}, {"scratch": scratch}):
-            got = sampled_pca(ds, n, np.random.default_rng(seed), **kwargs)
-            assert np.array_equal(got.mean, mean)
-            assert np.array_equal(got.cov, cov)
+        got = sampled_pca(ds, n, np.random.default_rng(seed))
+        assert np.array_equal(got.mean, mean)
+        assert np.array_equal(got.cov, cov)
 
 
-def test_sampled_pca_rejects_an_unusable_scratch():
-    ds = _mixed_dataset()
-    size = (len(ds) + 1) * 8 * ds.dim
-    for bad in (np.empty(size - 1), np.empty(size, dtype=np.float32),
-                np.empty(2 * size)[::2], np.empty((size, 1))):
-        with pytest.raises(ValueError, match="scratch"):
-            sampled_pca(ds, 8, np.random.default_rng(0), scratch=bad)
+# ---------------------------------------------------------------------------
+# The experiment's moment route against the row route it replaces.
 
 
-def _serial_rows(cfg):
-    """The experiment, one pass after another, from the public pieces."""
-    rows = []
-    for dim in cfg.dims:
-        ds = uapca.metrics._experiment_dataset(dim, cfg.n_items, cfg.rng_seed)
-        g = global_cov(ds)
-        closed = PcaSummary(mean=g.mean, cov=g.at(1.0))
-        for count in cfg.sample_counts:
-            dists = [
-                hellinger(
-                    sampled_pca(ds, count, np.random.default_rng([cfg.rng_seed, dim, count, run])),
-                    closed,
-                )
-                for run in range(cfg.runs)
-            ]
-            rows.append(ExperimentRow(dim, count, float(np.median(dists)), cfg.runs, cfg.rng_seed))
-    return rows
+def _moment_pass(means, factor, n, seed):
+    return _pooled_gaussian_moments(means, factor, n, np.random.default_rng(seed))
 
 
-def _assert_no_child_left():
-    # waitpid(-1) raises ChildProcessError once this process has no child,
-    # running or unreaped, at all.
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+@pytest.mark.parametrize("dim, n", [(2, 16), (6, 64), (12, 1024)])
+def test_moment_route_has_the_row_route_distances_in_distribution(dim, n):
+    # Two-sample KS test of 400 seeded Hellinger distances per route, at
+    # alpha = 0.001: a route that drew the wrong law would be rejected.
+    alpha, runs = 0.001, 400
+    ds = uapca.metrics._experiment_dataset(dim, 10, 0)
+    means, factor = ds.means(), ds.items[0]._sampling_factor()
+    g = global_cov(ds)
+    closed = PcaSummary(mean=g.mean, cov=g.at(1.0))
+    moments = [hellinger(_moment_pass(means, factor, n, [1, dim, n, run]), closed)
+               for run in range(runs)]
+    rows = [hellinger(sampled_pca(ds, n, np.random.default_rng([2, dim, n, run])), closed)
+            for run in range(runs)]
+    assert stats.ks_2samp(moments, rows).pvalue > alpha
 
 
-@pytest.mark.parametrize("workers", [1, 3, 8])
-def test_rows_do_not_depend_on_the_worker_count(monkeypatch, workers):
-    # One worker runs the passes in this process; 3 and 8 fork more worker
-    # processes than cores, so that a pass result written to the wrong slot
-    # or lost would change a median.
-    cfg = ExperimentConfig(dims=(2, 4, 5), sample_counts=(8, 64), n_items=3, runs=5, rng_seed=11)
-    monkeypatch.setattr(uapca.metrics, "_worker_count", lambda: workers)
-    rows = run_convergence_experiment(cfg)
-    assert rows == _serial_rows(cfg)
-    _assert_no_child_left()
+@pytest.mark.parametrize("dim, items, n", [(6, 10, 16), (6, 3, 3), (12, 2, 2), (4, 5, 1)])
+def test_moment_route_has_the_exact_expectation(dim, items, n):
+    # n draws from each of N equal-weight items N(m_i, Psi) pool to a mean
+    # with expectation mean(m_i) and a covariance with expectation
+    # Cov(m_i) + (1 - 1/(N n)) Psi.  (6, 3, 3) has N (n - 1) = D, the fewest
+    # degrees of freedom Bartlett's decomposition takes, (12, 2, 2) has
+    # N (n - 1) < D and (4, 5, 1) no within-item scatter.  Every entry's z-score
+    # over 4000 passes stays within 4.5: about 7e-6 per entry by chance, so
+    # under 1e-3 over the at most 90 entries of a case.
+    rng = np.random.default_rng([5, dim, items, n])
+    means = rng.normal(0.0, 2.0, (items, dim))
+    psi = random_psd(rng, dim)
+    factor = Gaussian(means[0], psi)._sampling_factor()
+    passes = [_moment_pass(means, factor, n, [6, dim, items, n, run]) for run in range(4000)]
+    upper = np.triu_indices(dim)
+    got = np.array([np.concatenate([p.mean, p.cov[upper]]) for p in passes])
+    want = np.concatenate([means.mean(axis=0),
+                           (_population_moments(means)[1] + (1 - 1 / (items * n)) * psi)[upper]])
+    z = (got.mean(axis=0) - want) / (got.std(axis=0, ddof=1) / np.sqrt(len(passes)))
+    assert np.abs(z).max() < 4.5
 
 
-def test_without_fork_the_passes_run_in_this_process(monkeypatch):
-    cfg = ExperimentConfig(dims=(2, 3), sample_counts=(8, 16), n_items=3, runs=4, rng_seed=5)
-    monkeypatch.setattr(uapca.metrics, "_worker_count", lambda: 4)
-    monkeypatch.delattr(os, "fork")
-    pid = os.getpid()
-    pids = set()
-
-    def recording(ds, n, rng, **kwargs):
-        pids.add(os.getpid())
-        return sampled_pca(ds, n, rng, **kwargs)
-
-    monkeypatch.setattr(uapca.metrics, "sampled_pca", recording)
-    assert run_convergence_experiment(cfg) == _serial_rows(cfg)
-    assert pids == {pid}
-
-
-def test_a_failing_pass_stops_the_pool(monkeypatch):
-    cfg = ExperimentConfig(dims=(2, 3), sample_counts=(8, 16), n_items=3, runs=20, rng_seed=0)
-    # Counted in shared memory: each worker is a forked process.
-    calls = multiprocessing.get_context("fork").Value("i", 0)
-
-    def failing(ds, n, rng, **kwargs):
-        with calls.get_lock():
-            calls.value += 1
-            if calls.value == 3:
-                raise MemoryError("no room")
-        return sampled_pca(ds, n, rng, **kwargs)
-
-    monkeypatch.setattr(uapca.metrics, "_worker_count", lambda: 2)
-    monkeypatch.setattr(uapca.metrics, "sampled_pca", failing)
-    with pytest.raises(MemoryError, match="no room"):
-        run_convergence_experiment(cfg)
-    # The other worker stops after the pass it is in, well short of all 80.
-    assert 3 <= calls.value < 10
-    _assert_no_child_left()
+@pytest.mark.parametrize("items, n", [(2, 2), (3, 1)])
+def test_few_degrees_of_freedom_give_a_psd_summary(items, n):
+    # N (n - 1) = 2 and 0 are below D = 12: the within scatter is F Z^T Z F^T
+    # from 2 rows of Z, or zero, and the pooled covariance has rank at most
+    # N - 1 + N (n - 1).
+    dim = 12
+    ds = uapca.metrics._experiment_dataset(dim, items, 0)
+    got = _moment_pass(ds.means(), ds.items[0]._sampling_factor(), n, 0)
+    assert np.all(np.isfinite(got.mean)) and np.all(np.isfinite(got.cov))
+    assert np.array_equal(got.cov, got.cov.T)
+    evals = np.linalg.eigvalsh(got.cov)
+    assert evals.min() >= -1e-12 * evals.max()
+    assert np.count_nonzero(evals > 1e-9 * evals.max()) <= items - 1 + items * (n - 1)
 
 
-def test_an_exception_pickle_cannot_send_still_reaches_the_caller(monkeypatch):
-    cfg = ExperimentConfig(dims=(2,), sample_counts=(8,), n_items=3, runs=4, rng_seed=0)
-
-    class Local(Exception):  # pickle finds no class by this name
-        pass
-
-    def failing(ds, n, rng, **kwargs):
-        raise Local("cannot be sent")
-
-    monkeypatch.setattr(uapca.metrics, "_worker_count", lambda: 2)
-    monkeypatch.setattr(uapca.metrics, "sampled_pca", failing)
-    with pytest.raises(RuntimeError, match="a sampling worker process raised Local"):
-        run_convergence_experiment(cfg)
-    _assert_no_child_left()
-
-
-def test_an_interrupt_reaps_every_worker(monkeypatch, tmp_path):
-    cfg = ExperimentConfig(dims=(2, 3), sample_counts=(8, 16), n_items=3, runs=20, rng_seed=0)
-    parent = os.getpid()
-    sent = tmp_path / "sent"
-    calls = multiprocessing.get_context("fork").Value("i", 0)
-
-    def interrupting(ds, n, rng, **kwargs):
-        with calls.get_lock():
-            calls.value += 1
-        # One SIGINT, from the first 3-dimensional pass: the forks are long done.
-        if ds.dim == 3:
-            try:
-                os.close(os.open(sent, os.O_CREAT | os.O_EXCL))
-            except FileExistsError:
-                pass
-            else:
-                os.kill(parent, signal.SIGINT)
-        return sampled_pca(ds, n, rng, **kwargs)
-
-    monkeypatch.setattr(uapca.metrics, "_worker_count", lambda: 2)
-    monkeypatch.setattr(uapca.metrics, "sampled_pca", interrupting)
-    with pytest.raises(KeyboardInterrupt):
-        run_convergence_experiment(cfg)
-    # Each worker's first 20 passes are 2-dimensional.  The workers stop after
-    # the pass they are in, so at most the other's 40 passes and the sender's
-    # 21 run, not all 80.
-    assert sent.exists() and 21 <= calls.value < 70
-    _assert_no_child_left()
+def test_compare_sampling_runs_below_dim_degrees_of_freedom(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("UAPCA_SEED", raising=False)
+    out = tmp_path / "few.csv"
+    assert main(["compare-sampling", "--dims", "12", "--items", "2", "--samples", "1,2",
+                 "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 3
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "dim 12: median Hellinger never fell below 0.1")
 
 
 def test_experiment_config_validation():

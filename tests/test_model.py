@@ -293,18 +293,15 @@ def _every_kind():
     ]
 
 
-def test_sampling_into_buffers_matches_fresh_arrays():
+def test_every_kind_samples_a_new_n_by_d_array():
     n = 37
     for item in _every_kind():
-        fresh = item.sample(n, np.random.default_rng(5))
-        out = np.full((n, 4), np.nan)
-        draws = np.full((n, 4), np.nan)
-        got = item.sample(n, np.random.default_rng(5), out=out, draws=draws)
-        assert got is out
-        assert fresh.shape == (n, 4)
-        assert np.array_equal(got, fresh)
-        with pytest.raises(ValueError, match="shape"):
-            item.sample(n, np.random.default_rng(5), out=np.empty((n + 1, 4)))
+        got = item.sample(n, np.random.default_rng(5))
+        assert got.shape == (n, 4) and got.dtype == np.float64
+        kept = got.copy()
+        # A new array: writing to it leaves the item, and so the next draw, alone.
+        got[...] = np.nan
+        assert np.array_equal(item.sample(n, np.random.default_rng(5)), kept)
 
 
 def test_gaussian_sample_is_mean_plus_factored_draws():
