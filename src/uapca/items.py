@@ -15,7 +15,7 @@ from numbers import Real
 import numpy as np
 
 from .model import (_cell_moments, _cell_rule_error, _frozen_vector, _population_moments,
-                    _readonly, _real_array, _row_mean, cov_matrix)
+                    _psd_factor, _readonly, _real_array, _row_mean, cov_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -188,14 +188,9 @@ class Gaussian(Distribution):
         return self._cov
 
     def _sampling_factor(self) -> np.ndarray:
-        """F with F F^T = cov, computed on first use and cached.
-
-        The eigen factor handles rank-deficient covariances; tiny negative
-        eigenvalues from round-off are clamped to zero.
-        """
+        """``_psd_factor(cov)``, computed on first use and cached."""
         if self._factor is None:
-            evals, evecs = np.linalg.eigh(self._cov)
-            self._factor = evecs * np.sqrt(np.clip(evals, 0.0, None))
+            self._factor = _psd_factor(self._cov)
         return self._factor
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:

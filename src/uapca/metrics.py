@@ -24,18 +24,19 @@ so a pass costs the same at any sample count.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cov import global_cov
-from .items import Gaussian
-from .model import UncertainDataset, _frozen_vector, _median, _population_moments, _readonly
+from .model import (UncertainDataset, _frozen_vector, _median, _population_moments, _psd_factor,
+                    _readonly, _symmetrized)
 
 _REG_EPS = 1e-12
 _TARGET_H = 0.1
 DEFAULT_SAMPLE_COUNTS = (16, 64, 256, 1024, 4096)
+# The most floats of (passes, N, D) item sample means the experiment draws at once.
+_CHUNK_FLOATS = 1 << 16
 
 
 @dataclass(eq=False, repr=False)
@@ -56,14 +57,31 @@ class PcaSummary:
         self.cov = _readonly((k + k.T) / 2.0)
 
 
-def _logdets(sp: np.ndarray, sq: np.ndarray, sbar: np.ndarray):
-    out = []
-    for m in (sp, sq, sbar):
-        sign, logdet = np.linalg.slogdet(m)
-        if sign <= 0.0 or not np.isfinite(logdet):
-            return None
-        out.append(logdet)
-    return out
+def _logdets(sp: np.ndarray, sq: np.ndarray, sbar: np.ndarray) -> np.ndarray:
+    """(3, P) log-determinants of sp, sq and sbar; NaN where not finite or of sign <= 0."""
+    lds = [np.where((sign > 0.0) & np.isfinite(ld), ld, np.nan)
+           for sign, ld in map(np.linalg.slogdet, (sp, sq, sbar))]
+    return np.array(np.broadcast_arrays(*lds))
+
+
+def _bhattacharyya(dmu: np.ndarray, sp: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """``bhattacharyya_coeff`` of N(mu_p[j], sp[j]) and N(mu_q, sq) for the
+    (P, D) stack dmu = mu_p - mu_q and the (P, D, D) stack sp, in batched
+    calls; the 1e-12 * I retry applies to each pass on its own."""
+    sbar = (sp + sq) / 2.0
+    ld = _logdets(sp, sq, sbar)
+    bad = np.isnan(ld).any(axis=0)
+    if bad.any():
+        eye = _REG_EPS * np.eye(sq.shape[-1])
+        sp_reg, sq_reg = sp[bad] + eye, sq + eye
+        sbar[bad] = (sp_reg + sq_reg) / 2.0
+        ld[:, bad] = _logdets(sp_reg, sq_reg, sbar[bad])
+        if np.isnan(ld).any():
+            raise ValueError("covariances are irrecoverably singular")
+    # A matmul dot: einsum's moves the last bit of some distances.
+    maha = (dmu[:, None, :] @ np.linalg.solve(sbar, dmu[..., None]))[:, 0, 0]
+    d_b = 0.125 * maha + 0.5 * (ld[2] - 0.5 * (ld[0] + ld[1]))
+    return np.clip(np.exp(-d_b), 0.0, 1.0)
 
 
 def bhattacharyya_coeff(p: PcaSummary, q: PcaSummary) -> float:
@@ -77,22 +95,7 @@ def bhattacharyya_coeff(p: PcaSummary, q: PcaSummary) -> float:
         raise ValueError(
             f"summaries have different dimensions: {p.mean.size} vs {q.mean.size}"
         )
-    sp, sq = p.cov, q.cov
-    sbar = (sp + sq) / 2.0
-    dets = _logdets(sp, sq, sbar)
-    if dets is None:
-        eye = _REG_EPS * np.eye(sp.shape[0])
-        sp = sp + eye
-        sq = sq + eye
-        sbar = (sp + sq) / 2.0
-        dets = _logdets(sp, sq, sbar)
-        if dets is None:
-            raise ValueError("covariances are irrecoverably singular")
-    ld_p, ld_q, ld_bar = dets
-    dmu = p.mean - q.mean
-    maha = float(dmu @ np.linalg.solve(sbar, dmu))
-    d_b = 0.125 * maha + 0.5 * (ld_bar - 0.5 * (ld_p + ld_q))
-    return float(np.clip(np.exp(-d_b), 0.0, 1.0))
+    return float(_bhattacharyya((p.mean - q.mean)[None], p.cov[None], q.cov)[0])
 
 
 def hellinger(p: PcaSummary, q: PcaSummary) -> float:
@@ -151,6 +154,8 @@ class ExperimentConfig:
             raise ValueError(f"runs must be >= 1, got {self.runs!r}")
         if int(self.n_items) < 2:
             raise ValueError(f"n_items must be >= 2, got {self.n_items!r}")
+        if int(self.n_items) * (counts[-1] - 1) >= 1 << 63:
+            raise ValueError(f"sample count {counts[-1]} too large: n_items * (count - 1) >= 2**63")
         if int(self.rng_seed) < 0:
             raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed!r}")
         object.__setattr__(self, "dims", dims)
@@ -176,7 +181,8 @@ def _psd_projection(m: np.ndarray) -> np.ndarray:
     return (out + out.T) / 2.0
 
 
-def _experiment_dataset(dim: int, n_items: int, seed: int) -> UncertainDataset:
+def _experiment_dataset(dim: int, n_items: int, seed: int) -> tuple[UncertainDataset, np.ndarray]:
+    """``ExperimentConfig``'s dataset for one dim, as a table, and F with F F^T = Psi."""
     rng = np.random.default_rng([seed, dim])
     gauss = rng.standard_normal((dim, dim))
     q_mat, r_mat = np.linalg.qr(gauss)
@@ -184,19 +190,17 @@ def _experiment_dataset(dim: int, n_items: int, seed: int) -> UncertainDataset:
     spectrum = rng.uniform(0.5, 2.0, size=dim)
     sigma = (q_mat * spectrum) @ q_mat.T
     sigma = (sigma + sigma.T) / 2.0
-
-    evals, evecs = np.linalg.eigh(sigma)
-    factor = evecs * np.sqrt(np.clip(evals, 0.0, None))
-    means = rng.standard_normal((n_items, dim)) @ factor.T
-
+    means = rng.standard_normal((n_items, dim)) @ _psd_factor(sigma).T
     psi = _psd_projection(sigma.ravel()[::-1].reshape(dim, dim))
-    return UncertainDataset(tuple(Gaussian(mu, psi) for mu in means))
+    psis = np.broadcast_to(psi, (n_items, dim, dim))
+    return UncertainDataset._from_table(means, range(n_items), psis), _psd_factor(psi)
 
 
-def _pooled_gaussian_moments(means: np.ndarray, factor: np.ndarray, n: int,
-                             rng: np.random.Generator) -> PcaSummary:
-    """What ``sampled_pca`` returns for n draws from each item N(m_i, F F^T),
-    drawn from its sufficient statistics instead of its N n rows.
+def _pooled_gaussian_moments(means: np.ndarray, factor: np.ndarray, counts,
+                             rngs) -> tuple[np.ndarray, np.ndarray]:
+    """What ``sampled_pca`` returns for n = counts[j] draws from each item
+    N(m_i, F F^T), for every pass j, drawn from its sufficient statistics
+    with the j-th generator of the iterable ``rngs``, not from its N n rows.
 
     ``means`` is the (N, D) stack of the m_i and ``factor`` the (D, D) F.
     The item sample means are N(m_i, F F^T / n), drawn as m_i + F z_i / sqrt(n).
@@ -204,22 +208,31 @@ def _pooled_gaussian_moments(means: np.ndarray, factor: np.ndarray, n: int,
     means is one Wishart W(F F^T, df) draw, df = N (n - 1): F A A^T F^T with
     A lower-triangular, sqrt(chi^2(df - i)) on its diagonal and N(0, 1)
     below it (Bartlett's decomposition), or F Z^T Z F^T with Z a (df, D)
-    standard-normal matrix when df < D (zero when n = 1).  The pooled
-    covariance is then the population covariance of the sample means plus
-    that scatter over N n.  A draw costs O(N D + D^3), whatever n is.
+    standard-normal matrix when df < D (zero when n = 1), Z^T padded to A's
+    shape with zero columns.  The pooled covariance is then the population
+    covariance of the sample means plus that scatter over N n.  The passes
+    draw in turn, in that order, then run at once on stacked arrays: the
+    (P, D) means and symmetrized (P, D, D) covariances, a non-finite one
+    rejected as ``PcaSummary`` does.  A pass costs O(N D + D^3), whatever n is.
     """
     count, dim = means.shape
-    sample_means = means + rng.standard_normal((count, dim)) @ factor.T / math.sqrt(n)
-    df = count * (n - 1)
-    if df >= dim:
-        a = np.zeros((dim, dim))
-        np.fill_diagonal(a, np.sqrt(rng.chisquare(df - np.arange(dim))))
-        a[np.tril_indices(dim, -1)] = rng.standard_normal(dim * (dim - 1) // 2)
-    else:
-        a = rng.standard_normal((df, dim)).T
+    z = np.empty((len(counts), count, dim))
+    a = np.zeros((len(counts), dim, dim))
+    below, diag = np.tril_indices(dim, -1), np.arange(dim)
+    for j, (n, rng) in enumerate(zip(counts, rngs)):
+        rng.standard_normal(out=z[j])
+        df = count * (n - 1)
+        if df >= dim:
+            a[j, diag, diag] = np.sqrt(rng.chisquare(df - diag))
+            a[j][below] = rng.standard_normal(below[0].size)
+        else:
+            a[j, :, :df] = rng.standard_normal((df, dim)).T
+    n = np.array(counts, dtype=float)[:, None, None]
+    pooled = np.array([count * c for c in counts], dtype=float)[:, None, None]
+    mean, between = _population_moments(means + z @ factor.T / np.sqrt(n), overwrite=True)
     fa = factor @ a
-    mean, between = _population_moments(sample_means, overwrite=True)
-    return PcaSummary(mean, between + fa @ fa.T / (count * n))
+    cov = between + fa @ fa.swapaxes(1, 2) / pooled
+    return mean, _symmetrized(cov, lambda j: "covariance")
 
 
 def run_convergence_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
@@ -235,24 +248,25 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
     sufficient statistics (``_pooled_gaussian_moments``), with the same law
     as ``sampled_pca`` on that dataset but without drawing a row.  Each pass
     has its own generator, seeded from (seed, dim, count, run), so the rows
-    are fully determined by the config.  The passes run one after another
-    in this process.
+    are fully determined by the config.  A dimension's passes run in chunks
+    of at most ``_CHUNK_FLOATS`` drawn floats (and at least one pass), on
+    stacked arrays, with the bits of one pass at a time.
     """
     rows = []
     for dim in cfg.dims:
-        ds = _experiment_dataset(dim, cfg.n_items, cfg.rng_seed)
-        means, factor = ds.means(), ds.items[0]._sampling_factor()
+        ds, factor = _experiment_dataset(dim, cfg.n_items, cfg.rng_seed)
         g = global_cov(ds)
         closed = PcaSummary(mean=g.mean, cov=g.at(1.0))
-        for count in cfg.sample_counts:
-            dists = [
-                hellinger(_pooled_gaussian_moments(
-                    means, factor, count, np.random.default_rng([cfg.rng_seed, dim, count, run])),
-                    closed)
-                for run in range(cfg.runs)
-            ]
-            rows.append(ExperimentRow(dim=dim, samples=count, median_hellinger=_median(dists),
-                                      runs=cfg.runs, seed=cfg.rng_seed))
+        passes = [(count, run) for count in cfg.sample_counts for run in range(cfg.runs)]
+        size = max(1, _CHUNK_FLOATS // (cfg.n_items * dim))
+        dists = []
+        for chunk in (passes[i:i + size] for i in range(0, len(passes), size)):
+            rngs = (np.random.default_rng([cfg.rng_seed, dim, *p]) for p in chunk)  # one at a time
+            mean, cov = _pooled_gaussian_moments(ds.means(), factor, [c for c, _ in chunk], rngs)
+            bc = _bhattacharyya(mean - closed.mean, cov, closed.cov)
+            dists.extend(np.sqrt(np.clip(1.0 - bc, 0.0, 1.0)))
+        rows += [ExperimentRow(dim, count, _median(cell), cfg.runs, cfg.rng_seed)
+                 for count, cell in zip(cfg.sample_counts, np.reshape(dists, (-1, cfg.runs)))]
     return rows
 
 

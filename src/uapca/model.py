@@ -136,8 +136,8 @@ def _require_psd_spectra(lo: np.ndarray, hi: np.ndarray, name) -> None:
 
 
 def _row_mean(rows: np.ndarray) -> np.ndarray:
-    """The mean of (n, D) rows, the bits of ``rows.mean(axis=0)``; an overflow
-    gives non-finite entries and no numpy warning.
+    """The mean of (..., n, D) rows over n, the bits of ``rows.mean(axis=-2)``;
+    an overflow gives non-finite entries and no numpy warning.
 
     For a C-contiguous array with D >= 2 both add each column in row order,
     and einsum does it in one strided pass per column rather than one
@@ -145,15 +145,15 @@ def _row_mean(rows: np.ndarray) -> np.ndarray:
     array laid out by columns, pairwise, so those keep ``mean``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        if rows.shape[1] < 2 or not rows.flags.c_contiguous:
-            return rows.mean(axis=0)
-        return np.einsum("ij->j", rows) / rows.shape[0]
+        if rows.shape[-1] < 2 or not rows.flags.c_contiguous:
+            return rows.mean(axis=-2)
+        return np.einsum("...ij->...j", rows) / rows.shape[-2]
 
 
 def _population_moments(
     rows: np.ndarray, overwrite: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and symmetrized population (1/n) covariance of (n, D) rows; no validation.
+    """Mean and symmetrized population (1/n) covariance of (..., n, D) rows; no validation.
 
     With ``overwrite`` the rows are centred in place instead of in a copy;
     the result is the same bits either way.  An overflow leaves non-finite
@@ -161,9 +161,15 @@ def _population_moments(
     """
     mean = _row_mean(rows)
     with np.errstate(over="ignore", invalid="ignore"):
-        centered = np.subtract(rows, mean, out=rows if overwrite else None)
-        k = centered.T @ centered / rows.shape[0]
-        return mean, (k + k.T) / 2.0
+        centered = np.subtract(rows, mean[..., None, :], out=rows if overwrite else None)
+        k = centered.swapaxes(-1, -2) @ centered / rows.shape[-2]
+        return mean, (k + k.swapaxes(-1, -2)) / 2.0
+
+
+def _psd_factor(k: np.ndarray) -> np.ndarray:
+    """F with F F^T = k, from k's eigen decomposition; eigenvalues below 0 count as 0."""
+    evals, evecs = np.linalg.eigh(k)
+    return evecs * np.sqrt(np.clip(evals, 0.0, None))
 
 
 # Each scalar cell kind's JSON key, parameter count and rule texts: parameters

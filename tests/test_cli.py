@@ -315,6 +315,18 @@ def test_compare_sampling_rejects_unordered_counts(tmp_path, capsys, monkeypatch
     assert "strictly increasing" in capsys.readouterr().err
 
 
+def test_compare_sampling_rejects_a_count_past_the_int64_range(tmp_path, capsys, monkeypatch):
+    # N (n - 1) degrees of freedom must fit the int64 the chi-square draw takes.
+    monkeypatch.delenv("UAPCA_SEED", raising=False)
+    out = tmp_path / "x.csv"
+    code = main(["compare-sampling", "--dims", "2", "--runs", "1",
+                 "--samples", "100000000000000000000", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("uapca: error: sample count ")
+    assert not out.exists()
+
+
 def test_compare_sampling_csv_bytes_are_pinned(tmp_path, capsys, monkeypatch):
     # Recorded from the moment route (each pass draws its item sample means and
     # one Wishart scatter from its own seeded generator); any change to the
@@ -904,7 +916,7 @@ def test_each_command_loads_only_its_own_modules(tmp_path, students_path, iris_p
         "metrics", "items", "project"}
     assert not loaded(command("compare-sampling", "--dims", "2", "--runs", "2", "--samples", "8",
                               "--items", "3", "--out", str(tmp_path / "c.csv"))) & {
-        "svg", "project", "sensitivity", "eigen", "dataset_json",
+        "svg", "project", "sensitivity", "eigen", "items", "dataset_json",
         "concurrent.futures", "multiprocessing"}
 
 

@@ -205,7 +205,8 @@ def test_pooled_sampling_is_bit_identical_to_stacked_draws():
 
 
 def _moment_pass(means, factor, n, seed):
-    return _pooled_gaussian_moments(means, factor, n, np.random.default_rng(seed))
+    mean, cov = _pooled_gaussian_moments(means, factor, [n], [np.random.default_rng(seed)])
+    return PcaSummary(mean=mean[0], cov=cov[0])
 
 
 @pytest.mark.parametrize("dim, n", [(2, 16), (6, 64), (12, 1024)])
@@ -213,8 +214,8 @@ def test_moment_route_has_the_row_route_distances_in_distribution(dim, n):
     # Two-sample KS test of 400 seeded Hellinger distances per route, at
     # alpha = 0.001: a route that drew the wrong law would be rejected.
     alpha, runs = 0.001, 400
-    ds = uapca.metrics._experiment_dataset(dim, 10, 0)
-    means, factor = ds.means(), ds.items[0]._sampling_factor()
+    ds, factor = uapca.metrics._experiment_dataset(dim, 10, 0)
+    means = ds.means()
     g = global_cov(ds)
     closed = PcaSummary(mean=g.mean, cov=g.at(1.0))
     moments = [hellinger(_moment_pass(means, factor, n, [1, dim, n, run]), closed)
@@ -252,13 +253,86 @@ def test_few_degrees_of_freedom_give_a_psd_summary(items, n):
     # from 2 rows of Z, or zero, and the pooled covariance has rank at most
     # N - 1 + N (n - 1).
     dim = 12
-    ds = uapca.metrics._experiment_dataset(dim, items, 0)
-    got = _moment_pass(ds.means(), ds.items[0]._sampling_factor(), n, 0)
+    ds, factor = uapca.metrics._experiment_dataset(dim, items, 0)
+    got = _moment_pass(ds.means(), factor, n, 0)
     assert np.all(np.isfinite(got.mean)) and np.all(np.isfinite(got.cov))
     assert np.array_equal(got.cov, got.cov.T)
     evals = np.linalg.eigvalsh(got.cov)
     assert evals.min() >= -1e-12 * evals.max()
     assert np.count_nonzero(evals > 1e-9 * evals.max()) <= items - 1 + items * (n - 1)
+
+
+def _one_pass_hellinger(p, q):
+    # The closed form on one pair of 2-D summaries, one numpy call at a time,
+    # with the 1e-12 * I retry.
+    eye = np.eye(p.mean.size)
+    for reg in (0.0, 1e-12):
+        sp, sq = p.cov + reg * eye, q.cov + reg * eye
+        sbar = (sp + sq) / 2.0
+        dets = [np.linalg.slogdet(m) for m in (sp, sq, sbar)]
+        if all(sign > 0.0 and np.isfinite(ld) for sign, ld in dets):
+            break
+    (_, ld_p), (_, ld_q), (_, ld_bar) = dets
+    dmu = p.mean - q.mean
+    d_b = 0.125 * float(dmu @ np.linalg.solve(sbar, dmu)) + 0.5 * (ld_bar - 0.5 * (ld_p + ld_q))
+    return float(np.sqrt(np.clip(1.0 - np.clip(np.exp(-d_b), 0.0, 1.0), 0.0, 1.0)))
+
+
+def _spy(monkeypatch, name):
+    real, calls = getattr(uapca.metrics, name), []
+
+    def spy(*args):
+        calls.append(real(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(uapca.metrics, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("items", [2, 10, 100])
+def test_stacked_passes_give_the_one_pass_bits_for_any_chunk(monkeypatch, items):
+    # D = 1 takes numpy's pairwise-summed row mean (N > 8 shows its blocks);
+    # n = 1 pools a singular covariance, which the 1e-12 * I retry must
+    # rescue when N is small; N (n - 1) < D = 12 pads the Wishart factor;
+    # D = 6 at n = 256 has a distance whose last bit an einsum dot moves.
+    cfg = ExperimentConfig(dims=(1, 2, 6, 12), sample_counts=(1, 2, 16, 256), n_items=items,
+                           runs=3, rng_seed=4)
+    runs = []
+    for budget in (1, 10**9):  # one pass per chunk; a dimension's passes in one chunk
+        with monkeypatch.context() as m:
+            m.setattr(uapca.metrics, "_CHUNK_FLOATS", budget)
+            drawn = _spy(m, "_pooled_gaussian_moments")
+            coeffs = _spy(m, "_bhattacharyya")
+            rows = run_convergence_experiment(cfg)
+        passes = [pair for mean, cov in drawn for pair in zip(mean, cov)]
+        runs.append((rows, passes, np.sqrt(np.clip(1.0 - np.concatenate(coeffs), 0.0, 1.0))))
+    (rows, passes, dists), (rows_all, passes_all, dists_all) = runs
+    assert len(passes) == len(rows) * cfg.runs
+    assert rows == rows_all and np.array_equal(dists, dists_all)
+    assert all(np.array_equal(a, b) for pair, pair_all in zip(passes, passes_all)
+               for a, b in zip(pair, pair_all))
+
+    closed = {}
+    for dim in cfg.dims:
+        g = global_cov(uapca.metrics._experiment_dataset(dim, items, cfg.rng_seed)[0])
+        closed[dim] = PcaSummary(mean=g.mean, cov=g.at(1.0))
+    want, retried = [], 0
+    for row in rows:
+        for mean, cov in passes[len(want):len(want) + cfg.runs]:
+            p = PcaSummary(mean=mean, cov=cov)
+            want.append(_one_pass_hellinger(p, closed[row.dim]))
+            assert hellinger(p, closed[row.dim]) == want[-1]
+            retried += any(np.linalg.slogdet(m)[0] <= 0.0 for m in (cov, (cov + closed[row.dim].cov) / 2.0))
+        assert row.median_hellinger == np.median(want[-cfg.runs:])
+    assert np.array_equal(dists, want)
+    assert retried or items > max(cfg.dims)  # the n = 1 covariance is singular for N <= D
+
+
+def test_a_non_finite_pooled_covariance_is_rejected():
+    means = np.array([[0.0, 0.0], [1e308, -1e308]])
+    rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+    with pytest.raises(ValueError, match="^covariance contains non-finite entries$"):
+        _pooled_gaussian_moments(means, np.eye(2), [4, 4], rngs)
 
 
 def test_compare_sampling_runs_below_dim_degrees_of_freedom(tmp_path, capsys, monkeypatch):
@@ -282,6 +356,10 @@ def test_experiment_config_validation():
         ExperimentConfig(dims=())
     with pytest.raises(ValueError, match="rng_seed"):
         ExperimentConfig(rng_seed=-1)
+    # N (n - 1) must stay below 2**63: 2 (2**62 - 1) does, 2 * 2**62 does not.
+    assert ExperimentConfig(n_items=2, sample_counts=(2**62,)).sample_counts == (2**62,)
+    with pytest.raises(ValueError, match="too large"):
+        ExperimentConfig(n_items=2, sample_counts=(2**62 + 1,))
     assert ExperimentConfig().sample_counts == DEFAULT_SAMPLE_COUNTS
 
 
