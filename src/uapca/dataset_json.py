@@ -19,13 +19,15 @@ no item class, even to word a rejected cell's error (the cells' rules are in
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 from dataclasses import astuple
-from itertools import chain, repeat
+from itertools import accumulate, chain
 from typing import TYPE_CHECKING
 
 import numpy as np
+import orjson
 
 from .io import DatasetFormatError, _read_text
 from .model import _CELL_KINDS, UncertainDataset, _cell_moments, _cell_rule_error, _cov_stack
@@ -34,6 +36,7 @@ if TYPE_CHECKING:
     from .items import Scalar1D
 
 _NUMBER_TYPES = {int, float}  # float() would take true as 1.0 and "1_0" as 10
+_MAX_NESTING = 1024  # json reads deeper text: orjson 3.8 would overflow the C stack
 
 
 def _require_utf8(text: str, where: str, what: str) -> None:
@@ -95,12 +98,6 @@ def _cell_json(cell: Scalar1D) -> dict:
     if key == "normal":
         return {key: {"mean": params[0], "sd": params[1]}}
     return {key: params[0] if key == "number" else params}
-
-
-def _cell(spec, i: int, j: int) -> Scalar1D:
-    """The model cell of value spec j of item i, checked by ``load_dataset``."""
-    code, params = _cell_params(spec, i, j)
-    return _cell_classes()[code](*params)
 
 
 def _item_fields(obj, index: int, dim: int):
@@ -172,24 +169,48 @@ def _mvn_table(mvns: list, dim: int):
 
 
 def load_dataset(path) -> UncertainDataset:
-    """Read a JSON dataset file into an UncertainDataset.
-
-    One loop checks each item's structure and reads each cell's form once,
-    gathering the cells' parameters by kind.  Each kind is then checked and
-    its moments computed as one array, the mvn arrays stacked, and the
-    covariances checked as one stack (one ``eigvalsh`` for PSD).  The error
-    reported is that of the first bad item or cell in file order; a rejected
-    cell is worded from its first broken rule, as its class words it, without
-    building it.  Cells are built when ``items`` is first read.
-    """
-    text = _read_text(path)
-    try:
-        # An integer too long to fit a float reads as inf, not as an int
-        # that float() cannot convert.
-        doc = json.loads(text, parse_int=lambda t: int(t) if len(t) < 309 else float(t))
-    except json.JSONDecodeError as exc:
+    """Read a JSON dataset file into an UncertainDataset.  orjson parses it;
+    ``json`` reads again, and words the error of, what orjson refuses (NaN,
+    lone surrogates, bytes that are not UTF-8), text nested deeper than
+    ``_MAX_NESTING`` and a file with an error: orjson reads an integer past
+    64 bits as a float, which prints otherwise."""
+    with open(path, "rb") as fh:
+        doc = fh.read().removeprefix(b"\xef\xbb\xbf")
+    with contextlib.suppress(orjson.JSONDecodeError, DatasetFormatError, RecursionError):
+        if _nesting(doc) <= _MAX_NESTING:
+            doc = orjson.loads(doc)
+            return _dataset(doc, path)
+    doc = _read_text(path)
+    try:  # an integer too long for a float reads as inf, not as an int float() refuses
+        doc = json.loads(doc, parse_int=lambda t: int(t) if len(t) < 309 else float(t))
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DatasetFormatError(f"{path}: invalid JSON: {exc}") from exc
-    del text
+    return _dataset(doc, path)
+
+
+def _nesting(data: bytes) -> int:
+    """How deep arrays and objects nest in JSON text (in other text, at least
+    how deep before its first error), from its unescaped brackets and quotes."""
+    data = data.replace(b"\\\\", b"").replace(b'\\"', b"") if b"\\" in data else data
+    # [, ] and quotes; dropping "" pairs keeps each bracket in or out of a string.
+    marks = data.translate(bytes.maketrans(b"{}", b"[]"), bytes(set(range(256)) - set(b'"[]{}')))
+    marks = marks.replace(b'""', b"").split(b'"')
+    marks, depth = b"".join(marks[::2]), 0  # the brackets outside strings
+    while b"[]" in marks and depth <= _MAX_NESTING and b"[" * (_MAX_NESTING + 1) not in marks:
+        marks, depth = marks.replace(b"[]", b""), depth + 1  # the innermost pairs
+    return depth + marks.count(b"[")  # and the brackets never closed
+
+
+def _dataset(doc, path) -> UncertainDataset:
+    """The dataset of a parsed file.  One loop checks each item's structure
+    and reads each cell's form once, gathering the cells' parameters by kind.
+    Each kind is then checked and its moments computed as one array, the mvn
+    arrays stacked, and the covariances checked as one stack (one
+    ``eigvalsh`` for PSD).  The error reported is that of the first bad item
+    or cell in file order; a rejected cell is worded from its first broken
+    rule, as its class words it, without building it.  Cells are built from
+    their parameters when ``items`` is first read: nothing of doc is kept.
+    """
     if not isinstance(doc, dict):
         raise DatasetFormatError(f"{path}: top level must be an object")
     dims = doc.get("dims")
@@ -204,7 +225,7 @@ def load_dataset(path) -> UncertainDataset:
         raise DatasetFormatError(f"{path}: empty dataset")
 
     n, dim = len(items_doc), len(dims)
-    weights, labels, diag_index, value_lists, full_index, mvns = [], [], [], [], [], []
+    weights, labels, diag_index, full_index, mvns = [], [], [], [], []
     codes, params = bytearray(), ([], [], [], [])  # per cell, per kind
     form_error = None  # every item and cell read before it has a good form
     try:
@@ -214,7 +235,6 @@ def load_dataset(path) -> UncertainDataset:
             labels.append(label)
             if mvn is None:
                 diag_index.append(i)
-                value_lists.append(values)
                 for j, spec in enumerate(values):
                     code, p = _cell_params(spec, i, j)
                     codes.append(code)
@@ -228,14 +248,16 @@ def load_dataset(path) -> UncertainDataset:
     codes = np.frombuffer(codes, dtype=np.uint8)
     cell_means, cell_vars = np.empty(codes.size), np.empty(codes.size)
     rules = np.empty((3, codes.size), dtype=bool)
+    cell_params = np.zeros((codes.size, 4))  # each cell's parameters, zero-padded
     for code, kind_params in enumerate(params):
-        at = codes == code
+        at, width = codes == code, _CELL_KINDS[code][1]
+        cell_params[at, :width] = np.reshape(kind_params, (-1, width))
         cell_means[at], cell_vars[at], rules[:, at] = _cell_moments(code, kind_params)
     errors = []  # (item, error) of the first rejected cell and of the first bad mvn
     if rules.any():
         k = int(np.argmax(rules.any(axis=0)))
         row, j = divmod(k, dim)
-        i, spec = diag_index[row], value_lists[row][j]
+        i, spec = diag_index[row], items_doc[diag_index[row]]["values"][j]
         error = (_cell_rule_error(*_cell_params(spec, i, j), rules[:, k])
                  or f"the mean or variance of {json.dumps(spec)} is not finite")
         errors.append((i, f"item {i}, value {j}: {error}"))
@@ -250,16 +272,19 @@ def load_dataset(path) -> UncertainDataset:
 
     means = np.empty((n, dim))
     means[diag_index], means[full_index] = cell_means.reshape(-1, dim), mvn_table[0]
-    use_labels = tuple(
-        lab if lab is not None else f"item{i + 1}" for i, lab in enumerate(labels)
-    ) if any(lab is not None for lab in labels) else None
+    names = [lab if lab is not None else f"item{i + 1}" for i, lab in enumerate(labels)]
+    # Copies: a string of doc would keep the memory around it from the OS.
+    joined, ends = "".join(names), list(accumulate(map(len, names)))
+    use_labels = tuple(joined[a:b] for a, b in zip([0, *ends], ends))
     try:
         full_covs = _cov_stack(mvn_table[1],
                                lambda g: f"item {full_index[g]}: Gaussian covariance")
         return UncertainDataset._from_table(
             means, full_index, full_covs, diag_index, cell_vars.reshape(-1, dim),
-            cells=lambda r: list(map(_cell, value_lists[r], repeat(diag_index[r]), range(dim))),
-            weights=np.array(weights, dtype=float), dim_names=tuple(dims), labels=use_labels,
+            cells=lambda r: [_cell_classes()[c](*p[:_CELL_KINDS[c][1]]) for c, p in zip(
+                codes.reshape(-1, dim)[r].tolist(), cell_params.reshape(-1, dim, 4)[r].tolist())],
+            weights=np.array(weights, dtype=float), dim_names=tuple(dims),
+            labels=use_labels if any(lab is not None for lab in labels) else None,
         )
     except ValueError as exc:
         raise DatasetFormatError(f"{path}: {exc}") from exc

@@ -4,8 +4,8 @@ A points file is CSV with one header row, D numeric columns, and an optional
 trailing ``label`` column.  JSON dataset files are read and written by
 ``dataset_json``; its ``load_dataset``, ``save_dataset`` and
 ``dataset_to_json`` stay importable from here (PEP 562) for the benchmark
-tracer's ``io.load_dataset`` target, and load that module, and ``json``, on
-first use.
+tracer's ``io.load_dataset`` target, and load that module, and ``orjson``,
+on first use.
 """
 
 from __future__ import annotations

@@ -890,7 +890,7 @@ def test_each_command_loads_only_its_own_modules(tmp_path, students_path, iris_p
     # that call; fresh processes show which ones each command loads.
     def loaded(code: str) -> set[str]:
         # uapca's modules by their names in the package, and those of `others` loaded.
-        others = ("json", "concurrent.futures", "multiprocessing")
+        others = ("json", "orjson", "concurrent.futures", "multiprocessing")
         out = _fresh_process(
             f"import sys\n{code}\n"
             "names = [m[6:] for m in sys.modules if m.startswith('uapca.')]\n"
@@ -902,21 +902,23 @@ def test_each_command_loads_only_its_own_modules(tmp_path, students_path, iris_p
 
     assert loaded("import uapca") == set()
     assert not loaded("import uapca.cli") & {
-        "metrics", "sensitivity", "svg", "project", "eigen", "items", "dataset_json", "json"}
+        "metrics", "sensitivity", "svg", "project", "eigen", "items", "dataset_json", "json",
+        "orjson"}
     assert not loaded(command("project", "--points", "--input", str(iris_path),
                               "--out-prefix", str(tmp_path / "p"))) & {
-        "metrics", "sensitivity", "items", "dataset_json", "json"}
+        "metrics", "sensitivity", "items", "dataset_json", "json", "orjson"}
     assert not loaded(command("project", "--points", "--input", str(iris_path),
                               "--aggregate-by", "label", "--out-prefix", str(tmp_path / "a"))) & {
-        "items", "dataset_json", "json"}
-    assert "items" not in loaded(command("project", "--input", str(students_path),
-                                         "--out-prefix", str(tmp_path / "d")))
+        "items", "dataset_json", "json", "orjson"}
+    dataset_project = loaded(command("project", "--input", str(students_path),
+                                     "--out-prefix", str(tmp_path / "d")))
+    assert "items" not in dataset_project and {"dataset_json", "orjson"} <= dataset_project
     assert not loaded(command("trace", "--input", str(students_path),
                               "--steps", "8", "--out-prefix", str(tmp_path / "t"))) & {
         "metrics", "items", "project"}
     assert not loaded(command("compare-sampling", "--dims", "2", "--runs", "2", "--samples", "8",
                               "--items", "3", "--out", str(tmp_path / "c.csv"))) & {
-        "svg", "project", "sensitivity", "eigen", "items", "dataset_json",
+        "svg", "project", "sensitivity", "eigen", "items", "dataset_json", "orjson",
         "concurrent.futures", "multiprocessing"}
 
 
@@ -1019,6 +1021,22 @@ def test_svg_text_replaces_characters_xml_forbids(tmp_path, capsys):
     assert [row[0] for row in rows[1:]] == ["x\u0002", "y\uffff", "z"]
     rows, _ = _csv_rows_and_rewrite(tmp_path / "t.traces.csv")
     assert [row[2] for row in rows[1::8]] == ["a", "b\u0001", "c"]
+
+
+# Axis names whose brackets and escapes must not hide how deep the items nest.
+@pytest.mark.parametrize("axis", ["a", "]" * 200_000, '\\"' + "]" * 200_000 + "\\\\"],
+                         ids=["plain", "brackets", "escapes"])
+@pytest.mark.parametrize("command", ["project", "trace"])
+def test_deeply_nested_json_is_a_one_line_error(tmp_path, capsys, command, axis):
+    data = tmp_path / "deep.json"
+    data.write_text(f'{{"dims": ["{axis}"], "items": ' + "[" * 200_000 + "]" * 200_000 + "}",
+                    encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([command, "--input", str(data), "--out-prefix", str(out / "P")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"uapca: error: {data}: invalid JSON: "), err
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("command, dims, label, fragment", [

@@ -1,10 +1,12 @@
 import copy
 import csv
+import gc
 import io
 import json
 import math
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -655,7 +657,7 @@ def _reference_load_dataset(path) -> UncertainDataset:
     with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh, parse_int=lambda t: int(t) if len(t) < 309 else float(t))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise DatasetFormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DatasetFormatError(f"{path}: top level must be an object")
@@ -717,8 +719,13 @@ _VALUES = st.one_of(
     st.integers(-10**6, 10**6),
 )
 _SPREADS = st.one_of(_MAGNITUDES, st.just(0.0))
+# _DEEP stands for a list nested 1 100 deep, past the 1 024 levels beyond
+# which load_dataset leaves a file to json; ``_dataset_text`` writes it into
+# the text, as json.dumps and deepcopy recurse once per level.
+_DEEP = "list nested 1 100 deep"
 _DATASET_SWAPS = ["7", "x", True, None, [], [1.0], {}, {"k": 1}, -0.0, 0,
-                  math.nan, math.inf, -math.inf, 1e300, -1e300, 1.3e154, 2e103, 10**400]
+                  math.nan, math.inf, -math.inf, 1e300, -1e300, 1.3e154, 2e103, 10**400,
+                  2**70, -2**64, 10**300, _DEEP]
 
 
 @st.composite
@@ -791,9 +798,10 @@ def _dataset_text(draw):
             new = dict(target)
             del new[draw(st.sampled_from(sorted(new)))]
         if not path:
-            return json.dumps(new)
-        parent[path[-1]] = new
-    return json.dumps(doc)
+            doc = new
+        else:
+            parent[path[-1]] = new
+    return json.dumps(doc).replace(json.dumps(_DEEP), "[" * 1100 + "]" * 1100)
 
 
 @settings(max_examples=500, deadline=None, derandomize=True,
@@ -834,10 +842,61 @@ def test_load_dataset_agrees_with_the_item_by_item_reader(tmp_path, text):
     # Out of order and overflowing: the order rule is worded, as the class words it.
     [{"values": [{"interval": [1e200, -1e200]}]}],
     [{"values": [{"trapezoid": [1e110, 0, 0, 0]}]}],
+    # What orjson refuses or reads otherwise: a NaN in an ignored key, and
+    # integers past 64 bits in a rejected cell, an accepted cell and an mvn.
+    [{"note": math.nan, "values": [{"number": 1}]}],
+    [{"values": [{"interval": [2**70, 10**300]}]}],
+    [{"values": [{"interval": [-2**64, 2**70]}]}, {"values": [{"number": 10**300}]}],
+    [{"mvn": {"mean": [-2**64], "cov": [[2**70]]}}],
+    # Whole files: a BOM and CRLF line endings; a cell nested 1 000 deep, within
+    # orjson's reach but past what json.dumps, wording its error, can recurse.
+    '\ufeff{\r\n"dims": ["a"],\r\n"items": [{"values": [{"number": 1}]}]\r\n}\r\n',
+    '{"dims": ["a"], "items": [{"values": [{"number": ' + "[" * 1000 + "]" * 1000 + '}]}]}',
 ])
 def test_load_dataset_edge_cases_match_the_item_by_item_reader(tmp_path, items):
     path = tmp_path / "ds.json"
-    path.write_text(json.dumps({"dims": ["a"], "items": items}), encoding="utf-8")
+    text = items if isinstance(items, str) else json.dumps({"dims": ["a"], "items": items})
+    path.write_bytes(text.encode("utf-8"))
+    assert _dataset_outcome(load_dataset, path) == _dataset_outcome(_reference_load_dataset, path)
+
+
+@st.composite
+def _long_decimal(draw):
+    """A finite decimal of 20 to 30 significant digits, as an integer or
+    with a point and an exponent."""
+    digits = str(draw(st.integers(10**19, 10**30 - 1)))
+    point = draw(st.integers(1, len(digits)))
+    text = draw(st.sampled_from(["", "-"])) + digits[:point]
+    if point < len(digits):
+        text += "." + digits[point:] + draw(st.sampled_from(["", "e-320", "e-300", "e-20", "e270"]))
+    return text
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(text=st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                      _long_decimal()))
+def test_orjson_reads_numbers_to_the_bits_json_gives(text):
+    # load_dataset parses with orjson and takes each number's float().
+    assert float(orjson.loads(text)).hex() == float(json.loads(text)).hex()
+
+
+def test_a_loaded_dataset_keeps_none_of_the_parsed_file(tmp_path):
+    # Cells are built from the table when items is read, so no list of the
+    # parsed file, such as the trapezoid's, outlives load_dataset.
+    corner = 3.0987654321
+    doc = {"dims": ["a", "b"], "items": [
+        {"values": [{"trapezoid": [0, 1, 2, corner]}, {"normal": {"mean": 0, "sd": 1}}]},
+        {"mvn": {"mean": [0, 0], "cov": [[1, 0], [0, 1]]}},
+        {"values": [{"interval": [0, 3]}, {"trapezoid": [0, 1, 2, 3]}]},
+        {"values": [{"number": 1}, {"normal": {"mean": 2, "sd": 0.5}}]},
+    ]}
+    path = _write(tmp_path, "doc.json", json.dumps(doc))
+    del doc
+    ds = load_dataset(path)
+    gc.collect()
+    assert not [o for o in gc.get_objects()
+                if type(o) is list and len(o) == 4 and type(o[3]) is float and o[3] == corner]
+    assert len(ds.items) == 4
     assert _dataset_outcome(load_dataset, path) == _dataset_outcome(_reference_load_dataset, path)
 
 
