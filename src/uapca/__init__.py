@@ -31,7 +31,7 @@ _EXPORTS = {
         "hellinger", "run_convergence_experiment", "sampled_pca",
     ),
     "model": ("UncertainDataset", "cov_matrix"),
-    "project": ("ellipse_outline", "project_items"),
+    "project": ("project_items",),
     "sensitivity": (
         "EigenCurves", "FactorTrace", "SweepSchedule", "detect_avoided_crossings",
         "factor_traces", "sweep",

@@ -11,7 +11,7 @@ from .eigen import PcaModel, eig_sym
 from .model import UncertainDataset, _require_psd
 
 if TYPE_CHECKING:
-    from .items import Distribution, Gaussian
+    from .items import Distribution
 
 
 def project_items(
@@ -83,20 +83,3 @@ def _ellipse_outlines(means, covs, k_sigmas, segments: int, items: int):
             yield out
 
     return chunks
-
-
-def ellipse_outline(g: Gaussian, k_sigma: float, segments: int = 64) -> np.ndarray:
-    """Isoline polyline of a 2-d Gaussian at k_sigma standard deviations.
-
-    Returns a closed (segments + 1, 2) polyline: mean + k L (cos t, sin t)
-    where L L^T equals the covariance (eigen factor).  The last vertex
-    repeats the first.
-    """
-    if g.dim != 2:
-        raise ValueError(f"ellipse outline requires a 2-d Gaussian, got dimension {g.dim}")
-    if not (k_sigma > 0.0):
-        raise ValueError(f"k_sigma must be positive, got {k_sigma}")
-    if segments < 8:
-        raise ValueError(f"segments must be >= 8, got {segments}")
-    outlines = _ellipse_outlines(g.mean()[None], g.cov()[None], (k_sigma,), segments, 1)
-    return next(outlines())[0, 0]

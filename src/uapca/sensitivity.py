@@ -76,9 +76,6 @@ class FactorTrace:
     points: np.ndarray
     region_split: int
 
-    def orientations(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.points, -self.points
-
 
 def sweep(
     ds: UncertainDataset,

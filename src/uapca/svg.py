@@ -9,7 +9,7 @@ a few fixed scalars in headers, axes and legends use ``_fmt``.
 
 Each ``*_svg_pieces`` generator yields its document a block of text at a
 time, to be written out as it comes, so memory does not grow with the
-drawing; ``render_*_svg`` joins the same blocks into one string.
+drawing; ``"".join`` of the blocks is the document as one string.
 """
 
 from __future__ import annotations
@@ -222,12 +222,12 @@ _XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", **dict.fromke
     [*range(9), 11, 12, *range(14, 32), 0xFFFE, 0xFFFF], "\ufffd")})
 
 
-def _text(content: str, color: str = "#333333", size: int = 14) -> tuple[str, str, str]:
+def _text(content: str, color: str = "#333333") -> tuple[str, str, str]:
     """A text element with content XML-escaped and characters XML forbids
     written as U+FFFD, slots for x and y."""
     content = content.translate(_XML_TEXT)
     return ('<text x="', '" y="',
-            f'" font-family="sans-serif" font-size="{size}" fill="{color}">{content}</text>')
+            f'" font-family="sans-serif" font-size="14" fill="{color}">{content}</text>')
 
 
 def _at(part: tuple[str, ...], *numbers: float) -> str:
@@ -246,23 +246,14 @@ def _line(x1: float, y1: float, x2: float, y2: float, color: str,
 
 def _arrowhead(tip, prev) -> np.ndarray | None:
     """The three corners of the arrowhead at tip, pointing away from prev."""
-    dx, dy = tip[0] - prev[0], tip[1] - prev[1]
-    norm = math.hypot(dx, dy)
+    d = tip - prev
+    norm = math.hypot(*d)
     if norm == 0.0:
         return None
-    ux, uy = dx / norm, dy / norm
-    px, py = -uy, ux
-    base_x, base_y = tip[0] - 10.0 * ux, tip[1] - 10.0 * uy
-    return np.array([
-        tip,
-        (base_x + 4.0 * px, base_y + 4.0 * py),
-        (base_x - 4.0 * px, base_y - 4.0 * py),
-    ])
-
-
-def render_traces_svg(traces: list[FactorTrace], dim_names: tuple[str, ...]) -> str:
-    """The document of ``traces_svg_pieces`` as one string."""
-    return "".join(traces_svg_pieces(traces, dim_names))
+    u = d / norm
+    base = tip - 10.0 * u
+    side = 4.0 * np.array([-u[1], u[0]])
+    return np.array([tip, base + side, base - side])
 
 
 def traces_svg_pieces(traces: list[FactorTrace], dim_names: tuple[str, ...]) -> Iterator[str]:
@@ -299,7 +290,7 @@ def traces_svg_pieces(traces: list[FactorTrace], dim_names: tuple[str, ...]) -> 
                 parts.append(_dot(color, 4.0))
                 pieces += [px[0, 0], px[0, 1]]
                 continue
-            split = max(trace.region_split, 1)
+            split = trace.region_split
             if split >= 2:
                 parts.append(_polygon(color, opacity=0.15))
                 pieces.append(np.vstack([(cx, cy), px[:split]]))
@@ -314,11 +305,6 @@ def traces_svg_pieces(traces: list[FactorTrace], dim_names: tuple[str, ...]) -> 
         parts.append(_text(dim_names[trace.axis_index], color=color))
         pieces += [label[0] + 6.0, label[1] - 6.0]
     yield from _document(parts, _runs(pieces))
-
-
-def render_eigencurves_svg(curves: EigenCurves) -> str:
-    """The document of ``eigencurves_svg_pieces`` as one string."""
-    return "".join(eigencurves_svg_pieces(curves))
 
 
 def eigencurves_svg_pieces(curves: EigenCurves) -> Iterator[str]:
@@ -363,11 +349,6 @@ def eigencurves_svg_pieces(curves: EigenCurves) -> Iterator[str]:
     yield from _document(parts, _runs(pieces))
 
 
-def render_projection_svg(labels: list[str], means, covs) -> str:
-    """The document of ``projection_svg_pieces`` as one string."""
-    return "".join(projection_svg_pieces(labels, means, covs))
-
-
 def projection_svg_pieces(labels: list[str], means, covs) -> Iterator[str]:
     """Projected items in component space: means plus 1 and 2 sigma ellipses.
 
@@ -383,6 +364,8 @@ def projection_svg_pieces(labels: list[str], means, covs) -> Iterator[str]:
         raise ValueError("nothing to render")
     if means.shape[1:] != (2,) or covs.shape[1:] != (2, 2):
         raise ValueError("projection rendering is defined for q = 2")
+    if len(labels) != len(means) or len(covs) != len(means):
+        raise ValueError(f"{len(labels)} labels, means {means.shape}, covs {covs.shape}")
     from .project import _ellipse_outlines  # here, so the trace renderers do not load it
 
     drawn = np.flatnonzero(np.abs(covs).reshape(len(covs), -1).max(axis=1) != 0.0)

@@ -664,7 +664,7 @@ def test_streamed_projection_svg_matches_the_joined_document(tmp_path, capsys):
     g = global_cov(ds)
     model = select_components(eig_sym(g.at(1.0)), g.mean, 2)
     means, covs = project_items(model, ds)
-    assert streamed == uapca.svg.render_projection_svg(list(ds.labels), means, covs)
+    assert streamed == "".join(uapca.svg.projection_svg_pieces(list(ds.labels), means, covs))
     # Every ring lies inside the view, and the last item's 2-sigma ring,
     # from the last chunk, spans it edge to edge along one axis.
     rings = [[tuple(map(float, vertex.split(","))) for vertex in points.split()]
@@ -688,9 +688,9 @@ def test_streamed_trace_svgs_match_the_joined_documents(tmp_path, capsys):
     schedule = SweepSchedule(steps)
     models, curves = sweep(ds, 2, schedule)
     assert (tmp_path / "t.traces.svg").read_text(encoding="utf-8") == (
-        uapca.svg.render_traces_svg(factor_traces(models, schedule), ds.dim_names))
+        "".join(uapca.svg.traces_svg_pieces(factor_traces(models, schedule), ds.dim_names)))
     assert (tmp_path / "t.eigvals.svg").read_text(encoding="utf-8") == (
-        uapca.svg.render_eigencurves_svg(curves))
+        "".join(uapca.svg.eigencurves_svg_pieces(curves)))
 
 
 def test_failure_mid_stream_leaves_no_file_and_keeps_old_ones(tmp_path, capsys, monkeypatch):
@@ -901,6 +901,7 @@ def test_each_command_loads_only_its_own_modules(tmp_path, students_path, iris_p
         return f"from uapca.cli import main\nassert main({list(argv)!r}) == 0"
 
     assert loaded("import uapca") == set()
+    assert "project" not in loaded("import uapca.svg")
     assert not loaded("import uapca.cli") & {
         "metrics", "sensitivity", "svg", "project", "eigen", "items", "dataset_json", "json",
         "orjson"}

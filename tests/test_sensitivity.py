@@ -158,7 +158,7 @@ def test_trace_metadata():
     assert [t.axis_index for t in traces] == [0, 1]
     for t in traces:
         assert t.region_split == sched.region_split
-        plus, minus = t.orientations()
+        plus, minus = t.points, -t.points
         assert np.array_equal(minus, -plus)
 
 

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,10 +18,9 @@ from uapca.svg import (
     _fmt,
     _number_texts,
     _vertex_texts,
+    eigencurves_svg_pieces,
     projection_svg_pieces,
-    render_eigencurves_svg,
-    render_projection_svg,
-    render_traces_svg,
+    traces_svg_pieces,
 )
 
 
@@ -33,8 +33,8 @@ def _students_traces(students_path, steps=8):
 
 def test_traces_svg_is_deterministic(students_path):
     traces, _, names = _students_traces(students_path)
-    a = render_traces_svg(traces, names)
-    b = render_traces_svg(traces, names)
+    a = "".join(traces_svg_pieces(traces, names))
+    b = "".join(traces_svg_pieces(traces, names))
     assert a == b
     assert a.startswith('<?xml version="1.0"')
     assert f'viewBox="0 0 {SIZE} {SIZE}"' in a
@@ -43,7 +43,7 @@ def test_traces_svg_is_deterministic(students_path):
 
 def test_traces_svg_draws_both_orientations(students_path):
     traces, _, names = _students_traces(students_path)
-    doc = render_traces_svg(traces, names)
+    doc = "".join(traces_svg_pieces(traces, names))
     polylines = doc.count("<polyline")
     # One solid and one dashed polyline per moving axis.
     assert polylines == 2 * len(traces)
@@ -56,7 +56,7 @@ def test_traces_svg_draws_both_orientations(students_path):
 
 def test_traces_svg_shades_the_interpolation_fan(students_path):
     traces, _, names = _students_traces(students_path)
-    doc = render_traces_svg(traces, names)
+    doc = "".join(traces_svg_pieces(traces, names))
     assert doc.count('fill-opacity="0.150"') == 2 * len(traces)
 
 
@@ -66,26 +66,26 @@ def test_static_trace_collapses_to_dot():
     sched = SweepSchedule(steps=8)
     models, _ = sweep(ds, q=2, schedule=sched)
     traces = factor_traces(models, sched)
-    doc = render_traces_svg(traces, ds.dim_names)
+    doc = "".join(traces_svg_pieces(traces, ds.dim_names))
     assert "<polyline" not in doc
     assert doc.count('r="4.000"') == 2 * len(traces)  # one dot per orientation
 
 
 def test_traces_svg_validation(students_path):
     with pytest.raises(ValueError, match="no traces"):
-        render_traces_svg([], ())
+        "".join(traces_svg_pieces([], ()))
     ds = load_dataset(students_path)
     sched = SweepSchedule(steps=4)
     models, _ = sweep(ds, q=3, schedule=sched)
     traces = factor_traces(models, sched)
     with pytest.raises(ValueError, match="q = 2"):
-        render_traces_svg(traces, ds.dim_names)
+        "".join(traces_svg_pieces(traces, ds.dim_names))
 
 
 def test_eigencurves_svg_layout(students_path):
     _, curves, _ = _students_traces(students_path, steps=12)
-    doc = render_eigencurves_svg(curves)
-    assert doc == render_eigencurves_svg(curves)
+    doc = "".join(eigencurves_svg_pieces(curves))
+    assert doc == "".join(eigencurves_svg_pieces(curves))
     assert doc.count("<polyline") == curves.values.shape[1]
     for tick in ("s=0", "s=1", "s=inf"):
         assert f">{tick}</text>" in doc
@@ -99,18 +99,18 @@ def test_eigencurves_svg_marks_flags():
         values=lam,
         avoided_crossing_flags=[(1, 0)],
     )
-    doc = render_eigencurves_svg(curves)
+    doc = "".join(eigencurves_svg_pieces(curves))
     assert doc.count('stroke-dasharray="4 4"') == 1
-    no_flags = render_eigencurves_svg(
+    no_flags = "".join(eigencurves_svg_pieces(
         EigenCurves(s_values=curves.s_values, values=lam)
-    )
+    ))
     assert 'stroke-dasharray="4 4"' not in no_flags
 
 
 def test_eigencurves_svg_handles_zero_total_step():
     lam = np.array([[1.0, 0.5], [0.0, 0.0], [2.0, 1.0]])
     curves = EigenCurves(s_values=np.array([0.0, 1.0, np.inf]), values=lam)
-    doc = render_eigencurves_svg(curves)
+    doc = "".join(eigencurves_svg_pieces(curves))
     assert "nan" not in doc
 
 
@@ -129,8 +129,8 @@ def test_projection_svg_layout():
         (Gaussian([3.0, 1.0], np.diag([2.0, 0.5])), "b"),
         (Gaussian([1.0, 4.0], np.eye(2) * 0.2), "a"),
     ]
-    doc = render_projection_svg(*_stacked(entries))
-    assert doc == render_projection_svg(*_stacked(entries))
+    doc = "".join(projection_svg_pieces(*_stacked(entries)))
+    assert doc == "".join(projection_svg_pieces(*_stacked(entries)))
     # 1 and 2 sigma outlines per item.
     assert doc.count("<polyline") == 2 * len(entries)
     assert doc.count('stroke-opacity="0.450"') == len(entries)
@@ -146,14 +146,14 @@ def test_projection_svg_zero_covariance_is_a_dot():
         (Gaussian([0.0, 0.0], np.zeros((2, 2))), "p"),
         (Gaussian([1.0, 1.0], np.eye(2)), "q"),
     ]
-    doc = render_projection_svg(*_stacked(entries))
+    doc = "".join(projection_svg_pieces(*_stacked(entries)))
     assert doc.count("<polyline") == 2  # only the nonzero item gets outlines
 
 
 def test_projection_svg_of_points_only_has_no_outlines():
     entries = [(Gaussian([0.0, 0.0], np.zeros((2, 2))), "p"),
                (Gaussian([2.0, 1.0], np.zeros((2, 2))), "p")]
-    doc = render_projection_svg(*_stacked(entries))
+    doc = "".join(projection_svg_pieces(*_stacked(entries)))
     assert "<polyline" not in doc
     # The two means span the view: x from 70 to 730 at the centre height.
     assert '<circle cx="70.000" cy="565.000" r="3.500"' in doc
@@ -185,15 +185,22 @@ def test_streamed_projection_memory_does_not_grow_with_the_document(tmp_path):
 
 def test_projection_svg_validation():
     with pytest.raises(ValueError, match="nothing to render"):
-        render_projection_svg([], np.empty((0, 2)), np.empty((0, 2, 2)))
+        "".join(projection_svg_pieces([], np.empty((0, 2)), np.empty((0, 2, 2))))
     with pytest.raises(ValueError, match="q = 2"):
-        render_projection_svg(*_stacked([(Gaussian(np.zeros(3), np.eye(3)), "x")]))
+        "".join(projection_svg_pieces(*_stacked([(Gaussian(np.zeros(3), np.eye(3)), "x")])))
+    # Fewer labels than items, and more: each a ValueError, not an
+    # IndexError or legend entries for items that do not exist.
+    _, means, covs = _stacked([(Gaussian([float(i), 0.0], np.eye(2)), "a") for i in range(3)])
+    for labels in (["a", "b"], ["a", "b", "c", "d"]):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{len(labels)} labels, means (3, 2), covs (3, 2, 2)")):
+            "".join(projection_svg_pieces(labels, means, covs))
 
 
 def test_negative_zero_never_appears(students_path):
     traces, curves, names = _students_traces(students_path)
-    for doc in (render_traces_svg(traces, names), render_eigencurves_svg(curves)):
-        assert "-0.000" not in doc
+    for pieces in (traces_svg_pieces(traces, names), eigencurves_svg_pieces(curves)):
+        assert "-0.000" not in "".join(pieces)
 
 
 def _ulps(x: float, n: int) -> float:
