@@ -16,6 +16,7 @@ import pytest
 from conftest import random_psd
 
 import uapca.cli
+import uapca.io
 import uapca.metrics
 import uapca.svg
 from uapca.cli import main
@@ -524,6 +525,58 @@ def test_trace_output_bytes_are_pinned(tmp_path, capsys):
     }
 
 
+# Axes whose spreads put values below 1e-4 and at or above 1e16, exact
+# zeros and negatives in the projection and trace CSVs.
+_LAYOUT_DATASET = {
+    "dims": ["huge", "tiny", "mid"],
+    "items": [
+        {"label": "a", "values": [{"number": 3e9}, {"number": 2e-3}, {"number": 1.0}]},
+        {"label": "b", "values": [{"normal": {"mean": -2e9, "sd": 5e8}},
+                                  {"interval": [-1e-3, 1e-3]}, {"number": -2.0}]},
+        {"label": "c", "weight": 2.0,
+         "mvn": {"mean": [5e8, -4e-3, 0.5],
+                 "cov": [[1e17, 0.0, 0.0], [0.0, 1e-6, 0.0], [0.0, 0.0, 0.25]]}},
+        {"label": "d", "values": [{"trapezoid": [-1e9, -5e8, 5e8, 1e9]}, {"number": 0.0},
+                                  {"normal": {"mean": 3.0, "sd": 0.5}}]},
+        {"label": "e", "mvn": {"mean": [0.0, 0.0, -1.0],
+                               "cov": [[0.0, 0.0, 0.0], [0.0, 1e-12, 0.0], [0.0, 0.0, 1e-12]]}},
+    ],
+}
+
+
+def test_orjson_csv_texts_are_the_repr_writers_bytes(tmp_path, capsys, monkeypatch):
+    # The trace CSVs and a dataset file's projection CSV take their float
+    # texts from orjson; with repr's _fields in its place, the bytes must be
+    # the same, on each range where orjson lays a float out otherwise.
+    data = tmp_path / "layout.json"
+    data.write_text(json.dumps(_LAYOUT_DATASET), encoding="utf-8")
+
+    def csvs(tag: str) -> dict[str, bytes]:
+        prefix = str(tmp_path / tag)
+        assert main(["project", "--input", str(data), "--out-prefix", prefix]) == 0
+        assert main(["trace", "--input", str(data), "--steps", "9", "--out-prefix", prefix]) == 0
+        return {name: (tmp_path / f"{tag}.{name}").read_bytes()
+                for name in ("projection.csv", "traces.csv", "eigvals.csv")}
+
+    fast = csvs("orjson")
+    monkeypatch.setattr(uapca.io, "orjson_fields", uapca.io._fields)
+    assert csvs("repr") == fast
+
+    def cases(text: bytes, first: int) -> set[str]:
+        fields = [f for line in text.decode().splitlines()[1:] for f in line.split(",")[first:]]
+        return {case for case, hit in (
+            ("below 1e-4", any("e-" in f for f in fields)),
+            ("1e16 or more", any("e+" in f for f in fields)),
+            ("zero", "0.0" in fields),
+            ("negative", any(f.startswith("-") for f in fields)),
+        ) if hit}
+
+    every = {"below 1e-4", "1e16 or more", "zero", "negative"}
+    assert cases(fast["projection.csv"], 1) == every
+    assert cases(fast["traces.csv"], 4) == every - {"1e16 or more"}  # unit loadings
+    assert cases(fast["eigvals.csv"], 3) == {"below 1e-4", "1e16 or more"}
+
+
 @pytest.mark.parametrize("name, text, fragment", [
     ("sd_overflow.json",
      '{"dims": ["a"], "items": [{"values": [{"normal": {"mean": 0, "sd": 1e160}}]}]}',
@@ -900,6 +953,9 @@ def test_each_command_loads_only_its_own_modules(tmp_path, students_path, iris_p
     def command(*argv: str) -> str:
         return f"from uapca.cli import main\nassert main({list(argv)!r}) == 0"
 
+    # The points forms and compare-sampling keep repr for their CSV floats:
+    # importing orjson for them added about 0.5 MB (project --points) and
+    # 0.3 MB (compare-sampling) to the run's peak RSS.
     assert loaded("import uapca") == set()
     assert "project" not in loaded("import uapca.svg")
     assert not loaded("import uapca.cli") & {

@@ -24,6 +24,7 @@ from uapca.io import (
     write_projection_csv,
     write_traces_csv,
     _fields,
+    orjson_fields,
 )
 from uapca.cov import global_cov
 from uapca.dataset_json import dataset_to_json, load_dataset, save_dataset
@@ -372,7 +373,64 @@ def test_csv_numbers_fold_negative_zero(tmp_path):
 ], ids=["zeros", "negative-zeros", "nan", "mixed"])
 def test_fields_of_a_float_column_are_its_reprs(column):
     column = np.array(column)
-    assert _fields(column) == [repr(v + 0.0) for v in column.tolist()]
+    assert _fields(column) == orjson_fields(column) == [repr(v + 0.0) for v in column.tolist()]
+
+
+# Where repr changes layout (1e-4, 1e16), the float edges, and exact integers.
+_NAMED_FLOATS = [
+    np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e-4, 1.0),
+    np.nextafter(1e16, 0.0), 1e16, np.nextafter(1e16, math.inf),
+    0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    2.0**53 - 1, 2.0**53, 2.0**53 + 2, 0.1, 100.0, math.nan, math.inf,
+]
+
+
+def test_orjson_fields_equal_fields_on_named_values():
+    column = np.array([*_NAMED_FLOATS, *(-v for v in _NAMED_FLOATS)])
+    assert orjson_fields(column) == _fields(column)
+    for v in column:
+        assert orjson_fields(np.array([v])) == _fields(np.array([v]))
+
+
+def test_orjson_fields_equal_fields_on_short_and_strided_columns():
+    # _write_csv passes each pass's slice of a column, which may be strided.
+    table = np.random.default_rng(3).normal(size=(9, 4)) * [1e-6, 1.0, 1e17, 1e3]
+    assert orjson_fields(np.empty(0)) == _fields(np.empty(0)) == []
+    assert orjson_fields(table[0, :1]) == _fields(table[0, :1])
+    for column in (table[:, 0], table[:, 2], table[::2, 1], table.T[1], table[::-1, 3],
+                   table.ravel()[3::5]):
+        assert not column.flags.c_contiguous
+        assert orjson_fields(column) == _fields(column)
+
+
+@pytest.mark.parametrize("band", [False, True], ids=["any-exponent", "orjson-layout-band"])
+def test_orjson_fields_equal_fields_on_random_bit_patterns(band):
+    # 10**6 random doubles.  Uniform bits put few of them in [1e-4, 1e16),
+    # the only range whose texts come from orjson, so the second run draws
+    # the exponent field from that range's.
+    bits = np.random.default_rng(2019 + band).integers(0, 2**64, size=10**6, dtype=np.uint64)
+    if band:
+        low, high = (int(np.array(v).view(np.uint64)) >> 52 & 0x7FF for v in (1e-4, 1e16))
+        exponents = np.random.default_rng(7).integers(low, high + 1, size=bits.size)
+        bits = bits & ~np.uint64(0x7FF << 52) | (exponents.astype(np.uint64) << np.uint64(52))
+    column = bits.view(np.float64)
+    with np.errstate(invalid="ignore"):  # + 0.0 on a signalling NaN
+        for start in range(0, column.size, 4096):
+            chunk = column[start:start + 4096]
+            assert orjson_fields(chunk) == _fields(chunk)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                max_size=40))
+def test_orjson_fields_equal_fields_on_any_floats(values):
+    column = np.array(values, dtype=float)
+    assert orjson_fields(column) == _fields(column)
+
+
+def test_orjson_fields_pass_text_columns_to_fields():
+    for column in (["a", "b,c", 'd"e'], [0, 12, -3]):
+        assert orjson_fields(column) == _fields(column)
 
 
 def test_label_column_name():
