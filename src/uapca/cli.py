@@ -128,7 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--dims", type=_dims_list, default=tuple(range(2, 13)), metavar="SPEC",
                    help="dimensions to test, e.g. 2..12 or 2,4,8,12 (default 2..12)")
     c.add_argument("--runs", type=_positive_int, default=40, metavar="N",
-                   help="sampling runs per cell; the median is reported (default 40)")
+                   help="runs per cell (its own seeded streams); median (default 40)")
     c.add_argument("--seed", type=_seed_value, default=0, metavar="S",
                    help="experiment seed (default 0; UAPCA_SEED overrides)")
     c.add_argument("--samples", type=_counts_list, default=None, metavar="LIST",

@@ -19,12 +19,15 @@ correctness argument for the accumulation scheme.  ``sampled_pca`` draws
 the rows, for any item kind.  The convergence experiment, whose items are
 Gaussians with one shared covariance, draws the same pooled moments from
 their sufficient statistics (item sample means and one Wishart scatter),
-so a pass costs the same at any sample count.
+so a pass costs the same at any sample count.  Its draws are seeded per
+(seed, dim, samples) cell: one normal and one chi-square stream, whose
+first ``runs`` passes the cell runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -108,15 +111,23 @@ def sampled_pca(
 ) -> PcaSummary:
     """Monte-Carlo counterpart of the closed-form global covariance.
 
-    Draws ``samples_per_item`` samples from every item in order, pools them
-    into one (M, D) array, and returns the pooled mean and population (1/M)
-    covariance.  Weights are ignored: every item contributes the same number
-    of draws.  Works for any item kind; deterministic for a seeded generator.
+    Draws n = ``samples_per_item`` samples from every item in order, pools
+    them into one (M, D) array, and returns the pooled mean and covariance,
+    each row of item i weighted w_i / (n sum(w)), so that their expectation
+    is the weighted closed form.  With equal weights that is the population
+    (1/M) mean and covariance.  Works for any item kind; deterministic for
+    a seeded generator.
     """
     if not isinstance(samples_per_item, (int, np.integer)) or samples_per_item < 1:
         raise ValueError(f"samples_per_item must be a positive integer, got {samples_per_item!r}")
-    pooled = np.concatenate([item.sample(int(samples_per_item), rng) for item in ds.items])
-    return PcaSummary(*_population_moments(pooled, overwrite=True))
+    n, w = int(samples_per_item), ds.weights
+    pooled = np.concatenate([item.sample(n, rng) for item in ds.items])
+    if np.all(w == w[0]):
+        return PcaSummary(*_population_moments(pooled, overwrite=True))
+    row_w = np.repeat(w / (n * w.sum()), n)
+    mean = row_w @ pooled
+    centered = pooled - mean
+    return PcaSummary(mean, (centered * row_w[:, None]).T @ centered)
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +207,17 @@ def _experiment_dataset(dim: int, n_items: int, seed: int) -> tuple[UncertainDat
     return UncertainDataset._from_table(means, range(n_items), psis), _psd_factor(psi)
 
 
-def _pooled_gaussian_moments(means: np.ndarray, factor: np.ndarray, counts,
-                             rngs) -> tuple[np.ndarray, np.ndarray]:
-    """What ``sampled_pca`` returns for n = counts[j] draws from each item
-    N(m_i, F F^T), for every pass j, drawn from its sufficient statistics
-    with the j-th generator of the iterable ``rngs``, not from its N n rows.
+def _cell_streams(seed: int, dim: int, count: int) -> tuple[np.random.Generator, ...]:
+    """The normal and the chi-square generator of one (seed, dim, samples) cell."""
+    return tuple(np.random.default_rng([seed, dim, count, stream]) for stream in (0, 1))
+
+
+def _pooled_gaussian_moments(means: np.ndarray, factor: np.ndarray,
+                             passes) -> tuple[np.ndarray, np.ndarray]:
+    """What ``sampled_pca`` returns for n draws from each item N(m_i, F F^T),
+    for every pass (n, normal, chi) of the sequence ``passes``, drawn from
+    its sufficient statistics with the cell generators ``normal`` and
+    ``chi`` (``_cell_streams``), not from its N n rows.
 
     ``means`` is the (N, D) stack of the m_i and ``factor`` the (D, D) F.
     The item sample means are N(m_i, F F^T / n), drawn as m_i + F z_i / sqrt(n).
@@ -210,27 +227,50 @@ def _pooled_gaussian_moments(means: np.ndarray, factor: np.ndarray, counts,
     below it (Bartlett's decomposition), or F Z^T Z F^T with Z a (df, D)
     standard-normal matrix when df < D (zero when n = 1), Z^T padded to A's
     shape with zero columns.  The pooled covariance is then the population
-    covariance of the sample means plus that scatter over N n.  The passes
-    draw in turn, in that order, then run at once on stacked arrays: the
-    (P, D) means and symmetrized (P, D, D) covariances, a non-finite one
-    rejected as ``PcaSummary`` does.  A pass costs O(N D + D^3), whatever n is.
+    covariance of the sample means plus that scatter over N n.
+
+    Each pass takes the next draws of its generators: from ``normal`` its
+    N D values of z, then its Wishart normals (below the diagonal, or Z),
+    and from ``chi`` its D chi-squares.  A group of consecutive passes with
+    the same generators draws in one call to each, straight into the
+    buffer z is a view of, so a cell's passes have the same bits however
+    they are split between calls.  The passes then run at once on stacked
+    arrays: the (P, D) means and symmetrized (P, D, D) covariances, a
+    non-finite one rejected as ``PcaSummary`` does.  A pass costs
+    O(N D + D^3), whatever n is.
     """
     count, dim = means.shape
-    z = np.empty((len(counts), count, dim))
-    a = np.zeros((len(counts), dim, dim))
+    drawn = count * dim
     below, diag = np.tril_indices(dim, -1), np.arange(dim)
-    for j, (n, rng) in enumerate(zip(counts, rngs)):
-        rng.standard_normal(out=z[j])
-        df = count * (n - 1)
+    groups = [(n, len(list(group)), normal, chi) for (n, normal, chi), group in groupby(passes)]
+    wishart = [below[0].size if count * (n - 1) >= dim else count * (n - 1) * dim
+               for n, *_ in groups]
+    widest = max(wishart)
+    buf = np.empty((len(passes), drawn + widest))
+    a = np.zeros((len(passes), dim, dim))
+    start = 0
+    for (n, k, normal, chi), width in zip(groups, wishart):
+        rows, df = slice(start, start + k), count * (n - 1)
+        if width == widest:
+            normal.standard_normal(out=buf[rows])
+        else:  # a narrower cell than the chunk's widest: its rows are not contiguous
+            buf[rows, :drawn + width] = normal.standard_normal((k, drawn + width))
+        w = buf[rows, drawn:drawn + width]
         if df >= dim:
-            a[j, diag, diag] = np.sqrt(rng.chisquare(df - diag))
-            a[j][below] = rng.standard_normal(below[0].size)
+            a[rows, diag, diag] = np.sqrt(chi.chisquare(df - diag, (k, dim)))
+            a[rows, below[0], below[1]] = w
         else:
-            a[j, :, :df] = rng.standard_normal((df, dim)).T
+            a[rows, :, :df] = w.reshape(k, df, dim).swapaxes(1, 2)
+        start += k
+    z = buf[:, :drawn].reshape(len(passes), count, dim)
+    counts = [c for c, *_ in passes]
     n = np.array(counts, dtype=float)[:, None, None]
     pooled = np.array([count * c for c in counts], dtype=float)[:, None, None]
     mean, between = _population_moments(means + z @ factor.T / np.sqrt(n), overwrite=True)
+    # Each input goes before the next stacked product: these set the run's peak memory.
+    del buf, z, w
     fa = factor @ a
+    del a
     cov = between + fa @ fa.swapaxes(1, 2) / pooled
     return mean, _symmetrized(cov, lambda j: "covariance")
 
@@ -246,23 +286,25 @@ def run_convergence_experiment(cfg: ExperimentConfig) -> list[ExperimentRow]:
     Every item of the synthetic dataset is a Gaussian with the same
     covariance, so a pass draws the pooled moments of its rows from their
     sufficient statistics (``_pooled_gaussian_moments``), with the same law
-    as ``sampled_pca`` on that dataset but without drawing a row.  Each pass
-    has its own generator, seeded from (seed, dim, count, run), so the rows
-    are fully determined by the config.  A dimension's passes run in chunks
-    of at most ``_CHUNK_FLOATS`` drawn floats (and at least one pass), on
-    stacked arrays, with the bits of one pass at a time.
+    as ``sampled_pca`` on that dataset but without drawing a row.  Each
+    (seed, dim, samples) cell has two generators (``_cell_streams``), and
+    its passes are their first ``cfg.runs`` passes: a cell's row does not
+    depend on which other dims or sample counts are listed, and raising
+    ``cfg.runs`` keeps the draws of the earlier passes.  A dimension's
+    passes run in chunks of at most ``_CHUNK_FLOATS`` drawn floats (and at
+    least one pass), on stacked arrays, with the bits of one pass at a time.
     """
     rows = []
     for dim in cfg.dims:
         ds, factor = _experiment_dataset(dim, cfg.n_items, cfg.rng_seed)
         g = global_cov(ds)
         closed = PcaSummary(mean=g.mean, cov=g.at(1.0))
-        passes = [(count, run) for count in cfg.sample_counts for run in range(cfg.runs)]
+        cells = [(count, *_cell_streams(cfg.rng_seed, dim, count)) for count in cfg.sample_counts]
+        passes = [cell for cell in cells for _ in range(cfg.runs)]
         size = max(1, _CHUNK_FLOATS // (cfg.n_items * dim))
         dists = []
-        for chunk in (passes[i:i + size] for i in range(0, len(passes), size)):
-            rngs = (np.random.default_rng([cfg.rng_seed, dim, *p]) for p in chunk)  # one at a time
-            mean, cov = _pooled_gaussian_moments(ds.means(), factor, [c for c, _ in chunk], rngs)
+        for i in range(0, len(passes), size):
+            mean, cov = _pooled_gaussian_moments(ds.means(), factor, passes[i:i + size])
             bc = _bhattacharyya(mean - closed.mean, cov, closed.cov)
             dists.extend(np.sqrt(np.clip(1.0 - bc, 0.0, 1.0)))
         rows += [ExperimentRow(dim, count, _median(cell), cfg.runs, cfg.rng_seed)

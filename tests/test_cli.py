@@ -329,9 +329,10 @@ def test_compare_sampling_rejects_a_count_past_the_int64_range(tmp_path, capsys,
 
 
 def test_compare_sampling_csv_bytes_are_pinned(tmp_path, capsys, monkeypatch):
-    # Recorded from the moment route (each pass draws its item sample means and
-    # one Wishart scatter from its own seeded generator); any change to the
-    # draws or their order moves these bytes.
+    # Recorded from the moment route with per-cell streams: each (seed, dim,
+    # samples) cell draws its passes' item sample means and Wishart normals
+    # from one generator and their chi-squares from another; any change to
+    # the draws or their order moves these bytes.
     monkeypatch.delenv("UAPCA_SEED", raising=False)
     out = tmp_path / "pin.csv"
     code = main([
@@ -340,7 +341,7 @@ def test_compare_sampling_csv_bytes_are_pinned(tmp_path, capsys, monkeypatch):
     ])
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "aba2b9182f5a898e936767de96b66bd7125fc2473c8eae1ee01ba2a68506e409"
+        "acedf34fd89ad54e761749047a94e2dc8f6567fad7fcadb5b897afffbb8f2ea4"
     )
 
 

@@ -5,6 +5,7 @@ from scipy import integrate, stats
 import uapca.metrics
 from uapca.cli import main
 from uapca.cov import global_cov
+from uapca.dataset_json import load_dataset
 from uapca.metrics import (
     DEFAULT_SAMPLE_COUNTS,
     ExperimentConfig,
@@ -200,13 +201,33 @@ def test_pooled_sampling_is_bit_identical_to_stacked_draws():
         assert np.array_equal(got.cov, cov)
 
 
+def test_weighted_sampling_converges_to_the_weighted_closed_form(students_path):
+    # Each row of item i counts w_i / (n sum(w)), so the pooled moments
+    # converge to the weighted K(1); pooling every row alike stays about
+    # 0.17 away from it at any n.  Equal weights of any value keep the
+    # unweighted bits.
+    items = load_dataset(students_path).items
+    ds = UncertainDataset(items, weights=[1, 2, 3] * 2)
+    g = global_cov(ds)
+    closed = PcaSummary(mean=g.mean, cov=g.at(1.0))
+    dists = [hellinger(sampled_pca(ds, 32_768, np.random.default_rng([1, run])), closed)
+             for run in range(15)]
+    assert np.median(dists) < 0.01
+    equal = sampled_pca(UncertainDataset(items, weights=[2.0] * 6), 50, np.random.default_rng(3))
+    plain = sampled_pca(UncertainDataset(items), 50, np.random.default_rng(3))
+    assert np.array_equal(equal.mean, plain.mean) and np.array_equal(equal.cov, plain.cov)
+
+
 # ---------------------------------------------------------------------------
 # The experiment's moment route against the row route it replaces.
 
 
-def _moment_pass(means, factor, n, seed):
-    mean, cov = _pooled_gaussian_moments(means, factor, [n], [np.random.default_rng(seed)])
-    return PcaSummary(mean=mean[0], cov=cov[0])
+def _moment_passes(means, factor, n, runs, seed):
+    # The first ``runs`` passes of one cell, whose two streams are seeded
+    # from ``seed`` + [0] and ``seed`` + [1], drawn in one call.
+    normal, chi = (np.random.default_rng([*seed, stream]) for stream in (0, 1))
+    mean, cov = _pooled_gaussian_moments(means, factor, [(n, normal, chi)] * runs)
+    return [PcaSummary(mean=m, cov=c) for m, c in zip(mean, cov)]
 
 
 @pytest.mark.parametrize("dim, n", [(2, 16), (6, 64), (12, 1024)])
@@ -218,8 +239,7 @@ def test_moment_route_has_the_row_route_distances_in_distribution(dim, n):
     means = ds.means()
     g = global_cov(ds)
     closed = PcaSummary(mean=g.mean, cov=g.at(1.0))
-    moments = [hellinger(_moment_pass(means, factor, n, [1, dim, n, run]), closed)
-               for run in range(runs)]
+    moments = [hellinger(p, closed) for p in _moment_passes(means, factor, n, runs, [1, dim, n])]
     rows = [hellinger(sampled_pca(ds, n, np.random.default_rng([2, dim, n, run])), closed)
             for run in range(runs)]
     assert stats.ks_2samp(moments, rows).pvalue > alpha
@@ -238,7 +258,7 @@ def test_moment_route_has_the_exact_expectation(dim, items, n):
     means = rng.normal(0.0, 2.0, (items, dim))
     psi = random_psd(rng, dim)
     factor = Gaussian(means[0], psi)._sampling_factor()
-    passes = [_moment_pass(means, factor, n, [6, dim, items, n, run]) for run in range(4000)]
+    passes = _moment_passes(means, factor, n, 4000, [6, dim, items, n])
     upper = np.triu_indices(dim)
     got = np.array([np.concatenate([p.mean, p.cov[upper]]) for p in passes])
     want = np.concatenate([means.mean(axis=0),
@@ -254,7 +274,7 @@ def test_few_degrees_of_freedom_give_a_psd_summary(items, n):
     # N - 1 + N (n - 1).
     dim = 12
     ds, factor = uapca.metrics._experiment_dataset(dim, items, 0)
-    got = _moment_pass(ds.means(), factor, n, 0)
+    (got,) = _moment_passes(ds.means(), factor, n, 1, [0])
     assert np.all(np.isfinite(got.mean)) and np.all(np.isfinite(got.cov))
     assert np.array_equal(got.cov, got.cov.T)
     evals = np.linalg.eigvalsh(got.cov)
@@ -330,9 +350,37 @@ def test_stacked_passes_give_the_one_pass_bits_for_any_chunk(monkeypatch, items)
 
 def test_a_non_finite_pooled_covariance_is_rejected():
     means = np.array([[0.0, 0.0], [1e308, -1e308]])
-    rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+    passes = [(4, *uapca.metrics._cell_streams(0, 2, 4))] * 2
     with pytest.raises(ValueError, match="^covariance contains non-finite entries$"):
-        _pooled_gaussian_moments(means, np.eye(2), [4, 4], rngs)
+        _pooled_gaussian_moments(means, np.eye(2), passes)
+
+
+def test_a_cell_row_does_not_depend_on_the_other_cells_listed():
+    # Each (seed, dim, samples) cell draws from its own two streams, so its
+    # row is the same listed alone, beside other sample counts, and beside
+    # other dims.  With N = 4 and D = 5, n = 1 and n = 2 draw fewer Wishart
+    # normals per pass than n = 256, so beside it they take the copy route
+    # for a cell narrower than its chunk's widest.
+    base = dict(n_items=4, runs=5, rng_seed=3)
+    alone = run_convergence_experiment(ExperimentConfig(dims=(5,), sample_counts=(256,), **base))
+    for dims, counts in [((5,), (16, 256)), ((5,), (1, 2, 256, 1024)), ((2, 5, 12), (256,)),
+                         ((2, 5), (1, 16, 256))]:
+        rows = run_convergence_experiment(ExperimentConfig(dims=dims, sample_counts=counts, **base))
+        assert [r for r in rows if (r.dim, r.samples) == (5, 256)] == alone, (dims, counts)
+
+
+def test_more_runs_keep_the_earlier_passes_draws(monkeypatch):
+    # A cell's passes are the first ``runs`` passes of its streams, so the
+    # distances of a shorter experiment are a prefix of a longer one's.
+    dists = []
+    for runs in (3, 7):
+        with monkeypatch.context() as m:
+            coeffs = _spy(m, "_bhattacharyya")
+            run_convergence_experiment(ExperimentConfig(dims=(4,), sample_counts=(2, 64),
+                                                        n_items=3, runs=runs, rng_seed=5))
+        dists.append(np.concatenate(coeffs).reshape(2, runs))
+    short, long = dists
+    assert np.array_equal(short, long[:, :3])
 
 
 def test_compare_sampling_runs_below_dim_degrees_of_freedom(tmp_path, capsys, monkeypatch):
