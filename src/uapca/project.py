@@ -59,15 +59,26 @@ def _ellipse_outlines(means, covs, k_sigmas, segments: int, items: int):
     """Closed isolines of N(means[i], covs[i]) at each of k_sigmas, solved now
     with one ``eig_sym`` call for the whole (N, 2, 2) stack.
 
-    Returns a function; each call yields the outlines anew, (n, k, segments
-    + 1, 2) for each run of n <= items items.  Ring j of item i is means[i]
-    + k_sigmas[j] * L_i (cos t, sin t), L_i the item's eigen factor; its
-    last vertex repeats the first.
+    Returns the least and the greatest vertex coordinate of all the
+    outlines, each (2,) (inf and -inf for no items), and a function; each
+    call of it yields the outlines anew, (n, k, segments + 1, 2) for each
+    run of n <= items items.  Ring j of item i is means[i] + k_sigmas[j] *
+    L_i (cos t, sin t), L_i the item's eigen factor; its last vertex
+    repeats the first.  The bounds take k * x + m of each item's extreme
+    L_i (cos t, sin t) only: for k > 0, rounding k * x and x + m keeps
+    the order of x, so that is the extreme vertex bit for bit.
     """
     pairs = eig_sym(covs)
     factors = pairs.vectors * np.sqrt(pairs.values)[..., None, :]
     theta = np.linspace(0.0, 2.0 * np.pi, segments, endpoint=False)
     trig = np.stack([np.cos(theta), np.sin(theta)])
+    least, most = np.empty((2, len(means), 2))
+    for start in range(0, len(means), items):
+        rings = np.matmul(factors[start:start + items], trig)
+        rings.min(axis=2, out=least[start:start + items])
+        rings.max(axis=2, out=most[start:start + items])
+    bounds = (np.min([k * least + means for k in k_sigmas], axis=(0, 1), initial=np.inf),
+              np.max([k * most + means for k in k_sigmas], axis=(0, 1), initial=-np.inf))
 
     def chunks() -> Iterator[np.ndarray]:
         for start in range(0, len(means), items):
@@ -76,10 +87,10 @@ def _ellipse_outlines(means, covs, k_sigmas, segments: int, items: int):
             rings = np.matmul(factors[start:start + items], trig)
             out = np.empty((len(rings), len(k_sigmas), segments + 1, 2))
             for j, k_sigma in enumerate(k_sigmas):
-                ring = k_sigma * rings
-                ring += means[start:start + items, :, None]
-                out[:, j, :segments] = ring.swapaxes(-1, -2)
+                out[:, j, :segments] = (k_sigma * rings
+                                        + means[start:start + items, :, None]).swapaxes(-1, -2)
             out[:, :, segments] = out[:, :, 0]
+            del rings  # not held while the caller formats out
             yield out
 
-    return chunks
+    return bounds, chunks

@@ -4,8 +4,10 @@ All documents are SVG 1.1 with a fixed 800x800 view box and a fixed color
 palette, so rendering the same inputs yields byte-identical files.  Each
 number in a document is the correctly rounded ``%.3f`` text of its binary
 value, with ``-0.000`` written ``0.000``.  Vertex and per-item numbers come
-from array passes over small chunks (``_vertex_texts``, ``_number_texts``);
-a few fixed scalars in headers, axes and legends use ``_fmt``.
+from array passes over small chunks (``_vertex_texts``, ``_number_texts``):
+each number is a few uint32 words of text bytes (separator and sign, integer
+part, fraction), and one ``bytes.translate`` per pass drops their zero pads.
+A few fixed scalars in headers, axes and legends use ``_fmt``.
 
 Each ``*_svg_pieces`` generator yields its document a block of text at a
 time, to be written out as it comes, so memory does not grow with the
@@ -17,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterable, Iterator
-from itertools import chain
+from itertools import chain, islice
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -45,7 +47,9 @@ _CHUNK = 4096
 # Items per outline pass of a projection: a few hundred kilobytes of rings.
 _OUTLINE_ITEMS = 256
 # Pieces per block of a streamed document: one write each, not one per piece.
-_BLOCK = 512
+# A block's pieces, its text and the encoded write are all held at once, so
+# its size adds to peak memory: 128 rings of a projection are about 140 KB.
+_BLOCK = 256
 
 
 def _fmt(v: float) -> str:
@@ -59,8 +63,8 @@ def _digit_tables() -> tuple[np.ndarray, ...]:
 
     Each text fragment is one uint32 word of four bytes; zero bytes are pads
     that the formatter drops.  Returns the integers 0-9999 right-aligned and
-    zero-padded, their digit counts, the fractions ".000"-".999", and the
-    six words that can lead a number.
+    zero-padded, the fractions ".000"-".999", and the words that can lead
+    a number: the separators "|", "," and " ", and the sign "-".
     """
     digit = np.frombuffer(b"0123456789", np.uint8)
     digits = np.empty((10, 10, 10, 10, 4), np.uint8)  # digits[a, b, c, d] = "abcd"
@@ -74,24 +78,25 @@ def _digit_tables() -> tuple[np.ndarray, ...]:
     digits[0, 0, ..., 1] = 0
     digits[0, 0, 0, :, 2] = 0
     right = digits.reshape(10_000, 4).view(np.uint32).ravel()
-    counts = np.count_nonzero(digits.reshape(10_000, 4), axis=1)
-    # The word that leads a number: its separator (none, "," or " ") in the
-    # first byte and its sign in the last, at index 2 * separator + negative.
-    lead = np.frombuffer(b"".join(sep + b"\0\0" + sign for sep in (b"\0", b",", b" ")
-                                  for sign in (b"\0", b"-")), np.uint32)
-    return right, padded, counts, frac.view(np.uint32).ravel(), lead
+    # A separator sits in a lead word's first byte, the sign in its last, so
+    # a negative number's lead word is its separator's word OR the sign's.
+    lead = np.frombuffer(b"|\0\0\0,\0\0\0 \0\0\0\0\0\0-", np.uint32)
+    return right, padded, frac.view(np.uint32).ravel(), lead
 
 
-def _encode(values: np.ndarray, seps: np.ndarray) -> tuple[str, np.ndarray]:
-    """Each value's ``%.3f`` text, after its separator (0 none, 1 ",", 2 " ").
+def _encode(values: np.ndarray, leads: np.ndarray) -> str:
+    """The values' ``%.3f`` texts, joined, each after its separator: leads
+    holds one word per value, a separator word of ``_digit_tables`` or 0
+    for none, and the sign is ORed into it.
 
-    Returns the joined text and each value's width in it.  m = 1000 x is
-    within half an ulp of the exact product, so rint(m) is the printf digit
-    string unless m lies within a few ulps of a tie; those values, any with
-    |m| >= 2**49 and non-finite ones take the exact integer from ``%``
-    formatting instead.  Integer parts beyond 9999 take more 4-digit groups.
+    m = 1000 x is within half an ulp of the exact product, so rint(m) is
+    the printf digit string unless m lies within a few ulps of a tie; those
+    values, any with |m| >= 2**49 and non-finite ones take the exact integer
+    from ``%`` formatting instead.  Integer parts beyond 9999 take more
+    4-digit groups.  The text is the words' bytes with the zero pads
+    deleted by one ``bytes.translate``, many times faster than a mask.
     """
-    right, padded, counts, frac, lead = _digit_tables()
+    right, padded, frac, lead = _digit_tables()
     with np.errstate(over="ignore", invalid="ignore"):
         m = values * 1000.0
         r = np.rint(m)
@@ -110,16 +115,16 @@ def _encode(values: np.ndarray, seps: np.ndarray) -> tuple[str, np.ndarray]:
             milli[i] = abs(e)
         else:
             wide[i] = abs(e)
-    whole, f = np.divmod(milli, 1000)
+    whole = milli // 1000  # division by a constant: far faster than np.divmod
+    f = milli - 1000 * whole
     top = max([int(whole.max(initial=0)), *(e // 1000 for e in wide.values())])
     k = (len(str(top)) + 3) // 4
 
     n = len(values)
     words = np.empty((n, k + 2), np.uint32)
-    words[:, 0] = lead[2 * seps + neg]
+    words[:, 0] = leads | lead[3] * neg
     if k == 1:
         words[:, 1] = right[whole]
-        width = counts[whole]
     else:
         groups = np.empty((n, k), np.int64)
         for j in range(k - 1, -1, -1):
@@ -134,33 +139,36 @@ def _encode(values: np.ndarray, seps: np.ndarray) -> tuple[str, np.ndarray]:
         col = np.arange(k)
         words[:, 1:k + 1] = np.where(col < lead_group, 0,
                                      np.where(col == lead_group, right[groups], padded[groups]))
-        width = (4 * (k - 1 - lead_group[:, 0])
-                 + np.take_along_axis(counts[groups], lead_group, 1)[:, 0])
     words[:, k + 1] = frac[f]
-    b = words.view(np.uint8).ravel()
-    return b[b != 0].tobytes().decode("ascii"), width + neg + 4 + (seps != 0)
+    return words.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _vertex_texts(values: np.ndarray, sizes) -> Iterator[str]:
     """The texts of consecutive runs of values, formatted a chunk at a time.
 
-    Run j is the next sizes[j] values of the flat array, read as x, y
-    pairs: "x,y x,y ...".  A one-value run is that number alone.
+    Run j is the next sizes[j] > 0 values of the flat array, read as x, y
+    pairs: "x,y x,y ...".  A one-value run is that number alone.  The
+    separator words of all the runs are built once; each pass cuts its text
+    at the "|" that leads a run.
     """
     values = np.ravel(values)
     sizes = np.asarray(sizes, dtype=np.int64)
     ends = np.cumsum(sizes)
+    starts = ends - sizes
+    bar, comma, space = _digit_tables()[3][:3]
+    # Every value's lead word at once: "|" before the first of a run, then
+    # " " before an x and "," before a y.  A value is a y when (i - start) & 1,
+    # its run start's parity flipped at odd i; bytes keep the scratch small.
+    odd = np.repeat((starts & 1).astype(np.uint8), sizes)
+    odd[1::2] ^= 1
+    leads = np.where(odd, comma, space)
+    leads[starts] = bar
     lo = 0
     while lo < len(sizes):
-        start = int(ends[lo] - sizes[lo])
+        start = int(starts[lo])
         hi = max(int(np.searchsorted(ends, start + _CHUNK, side="right")), lo + 1)
-        firsts = ends[lo:hi] - sizes[lo:hi] - start
-        at = np.arange(int(ends[hi - 1]) - start) - np.repeat(firsts, sizes[lo:hi])
-        seps = np.where(at & 1, 1, 2)  # "," before a y, " " before an x
-        seps[firsts] = 0
-        text, width = _encode(values[start:start + len(at)], seps)
-        cuts = np.cumsum(width)[ends[lo:hi] - start - 1].tolist()
-        yield from map(text.__getitem__, map(slice, [0, *cuts[:-1]], cuts))
+        stop = ends[hi - 1]
+        yield from _encode(values[start:stop], leads[start:stop]).split("|")[1:]
         lo = hi
 
 
@@ -168,7 +176,7 @@ def _number_texts(values: np.ndarray) -> Iterator[str]:
     """The text of each value of a flat array, one ``_encode`` pass per chunk."""
     for start in range(0, len(values), _CHUNK):
         chunk = values[start:start + _CHUNK]
-        yield from _encode(chunk, np.full(len(chunk), 2))[0].split(" ")[1:]
+        yield from _encode(chunk, np.full(len(chunk), _digit_tables()[3][2])).split(" ")[1:]
 
 
 def _document(parts: Iterable, texts: Iterable[str]) -> Iterator[str]:
@@ -182,8 +190,7 @@ def _document(parts: Iterable, texts: Iterable[str]) -> Iterator[str]:
             out.append(part)
         else:
             out.append(part[0])
-            for tail in part[1:]:
-                out += (next(texts), tail)
+            out += chain.from_iterable(zip(islice(texts, len(part) - 1), part[1:]))
         if len(out) >= _BLOCK:
             yield "".join(out)
             out.clear()
@@ -355,10 +362,11 @@ def projection_svg_pieces(labels: list[str], means, covs) -> Iterator[str]:
     Takes the stacked projected means (N, 2) and covariances (N, 2, 2).
     Items are colored by label (first-appearance order); items with zero
     covariance render as a plain dot.  The outlines of every other item
-    come from one stacked eigensolve and are built ``_OUTLINE_ITEMS`` items
-    at a time, twice: for the view bounds, then mapped to pixels in place
-    and formatted.  Items whose outlines or view span overflow the float
-    range are a ValueError, with no numpy warning.
+    come from one stacked eigensolve.  The view bounds come from each
+    item's extreme outline coordinates, with no vertex array built; the
+    outlines are then built ``_OUTLINE_ITEMS`` items at a time, once,
+    mapped to pixels in place and formatted.  Items whose outlines or view
+    span overflow the float range are a ValueError, with no numpy warning.
     """
     if not len(labels):
         raise ValueError("nothing to render")
@@ -370,15 +378,12 @@ def projection_svg_pieces(labels: list[str], means, covs) -> Iterator[str]:
 
     drawn = np.flatnonzero(np.abs(covs).reshape(len(covs), -1).max(axis=1) != 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        outlines = _ellipse_outlines(means[drawn], covs[drawn], (1.0, 2.0), 64, _OUTLINE_ITEMS)
-        # One reduction per axis: reducing over all other axes at once is many
-        # times slower than reducing each strided column.
-        lo = [means[:, c].min() for c in (0, 1)]
-        hi = [means[:, c].max() for c in (0, 1)]
-        for chunk in outlines():
-            lo = [min(v, chunk[..., c].min()) for c, v in enumerate(lo)]
-            hi = [max(v, chunk[..., c].max()) for c, v in enumerate(hi)]
-        lo, hi = np.array(lo), np.array(hi)
+        (lo, hi), outlines = _ellipse_outlines(means[drawn], covs[drawn], (1.0, 2.0), 64,
+                                               _OUTLINE_ITEMS)
+        # One reduction per axis: reducing a stack over its rows at once is
+        # many times slower than reducing each strided column.
+        lo = np.minimum(lo, [means[:, c].min() for c in (0, 1)])
+        hi = np.maximum(hi, [means[:, c].max() for c in (0, 1)])
         span = np.maximum(hi - lo, 1e-12)
         mid = (lo + hi) / 2.0
     # A non-finite outline makes lo or hi, and so span, non-finite too.
@@ -397,7 +402,9 @@ def projection_svg_pieces(labels: list[str], means, covs) -> Iterator[str]:
 
     color_of = {label: PALETTE[j % len(PALETTE)]
                 for j, label in enumerate(dict.fromkeys(labels))}
-    rings = {label: [_polyline(color, 1.5, opacity=o) for o in (0.9, 0.45)]  # 1 and 2 sigma
+    # An item's 1 and 2 sigma rings, each text led by the end of the ring
+    # before it, so that a run of rings is one part with a slot per ring.
+    rings = {label: ['"/>\n' + _polyline(color, 1.5, opacity=o)[0] for o in (0.9, 0.45)]
              for label, color in color_of.items()}
     dots = {label: _dot(color, 3.5) for label, color in color_of.items()}
     legend = []
@@ -409,7 +416,12 @@ def projection_svg_pieces(labels: list[str], means, covs) -> Iterator[str]:
     # than leaving its two numbers as slots.
     dot_lines = ("".join((head, cx, between, cy, tail)) for (head, between, tail), cx, cy
                  in zip(map(dots.__getitem__, labels), centres, centres))
-    parts = chain((ring for i in drawn.tolist() for ring in rings[labels[i]]), dot_lines, legend)
+    # _BLOCK / 2 rings per part, two pieces each: one block per part, and no
+    # Python step per ring.
+    joints = [ring for i in drawn.tolist() for ring in rings[labels[i]]]
+    step = _BLOCK // 2
+    parts = chain(((joints[a][4:], *joints[a + 1:a + step], '"/>')
+                   for a in range(0, len(joints), step)), dot_lines, legend)
     yield from _document(parts, chain.from_iterable(
         _vertex_texts(to_px(chunk), np.full(2 * len(chunk), 2 * chunk.shape[2]))
         for chunk in outlines()))

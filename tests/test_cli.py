@@ -729,6 +729,16 @@ def test_streamed_projection_svg_matches_the_joined_document(tmp_path, capsys):
     assert any(last[:, c].min() == 70.0 and last[:, c].max() == 730.0 for c in (0, 1))
 
 
+def test_many_ellipses_svg_bytes_are_pinned(tmp_path, capsys):
+    # 600 items with covariance, three outline chunks: every ring, including
+    # those on each side of a chunk boundary, keeps its bytes.
+    data = tmp_path / "many.json"
+    _write_many_ellipses(data)
+    assert main(["project", "--input", str(data), "--out-prefix", str(tmp_path / "m")]) == 0
+    assert hashlib.sha256((tmp_path / "m.projection.svg").read_bytes()).hexdigest() == (
+        "1e74e48c99c660d579410323323d1e23e46571065135dbc957396001b9f46dac")
+
+
 def test_streamed_trace_svgs_match_the_joined_documents(tmp_path, capsys):
     # 2 100 steps: each trace polyline holds 4 200 numbers, more than one
     # formatting chunk.

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uapca.cov import global_cov
 from uapca.eigen import eig_sym, select_components
@@ -18,6 +20,7 @@ from uapca.items import (
 )
 from uapca.model import UncertainDataset
 from uapca.project import _ellipse_outlines, project_items
+from uapca.svg import projection_svg_pieces
 
 from conftest import random_psd
 
@@ -145,7 +148,8 @@ def test_batched_projection_checks_the_stack():
 
 def _outline(g: Gaussian, k_sigma: float, segments: int) -> np.ndarray:
     """One item's ring from the stacked outline kernel: (segments + 1, 2)."""
-    return next(_ellipse_outlines(g.mean()[None], g.cov()[None], (k_sigma,), segments, 1)())[0, 0]
+    _, outlines = _ellipse_outlines(g.mean()[None], g.cov()[None], (k_sigma,), segments, 1)
+    return next(outlines())[0, 0]
 
 
 def test_unit_circle_outline():
@@ -194,7 +198,7 @@ def test_stacked_outlines_match_one_item_at_a_time():
                      *(random_psd(rng, 2) * 10.0 ** rng.uniform(-3, 3) for _ in range(20))])
     means = rng.normal(0.0, 5.0, (len(covs), 2))
     k_sigmas, segments = (1.0, 2.0, 2.5), 64
-    outlines = _ellipse_outlines(means, covs, k_sigmas, segments, 10)
+    outlines = _ellipse_outlines(means, covs, k_sigmas, segments, 10)[1]
     # Runs of 10, 10 and 3 items, the same arrays on every pass.
     chunks = list(outlines())
     assert [len(c) for c in chunks] == [10, 10, 3]
@@ -209,7 +213,58 @@ def test_stacked_outlines_match_one_item_at_a_time():
         for j, k_sigma in enumerate(k_sigmas):
             pts = mean + k_sigma * ring
             assert np.array_equal(out[i, j], np.vstack([pts, pts[:1]]))
-    assert list(_ellipse_outlines(means[:0], covs[:0], k_sigmas, segments, 10)()) == []
+    assert list(_ellipse_outlines(means[:0], covs[:0], k_sigmas, segments, 10)[1]()) == []
+
+
+def _vertex_extremes(outlines) -> tuple[np.ndarray, np.ndarray]:
+    """The per-axis min and max over every vertex the outlines yield."""
+    out = np.concatenate([np.empty((0, 2, 65, 2)), *outlines()])
+    return (np.array([out[..., c].min(initial=np.inf) for c in (0, 1)]),
+            np.array([out[..., c].max(initial=-np.inf) for c in (0, 1)]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 700), st.floats(-150.0, 150.0),
+       st.floats(-150.0, 150.0))
+def test_outline_bounds_are_the_vertex_extremes(seed, n, cov_exponent, mean_exponent):
+    # Runs of up to three 256-item chunks; full-rank, rank-1, zero-row and
+    # zero covariances at scales 1e-150 to 1e150.  The bounds come from each
+    # item's extreme L (cos t, sin t) alone and must equal the extremes of
+    # the vertices the outline pass builds (-0.0 == 0.0: the sign of a zero
+    # bound cannot reach the pixels).
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=2)
+    shapes = [random_psd(rng, 2), np.outer(v, v), np.diag([rng.uniform(), 0.0]),
+              np.diag([0.0, rng.uniform()]), np.zeros((2, 2))]
+    covs = np.stack(shapes)[rng.integers(0, len(shapes), n)]
+    covs *= 10.0 ** (cov_exponent + rng.uniform(-2.0, 2.0, (n, 1, 1)))
+    means = rng.normal(size=(n, 2)) * 10.0 ** (mean_exponent + rng.uniform(-2.0, 2.0, (n, 1)))
+    (lo, hi), outlines = _ellipse_outlines(means, covs, (1.0, 2.0), 64, 256)
+    want_lo, want_hi = _vertex_extremes(outlines)
+    assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+
+
+def test_outline_bounds_carry_an_overflow():
+    # Rings pushed past the float range by their k make the bounds infinite,
+    # as the vertices are.
+    means = np.array([[0.0, 1.0], [2.0, -3.0], [1e300, -1e300]])
+    covs = np.stack([np.eye(2), np.diag([4.0, 1.0]), np.diag([1e300, 1e-300])])
+    with np.errstate(over="ignore", invalid="ignore"):
+        (lo, hi), outlines = _ellipse_outlines(means, covs, (1.0, 1e160), 64, 2)
+        want_lo, want_hi = _vertex_extremes(outlines)
+    assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+    assert lo[0] == -np.inf and hi[0] == np.inf
+
+
+def test_items_spanning_more_than_the_float_range_are_an_error():
+    # 600 items with covariance over three outline chunks; the last chunk
+    # holds the two items at -1e308 and 1e308.
+    rng = np.random.default_rng(23)
+    means = rng.normal(size=(600, 2))
+    means[-2:] = [[-1e308, 0.0], [1e308, 0.0]]
+    covs = np.stack([random_psd(rng, 2) for _ in range(600)])
+    with pytest.raises(ValueError, match="projected items span more than the float range"):
+        "".join(projection_svg_pieces(["a"] * 600, means, covs))
 
 
 def test_psd_check_runs_on_block_rows_only(monkeypatch):

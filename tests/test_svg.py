@@ -14,6 +14,7 @@ from uapca.svg import (
     PALETTE,
     SIZE,
     _CHUNK,
+    _digit_tables,
     _encode,
     _fmt,
     _number_texts,
@@ -232,14 +233,12 @@ _values = st.one_of(
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(st.lists(_values, min_size=1, max_size=40), st.integers(1, 5))
 def test_array_formatter_matches_percent_formatting(values, run):
-    # Each piece is the fixed three-decimal text of its value, and each
-    # width is that piece's length.
-    text, widths = _encode(np.array(values), np.zeros(len(values), dtype=int))
-    cuts = np.cumsum(widths).tolist()
-    pieces = [text[a:b] for a, b in zip([0, *cuts[:-1]], cuts)]
-    assert pieces == [_fmt(v) for v in values]
-    assert widths.tolist() == [len(p) for p in pieces]
-    assert cuts[-1] == len(text)
+    # Each piece is the fixed three-decimal text of its value, after its
+    # lead word; with no lead words the texts are joined as they are.
+    texts = [_fmt(v) for v in values]
+    space = _digit_tables()[3][2]
+    assert _encode(np.array(values), np.full(len(values), space)).split(" ")[1:] == texts
+    assert _encode(np.array(values), np.zeros(len(values), dtype=int)) == "".join(texts)
     # Vertex lists: runs of `run` numbers read as "x,y x,y ...".
     sizes = [run] * (len(values) // run) + ([len(values) % run] if len(values) % run else [])
     expected, at = [], 0
@@ -254,6 +253,26 @@ def test_vertex_texts_span_many_chunks():
     rings = np.random.default_rng(3).uniform(-50.0, 850.0, (100, 65, 2))
     texts = list(_vertex_texts(rings, np.full(100, 130)))
     assert texts == [" ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in ring) for ring in rings]
+
+
+def test_vertex_texts_match_percent_formatting_over_many_passes():
+    # Rings of 130 numbers over many passes, one run longer than a pass (4 200
+    # numbers, a trace polyline of 2 100 steps) and runs of odd length, which
+    # shift the x, y parity of every run after them.  Negative values, -0.0
+    # and exact %.3f ties (k/16) check the sign and separator words.
+    sizes = [130] * 60 + [4200] + [1, 3, 130, 7, 2] * 12 + [130] * 60 + [1]
+    assert max(sizes) > _CHUNK and sum(sizes) > 4 * _CHUNK
+    values = np.random.default_rng(13).uniform(-900.0, 900.0, sum(sizes))
+    specials = [-0.0, 0.0, 0.0625, -0.1875, -2.5625, 0.0005, -0.0005, -0.0004, -9999.9995,
+                -12345.6785]
+    values[::61][:len(specials) * 20] = specials * 20
+    values[-1] = -0.0  # a one-number run, alone at the end
+    expected, at = [], 0
+    for size in sizes:
+        nums = [_fmt(v) for v in values[at:at + size].tolist()]
+        expected.append(" ".join(",".join(nums[i:i + 2]) for i in range(0, size, 2)))
+        at += size
+    assert list(_vertex_texts(values, sizes)) == expected
 
 
 def test_number_texts_match_percent_formatting_over_chunks():
