@@ -5,18 +5,20 @@ writes the projected items, ``trace`` sweeps the scale and writes factor
 traces plus eigenvalue curves, ``compare-sampling`` runs the convergence
 experiment against the Monte-Carlo oracle.  Machine-readable results go to
 files; stdout carries short human summaries.  Exit codes: 0 on success; 1
-on input or validation failures, or out of memory; 2 on bad flags.
+on input or validation failures, a failed write (stdout included), or out
+of memory; 2 on bad flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
 import errno
-import gc
 import math
 import os
 import sys
+from typing import NoReturn
 
 # Every command does only small products, which a second OpenBLAS thread
 # slows down: on a 2-core host, with two threads a call on the benchmark's
@@ -301,7 +303,8 @@ def _cmd_compare_sampling(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     rows = run_convergence_experiment(cfg)
-    write_experiment_csv(args.out, rows)
+    with _outputs() as stage:
+        write_experiment_csv(stage(args.out), rows)
     for dim in cfg.dims:
         needed = samples_to_reach(rows, dim)
         if needed is None:
@@ -328,19 +331,31 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
-def entry_point() -> int:
-    """``main()`` for a process that exits when it returns: ``python -m uapca``
+def entry_point() -> NoReturn:
+    """``main()`` for a process that ends when it returns: ``python -m uapca``
     and the ``uapca`` script.
 
-    The heap is frozen after ``main()`` returns, so the collections the
-    interpreter runs at exit skip its object graph (numpy's included), which
-    the OS reclaims anyway.  Atexit handlers, stream flushes and the freeing
-    of objects outside reference cycles still run.  ``main()`` never freezes:
-    a caller that runs it in-process would keep every later cycle alive.
+    Once ``main()`` returns, the atexit handlers run, stdout and stderr are
+    flushed and ``os._exit`` ends the process with main's exit code, so the
+    interpreter does not tear down the modules (numpy's included), whose
+    memory the OS reclaims anyway.  Output files are closed before main
+    returns.  A stdout that cannot take what is left in its buffer, such as
+    a closed pipe, is a one-line error and exit code 1.  A ``SystemExit``
+    from argparse (a usage error, ``--help``), and any exception main does
+    not handle, leave the normal way.  ``main()`` itself does none of this:
+    tests and library callers run it in-process.
     """
     code = main()
-    gc.freeze()
-    return code
+    atexit._run_exitfuncs()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"uapca: error: {exc}", file=sys.stderr)
+        code = 1
+    with contextlib.suppress(AttributeError, OSError):
+        sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import gc
 import json
 from dataclasses import astuple
 from itertools import accumulate, chain
@@ -173,19 +174,31 @@ def load_dataset(path) -> UncertainDataset:
     ``json`` reads again, and words the error of, what orjson refuses (NaN,
     lone surrogates, bytes that are not UTF-8), text nested deeper than
     ``_MAX_NESTING`` and a file with an error: orjson reads an integer past
-    64 bits as a float, which prints otherwise."""
+    64 bits as a float, which prints otherwise.
+
+    The cyclic collector is paused while the parsed document lives: a
+    document holds no reference cycle, and its lists and dicts would
+    otherwise start tens of collections that each walk all of it.  The
+    collector is enabled again on return only if it was enabled on entry.
+    """
     with open(path, "rb") as fh:
         doc = fh.read().removeprefix(b"\xef\xbb\xbf")
-    with contextlib.suppress(orjson.JSONDecodeError, DatasetFormatError, RecursionError):
-        if _nesting(doc) <= _MAX_NESTING:
-            doc = orjson.loads(doc)
-            return _dataset(doc, path)
-    doc = _read_text(path)
-    try:  # an integer too long for a float reads as inf, not as an int float() refuses
-        doc = json.loads(doc, parse_int=lambda t: int(t) if len(t) < 309 else float(t))
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise DatasetFormatError(f"{path}: invalid JSON: {exc}") from exc
-    return _dataset(doc, path)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        with contextlib.suppress(orjson.JSONDecodeError, DatasetFormatError, RecursionError):
+            if _nesting(doc) <= _MAX_NESTING:
+                doc = orjson.loads(doc)
+                return _dataset(doc, path)
+        doc = _read_text(path)
+        try:  # an integer too long for a float reads as inf, not as an int float() refuses
+            doc = json.loads(doc, parse_int=lambda t: int(t) if len(t) < 309 else float(t))
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise DatasetFormatError(f"{path}: invalid JSON: {exc}") from exc
+        return _dataset(doc, path)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _nesting(data: bytes) -> int:

@@ -345,6 +345,35 @@ def test_compare_sampling_csv_bytes_are_pinned(tmp_path, capsys, monkeypatch):
     )
 
 
+def test_compare_sampling_writes_its_csv_whole_or_not_at_all(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("UAPCA_SEED", raising=False)
+    argv = ["compare-sampling", "--dims", "2", "--runs", "2", "--samples", "8", "--items", "3"]
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "dir.csv").mkdir()
+    assert main([*argv, "--out", str(out / "dir.csv")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"uapca: error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: "
+        f"{str(out / 'dir.csv')!r}"]
+    assert [p.name for p in out.iterdir()] == ["dir.csv"]
+    assert list((out / "dir.csv").iterdir()) == []
+
+    # A write that fails part way keeps the old file byte for byte.
+    (out / "old.csv").write_text("old csv\n", encoding="utf-8")
+
+    def fail_part_way(path, rows):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("dim,samples,")
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(uapca.io, "write_experiment_csv", fail_part_way)
+    assert main([*argv, "--out", str(out / "old.csv")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"uapca: error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
+    assert sorted(p.name for p in out.iterdir()) == ["dir.csv", "old.csv"]
+    assert (out / "old.csv").read_text(encoding="utf-8") == "old csv\n"
+
+
 def test_out_of_memory_is_a_one_line_error(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("UAPCA_SEED", raising=False)
 
@@ -1015,25 +1044,77 @@ def test_compare_sampling_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert csv_bytes("two.csv", "2") == csv_bytes("default.csv", None)
 
 
+@pytest.mark.parametrize("collecting", [True, False])
 @pytest.mark.parametrize("argv, code", [
     (["project", "--input", "{students}", "--out-prefix", "{tmp}/e"], 0),
     (["project", "--input", "{tmp}/missing.json", "--out-prefix", "{tmp}/e"], 1),
 ])
-def test_entry_point_freezes_the_heap_after_main_returns(
-        tmp_path, capsys, students_path, argv, code):
-    # The exit collections skip a frozen heap; main() itself never freezes,
-    # so an in-process caller's later garbage cycles are still collected.
+def test_main_leaves_the_collector_as_it_found_it(
+        tmp_path, capsys, students_path, argv, code, collecting):
+    # Only entry_point ends the process; an in-process caller of main()
+    # keeps its collector state and collects its later garbage cycles.
     argv = [a.format(students=students_path, tmp=tmp_path) for a in argv]
     before = gc.get_freeze_count()
-    assert main(argv) == code
+    was_enabled = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        assert main(argv) == code
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
     assert gc.get_freeze_count() == before
-    out = _fresh_process(
-        "import gc, sys\n"
-        "from uapca.cli import entry_point\n"
-        f"sys.argv[1:] = {argv!r}\n"
-        "code = entry_point()\n"
-        "print(code, gc.get_freeze_count() > 0)\n")
-    assert out.splitlines()[-1] == f"{code} True"
+
+
+_ATEXIT_SITE = "import atexit\natexit.register(print, 'atexit handler ran')\n"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["project", "--input", "{students}", "--out-prefix", "{tmp}/e"], 0),
+    (["project", "--input", "{tmp}/missing.json", "--out-prefix", "{tmp}/e"], 1),
+    (["project", "--input", "{students}"], 2),
+    (["project", "--help"], 0),
+])
+def test_module_run_writes_all_its_output_and_runs_atexit_handlers(
+        tmp_path, capsys, monkeypatch, students_path, argv, code):
+    # python -m uapca ends the process without interpreter teardown once
+    # main() returns; both streams still carry everything main() wrote, and
+    # an atexit handler's output, buffered in a pipe, still comes out last.
+    argv = [a.format(students=students_path, tmp=tmp_path) for a in argv]
+    monkeypatch.setenv("COLUMNS", "80")  # argparse's help width, on both sides
+    try:
+        expected_code = main(argv)
+    except SystemExit as exc:
+        expected_code = exc.code
+    expected = capsys.readouterr()
+    assert expected_code == code
+    site = tmp_path / "site"
+    site.mkdir()
+    (site / "sitecustomize.py").write_text(_ATEXIT_SITE, encoding="utf-8")
+    env = _fresh_env(PYTHONUNBUFFERED=None)
+    env["PYTHONPATH"] = os.pathsep.join([str(site), env["PYTHONPATH"]])
+    result = subprocess.run([sys.executable, "-m", "uapca", *argv], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == code
+    assert result.stdout == expected.out + "atexit handler ran\n"
+    assert result.stderr == expected.err
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+def test_closed_stdout_is_a_one_line_error(tmp_path, students_path, unbuffered):
+    # Block-buffered, the summary lines reach the closed pipe only in the
+    # flush after main() returns; unbuffered, in main()'s own print.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "uapca", "project", "--input", str(students_path),
+             "--out-prefix", str(tmp_path / "p")],
+            env=_fresh_env(PYTHONUNBUFFERED=unbuffered), stdout=write_end,
+            stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert result.stderr == f"uapca: error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
 
 
 _NON_UTF8_DATASET = b'{"dims": ["a"], "items": [{"label": "x\xff", "values": [{"number": 1}]}]}'

@@ -26,6 +26,7 @@ from uapca.io import (
     _fields,
     orjson_fields,
 )
+import uapca.dataset_json
 from uapca.cov import global_cov
 from uapca.dataset_json import dataset_to_json, load_dataset, save_dataset
 from uapca.items import (
@@ -956,6 +957,49 @@ def test_a_loaded_dataset_keeps_none_of_the_parsed_file(tmp_path):
                 if type(o) is list and len(o) == 4 and type(o[3]) is float and o[3] == corner]
     assert len(ds.items) == 4
     assert _dataset_outcome(load_dataset, path) == _dataset_outcome(_reference_load_dataset, path)
+
+
+_ONE_CELL = '{"dims": ["a"], %s"items": [{"values": [{%s}]}]}'
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+@pytest.mark.parametrize("text, loads, steps", [
+    (_ONE_CELL % ("", '"number": 1'), True, ["_dataset"]),
+    (_ONE_CELL % ("", '"interval": [2, 1]'), False, ["_dataset", "_read_text", "_dataset"]),
+    # Nested past _MAX_NESTING: json reads it, and fails past its recursion limit.
+    (_ONE_CELL % ('"note": ' + "[" * 1100 + "]" * 1100 + ", ", '"number": 1'), False,
+     ["_read_text"]),
+], ids=["good", "rejected-cell", "json-fallback"])
+def test_load_dataset_pauses_the_collector_and_puts_back_its_state(
+        tmp_path, monkeypatch, text, loads, steps, collecting):
+    # The parsed document holds no cycle, so it is read with the collector
+    # paused; the caller's collector state is back on return or raise.
+    seen = []
+
+    def record(name):
+        call = getattr(uapca.dataset_json, name)
+
+        def note(*args):
+            seen.append((name, gc.isenabled()))
+            return call(*args)
+
+        monkeypatch.setattr(uapca.dataset_json, name, note)
+
+    record("_dataset")  # reads either parser's document
+    record("_read_text")  # the json fallback's first step
+    path = _write(tmp_path, "ds.json", text)
+    was_enabled = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        try:
+            loaded = load_dataset(path).dim == 1
+        except DatasetFormatError:
+            loaded = False
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert loaded is loads
+    assert seen == [(name, False) for name in steps]
 
 
 def test_loaded_cells_are_built_only_when_items_are_read(tmp_path, monkeypatch):
