@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import orjson
@@ -24,6 +25,7 @@ from uapca.io import (
     write_projection_csv,
     write_traces_csv,
     _fields,
+    _read_text,
     orjson_fields,
 )
 import uapca.dataset_json
@@ -1022,3 +1024,185 @@ def test_dataset_with_a_byte_order_mark_loads(tmp_path, students_path):
     path = tmp_path / "bom.json"
     path.write_bytes(b"\xef\xbb\xbf" + students_path.read_bytes())
     assert _dataset_outcome(load_dataset, path) == _dataset_outcome(load_dataset, students_path)
+
+
+# ---------------------------------------------------------------------------
+# The sliced read: orjson parses the items array a slice at a time, and
+# must give what the json route, which reads the whole file, gives.
+
+# Labels that hold what the scan tracks (brackets, quotes, "items", item
+# starts), escapes and text past ASCII.
+_TRICKY_LABELS = ["}, {", '"items": [', '{"label": "x"}', 'say "hi"', "back\\slash", "\\",
+                  "naïve ☃ 名", "]]]", ""]
+
+
+def _sliced_doc(n, dim=3, seed=0):
+    """A dataset of n items: cells of every kind and mvn items, most with a
+    label from _TRICKY_LABELS and a weight."""
+    rng = np.random.default_rng(seed)
+    items = []
+    for i in range(n):
+        item = {} if i % 7 == 6 else {"label": _TRICKY_LABELS[i % len(_TRICKY_LABELS)]}
+        if i % 3:
+            item["weight"] = float(rng.uniform(0.5, 2.0))
+        x = rng.normal(size=dim).tolist()
+        if i % 5 == 4:
+            f = rng.normal(size=(dim, dim))
+            item["mvn"] = {"mean": x, "cov": (f @ f.T).tolist()}
+        else:
+            item["values"] = [[{"number": v}, {"interval": [v, v + 1]},
+                               {"trapezoid": [v, v + 1, v + 2, v + 4]},
+                               {"normal": {"mean": v, "sd": 0.5}}][(i + j) % 4]
+                              for j, v in enumerate(x)]
+        items.append(item)
+    return {"dims": [f"d{j}" for j in range(dim)], "items": items}
+
+
+_LAYOUTS = {
+    "default": json.dumps,
+    "compact": lambda doc: json.dumps(doc, separators=(",", ":"), ensure_ascii=False),
+    "indented": lambda doc: json.dumps(doc, indent=4, ensure_ascii=False),
+    "crlf": lambda doc: json.dumps(doc, indent=2).replace("\n", "\r\n"),
+    "bom": lambda doc: "﻿" + json.dumps(doc, ensure_ascii=False),
+    "items-first": lambda doc: json.dumps({"items": doc["items"], "dims": doc["dims"]}),
+    "extra-keys": lambda doc: json.dumps(
+        {"meta": {"items": [1, {"label": "x"}]}, **doc, "notes": ["items", {"items": []}]}),
+}
+
+
+def _json_route(path):
+    """load_dataset's json route: json reads the whole file and words every error."""
+    try:
+        doc = json.loads(_read_text(path), parse_int=lambda t: int(t) if len(t) < 309 else float(t))
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise DatasetFormatError(f"{path}: invalid JSON: {exc}") from exc
+    return uapca.dataset_json._dataset(doc, path)
+
+
+def _cuts(path):
+    data = path.read_bytes()
+    return uapca.dataset_json._scan(data, 3 if data.startswith(b"\xef\xbb\xbf") else 0)
+
+
+def _no_json_route(monkeypatch):
+    """Make load_dataset's json route, which reads the file as text, fail the test."""
+    def read_text(path):
+        raise AssertionError(f"{path} went to the json route")
+
+    monkeypatch.setattr(uapca.dataset_json, "_read_text", read_text)
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+@pytest.mark.parametrize("n, slices", [(1, 1), (80, 1), (1500, 6)])
+def test_a_sliced_read_gives_the_json_route_dataset(tmp_path, monkeypatch, layout, n, slices):
+    _no_json_route(monkeypatch)
+    path = tmp_path / "ds.json"
+    path.write_bytes(_LAYOUTS[layout](_sliced_doc(n)).encode("utf-8"))
+    cuts = _cuts(path)
+    assert cuts is not None and len(cuts) - 1 >= slices and (slices > 1 or len(cuts) == 2)
+    assert _dataset_outcome(load_dataset, path) == _dataset_outcome(_json_route, path)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(labels=st.lists(st.one_of(st.sampled_from(_TRICKY_LABELS), st.text()), min_size=1,
+                       max_size=30),
+       layout=st.sampled_from(sorted(_LAYOUTS)), chunk=st.sampled_from([8, 64, 512, 1 << 16]))
+def test_sliced_reads_at_any_slice_size_give_the_json_route_dataset(
+        tmp_path, monkeypatch, labels, layout, chunk):
+    monkeypatch.setattr(uapca.dataset_json, "_CHUNK", chunk)
+    _no_json_route(monkeypatch)
+    doc = _sliced_doc(len(labels))
+    for item, label in zip(doc["items"], labels):
+        item["label"] = label
+    path = tmp_path / "ds.json"
+    path.write_bytes(_LAYOUTS[layout](doc).encode("utf-8"))
+    assert _cuts(path) is not None
+    assert _dataset_outcome(load_dataset, path) == _dataset_outcome(_json_route, path)
+
+
+_BIG = json.dumps(_sliced_doc(1500)["items"])  # an items array of six slices
+
+
+_ONE = '[{"values": [{"number": 1}, {"number": 2}, {"number": 3}]}]'
+
+
+@pytest.mark.parametrize("text, sliced", [
+    # A top-level "items" twice, or once spelt with an escape: json keeps the last.
+    ('{"dims": ["a", "b", "c"], "items": %s, "items": %s}' % (_BIG, _ONE), False),
+    ('{"dims": ["a", "b", "c"], "items": %s, "it\\u0065ms": %s}' % (_BIG, _ONE), False),
+    ('{"it\\u0065ms": %s, "dims": ["a", "b", "c"], "items": %s}' % (_ONE, _BIG), False),
+    # An "items" that is not an array of objects.
+    ('{"dims": ["a", "b", "c"], "items": 5}', False),
+    ('{"dims": ["a", "b", "c"], "items": {"values": []}}', False),
+    ('{"dims": ["a", "b", "c"], "items": []}', True),
+    ('{"dims": ["a", "b", "c"], "items": [1, %s]}' % _BIG[1:-1], True),
+    ('{"dims": ["a", "b", "c"], "items": [%s, [1]]}' % _BIG[1:-1], True),
+    # Nesting past 1 024 levels, in a key the reader ignores.
+    ('{"dims": ["a", "b", "c"], "note": %s, "items": %s}' % ("[" * 1100 + "]" * 1100, _BIG),
+     False),
+    # Errors in a late slice: a rejected cell, a bad form, a bad mvn, bad JSON.
+    ('{"dims": ["a", "b", "c"], "items": [%s, %s]}'
+     % (_BIG[1:-1], '{"values": [{"interval": [2, 1]}, {"number": 1}, {"number": 1}]}'),
+     True),
+    ('{"dims": ["a", "b", "c"], "items": [%s, {"values": []}]}' % _BIG[1:-1], True),
+    ('{"dims": ["a", "b", "c"], "items": [%s, {"mvn": {"mean": [0, 0, 0], "cov": [[1]]}}]}'
+     % _BIG[1:-1], True),
+    ('{"dims": ["a", "b", "c"], "items": [%s,]}' % _BIG[1:-1], True),
+    ('{"dims": ["a", "b", "c"], "items": %s' % _BIG, True),
+    # The items array ends inside a block, and a later key's array of
+    # item-like objects takes the depth back to 2.
+    ('{"dims": ["a", "b", "c"], "items": %s, "more": %s}' % (_ONE, _BIG), True),
+], ids=["duplicate", "escaped-after", "escaped-before", "number", "object", "empty",
+        "scalar-first", "array-last", "deep", "rejected-cell", "bad-form", "bad-mvn",
+        "trailing-comma", "unclosed", "array-after"])
+def test_what_a_sliced_read_cannot_take_the_json_route_reads(tmp_path, text, sliced):
+    path = tmp_path / "ds.json"
+    path.write_text(text, encoding="utf-8")
+    assert (_cuts(path) is not None) is sliced
+    assert _dataset_outcome(load_dataset, path) == _dataset_outcome(_json_route, path)
+
+
+def test_a_comma_missing_at_a_cut_is_bad_json(tmp_path):
+    # Items with no comma of their own: a slice cut at its last comma would
+    # instead drop its last item.
+    text = json.dumps({"dims": ["a"], "items": [{"values": [{"number": i}]}
+                                                for i in range(20_000)]}).encode("utf-8")
+    path = tmp_path / "ds.json"
+    path.write_bytes(text)
+    cut = _cuts(path)[2]
+    comma = text.rindex(b",", 0, cut)
+    path.write_bytes(text[:comma] + b" " + text[comma + 1:])
+    outcome = _dataset_outcome(load_dataset, path)
+    assert outcome[0] == "error" and "invalid JSON" in outcome[1]
+    assert outcome == _dataset_outcome(_json_route, path)
+
+
+@pytest.mark.parametrize("pad", range(4))
+def test_escapes_across_block_ends_keep_their_meaning(tmp_path, monkeypatch, pad):
+    # A label far longer than a block, all escaped quotes and backslashes:
+    # the scan's blocks end inside it, at each phase of an escape.
+    doc = _sliced_doc(300)
+    doc["items"][100]["label"] = " " * pad + '\\"' * 100_000
+    _no_json_route(monkeypatch)
+    path = tmp_path / "ds.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert _cuts(path) is not None
+    assert _dataset_outcome(load_dataset, path) == _dataset_outcome(_json_route, path)
+
+
+def test_load_dataset_holds_a_fraction_of_the_parsed_document(tmp_path):
+    # tracemalloc's peak while loading a 1.5 MB file.  With the whole document
+    # parsed at once it read 6.8 times the file's size; a slice at a time, 1.9.
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(_sliced_doc(6000)), encoding="utf-8")
+    size = path.stat().st_size
+    assert size > 1 << 20
+    load_dataset(path)  # the imports and first-use caches
+    tracemalloc.start()
+    try:
+        load_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * size
