@@ -7,10 +7,12 @@ trailing ``label`` column.  JSON dataset files are read and written by
 tracer's ``io.load_dataset`` target, and load that module, and ``orjson``,
 on first use.
 
-CSV floats are written as ``repr`` writes them.  The trace CSVs and a dataset
-file's projection CSV get those texts from orjson (``orjson_fields``), which
-parsed the dataset.  ``project --points`` and ``compare-sampling`` keep
-``repr``: importing orjson there added about 0.5 and 0.3 MB to peak RSS.
+A plain points file is parsed with orjson a block of rows at a time; any
+other file, and every error, goes to a cell-by-cell ``float()`` reader.  CSV
+floats are written as ``repr`` writes them.  The trace CSVs and every
+projection CSV get those texts from orjson (``orjson_fields``), which parsed
+the input; ``compare-sampling`` keeps ``repr``: importing orjson there added
+about 0.3 MB to peak RSS.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from __future__ import annotations
 import csv
 import math
 import re
-from collections.abc import Iterator
 from dataclasses import dataclass
+from io import StringIO
 from itertools import islice, repeat
 from typing import TYPE_CHECKING
 
@@ -63,8 +65,8 @@ def _read_text(path, newline: str | None = None) -> str:
 # Points files.
 
 LABEL_COLUMN = "label"
-# The lines a file iterator yields with newline="": LF, CR and CRLF end a line.
-_LINES = r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+"  # compiled on first use, not at import
+_BLOCK = 1 << 15  # bytes of data rows per orjson parse, which bounds the texts held at once
+_INT_ZERO = rb"-0(?![.eE\d])"  # orjson reads it as 0, float() as -0.0; compiled on first use
 
 
 @dataclass(eq=False, repr=False)
@@ -79,86 +81,119 @@ class PointsData:
 def load_points(path) -> PointsData:
     """Read a CSV of points: one header row, D numeric columns, optional trailing label.
 
-    The file is read once, as UTF-8 with an optional BOM, and split into
-    lines.  Text with no quote, CR or NUL is what ``csv.reader`` splits on LF
-    and commas alone, so its rows are split that way; other text, or a line
-    longer than the csv field size limit, goes through ``csv.reader``.  One
-    ``np.loadtxt`` over the lines reads the numbers of the first D columns.
-    If the text holds one of U+001C-U+001F, a row has the wrong field count,
-    loadtxt rejects a cell, or a value is not finite, ``_scan_points`` reads
-    the lines again with ``float()``: it raises the error for the first bad
-    cell ("row r, column 'x': ...", counting non-blank rows) or returns what
-    float() reads from cells that loadtxt does not take, such as ``1_0``.
+    The file is UTF-8 with an optional BOM.  ``_parse_points`` reads a plain
+    file from its bytes with orjson; every other file, and every error, goes
+    to ``_scan_points``, which reads it cell by cell with ``float()``.  Both
+    read the same values bit for bit.
     """
-    text = _read_text(path, newline="")
-    special = '"' in text or "\r" in text or "\0" in text
-    # loadtxt strips U+001C-U+001F around a number; float() rejects them.
-    loadable = not any(c in text for c in "\x1c\x1d\x1e\x1f")
-    lines = re.findall(_LINES, text) if special else [line for line in text.split("\n") if line]
-    del text
-    if special or max(map(len, lines), default=0) > csv.field_size_limit():
-        rows = _csv_rows(path, lines)
-        header_lines, header = next(rows, (0, None))
-        widths, lasts = [], []
-        for _, row in rows:
-            widths.append(len(row))
-            lasts.append(row[-1])
-    else:
-        header_lines, header = 1, (lines[0].split(",") if lines else None)
-        widths = [line.count(",") + 1 for line in lines[1:]]
-        lasts = [line.rpartition(",")[2] for line in lines[1:]]
-    if not widths:
-        raise DatasetFormatError(f"{path}: need a header row and at least one data row")
-    header = [h.strip() for h in header]
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return _parse_points(data) or _scan_points(path)
+
+
+def _parse_points(data: bytes) -> PointsData | None:
+    """The points of a plain file, or None for any other file.
+
+    A plain file holds no quote, NUL or lone CR (CRLF line ends are fine),
+    so ``csv.reader`` splits its rows on LF and its fields on commas alone.
+    Its data rows are cut into blocks of about ``_BLOCK`` bytes that end at
+    a newline; each row's label is split off at its last comma, and one
+    ``orjson.loads`` reads a block's numeric cells as one list per row.
+    orjson reads a JSON number to the float ``float()`` reads, save that it
+    reads ``-0`` as int 0.  It refuses spellings that ``float()`` takes, such
+    as ``+1``, ``.5``, ``1.``, ``1_0``, ``nan`` or padding other than spaces
+    and tabs.  Any of these is None, as are a field-count mismatch, no data
+    row, a non-finite value, bytes that are not UTF-8, a line over the csv
+    field size limit, a blank line before the header, a ``[`` in a block
+    (orjson 3.8 has no depth limit), and ``true`` or ``false`` in the cells.
+    """
+    import orjson
+
+    if b'"' in data or b"\0" in data:
+        return None
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
+        if b"\r" in data:
+            return None
+    start = 3 if data.startswith(b"\xef\xbb\xbf") else 0
+    end = data.find(b"\n", start)
+    limit = csv.field_size_limit()
+    if not start < end <= start + limit:  # also a blank line before the header
+        return None
+    try:
+        header = [h.strip() for h in data[start:end].decode().split(",")]
+    except UnicodeDecodeError:
+        return None
     has_labels = header[-1] == LABEL_COLUMN
-    dim = len(header) - 1 if has_labels else len(header)
+    dim = len(header) - has_labels
+    if dim < 1:
+        return None
+    blocks, labels = [], []
+    while end < len(data):
+        start = end + 1
+        end = data.find(b"\n", start + _BLOCK)
+        if end < 0:
+            end = len(data)
+        block = data[start:end]
+        if len(block) > limit or b"[" in block:
+            return None
+        heads = list(filter(None, block.split(b"\n")))
+        if not heads:
+            continue
+        if has_labels:
+            parts = [line.rpartition(b",") for line in heads]
+            heads = [part[0] for part in parts]
+            try:
+                labels += b"\n".join([part[2] for part in parts]).decode().split("\n")
+            except UnicodeDecodeError:
+                return None
+        cells = b"],[".join(heads)
+        if b"t" in cells or b"f" in cells:
+            return None
+        try:
+            values = np.array(orjson.loads(b"[[" + cells + b"]]"), dtype=float)
+        except (TypeError, ValueError):  # orjson's error, a ragged row, or {}
+            return None
+        if values.shape != (len(heads), dim) or (
+                not values.all() and re.search(_INT_ZERO, cells)):
+            return None
+        blocks.append(values)
+    if not blocks:
+        return None
+    points = np.concatenate(blocks)
+    if not np.isfinite(points).all():
+        return None
+    return PointsData(_readonly(points), tuple(header[:dim]),
+                      tuple(map(str.strip, labels)) if has_labels else None)
+
+
+def _scan_points(path) -> PointsData:
+    """The points of any file, read cell by cell: ``csv.reader`` splits its
+    non-blank rows and ``float()`` reads the first D cells of each data row.
+
+    Raises for text that is not UTF-8 or not CSV, for no data row or no
+    numeric column, then for the first row with the wrong field count or
+    the first cell that is not a finite number, naming its row among the
+    non-blank rows.
+    """
+    reader = csv.reader(StringIO(_read_text(path, newline=""), newline=""))
+    try:
+        rows = [row for row in reader if row]
+    except csv.Error as exc:  # such as a field over the size limit
+        raise DatasetFormatError(f"{path}: not readable as CSV: {exc}") from None
+    if len(rows) < 2:
+        raise DatasetFormatError(f"{path}: need a header row and at least one data row")
+    header = [h.strip() for h in rows[0]]
+    has_labels = header[-1] == LABEL_COLUMN
+    dim = len(header) - has_labels
     if dim < 1:
         raise DatasetFormatError(f"{path}: no numeric columns found")
-
-    points = None
-    if loadable and widths.count(len(header)) == len(widths):
-        try:
-            points = np.loadtxt(lines, delimiter=",", comments=None, skiprows=header_lines,
-                                usecols=range(dim), ndmin=2)
-        except ValueError:
-            pass
-    if points is None or points.shape != (len(widths), dim) or not np.isfinite(points).all():
-        points = _scan_points(path, lines, header, dim)
-    return PointsData(
-        points=_readonly(points),
-        dim_names=tuple(header[:dim]),
-        labels=tuple(map(str.strip, lasts)) if has_labels else None,
-    )
-
-
-def _csv_rows(path, lines: list[str]) -> Iterator[tuple[int, list[str]]]:
-    """``csv.reader``'s non-blank rows of lines, each after the number of lines
-    read through it; a ``csv.Error`` (such as a field over the size limit) is
-    a one-line DatasetFormatError."""
-    reader = csv.reader(lines)
-    try:
-        for row in reader:
-            if row:
-                yield reader.line_num, row
-    except csv.Error as exc:
-        raise DatasetFormatError(f"{path}: not readable as CSV: {exc}") from None
-
-
-def _scan_points(path, lines: list[str], header: list[str], dim: int) -> np.ndarray:
-    """The first D cells of every data row of lines, read one by one with ``float()``.
-
-    Raises for the first row with the wrong field count or the first cell
-    that is not a finite number, naming its row among the non-blank rows.
-    """
     values = []
-    rows = _csv_rows(path, lines)
-    next(rows)
-    for r, (_, row) in enumerate(rows, start=2):
+    for r, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise DatasetFormatError(
                 f"{path}: row {r} has {len(row)} fields, expected {len(header)}"
             )
-        values.append([])
         for c in range(dim):
             try:
                 value = float(row[c])
@@ -171,8 +206,9 @@ def _scan_points(path, lines: list[str], header: list[str], dim: int) -> np.ndar
                 raise DatasetFormatError(
                     f"{path}: row {r}, column {header[c]!r}: non-finite value"
                 )
-            values[-1].append(value)
-    return np.array(values).reshape(-1, dim)
+            values.append(value)
+    return PointsData(_readonly(np.array(values).reshape(-1, dim)), tuple(header[:dim]),
+                      tuple(row[-1].strip() for row in rows[1:]) if has_labels else None)
 
 
 def points_dataset(pts: PointsData) -> UncertainDataset:
@@ -278,13 +314,14 @@ def _fields(column) -> list[str]:
 
 
 def orjson_fields(column) -> list[str]:
-    """``_fields(column)``, with a float column's texts cut from one
-    ``orjson.dumps``, about ten times faster than repr.  orjson writes repr's
-    shortest round-trip digits, laid out as repr does for 0.0 and for
-    1e-4 <= |x| < 1e16; repr formats the rest again (orjson writes
-    ``0.00001`` for 1e-05, ``1e16`` for 1e+16 and ``null`` for nan and inf).
+    """``_fields(column)``, with the texts of a float column that is not all
+    zeros cut from one ``orjson.dumps``, about ten times faster than repr.
+    orjson writes repr's shortest round-trip digits, laid out as repr does
+    for 0.0 and for 1e-4 <= |x| < 1e16; repr formats the rest again (orjson
+    writes ``0.00001`` for 1e-05, ``1e16`` for 1e+16 and ``null`` for nan
+    and inf).  An all-zero column is ``_fields``' one shared ``"0.0"``.
     """
-    if not isinstance(column, np.ndarray):
+    if not isinstance(column, np.ndarray) or not column.any():
         return _fields(column)
     import orjson
 
@@ -342,10 +379,8 @@ def write_eigencurves_csv(path, curves: EigenCurves) -> None:
                (f"{head}{i}," for head in heads for i in range(d)))
 
 
-def write_projection_csv(path, labels: list[str], means, covs, fields=None) -> None:
-    """One row per item: label, then its row of means (N, q) and of covs
-    (N, q, q).  fields is ``_fields`` (None) or ``orjson_fields``: the same
-    bytes either way."""
+def write_projection_csv(path, labels: list[str], means, covs) -> None:
+    """One row per item: label, then its row of means (N, q) and of covs (N, q, q)."""
     if not len(labels):
         raise ValueError("nothing to write")
     n, q = means.shape
@@ -357,7 +392,7 @@ def write_projection_csv(path, labels: list[str], means, covs, fields=None) -> N
         + [f"cov_{i + 1}_{j + 1}" for i in range(q) for j in range(q)]
     )
     _write_csv(path, header, [list(labels), *np.hstack([means, covs.reshape(n, q * q)]).T],
-               fields or _fields)
+               orjson_fields)
 
 
 def write_experiment_csv(path, rows: list[ExperimentRow]) -> None:

@@ -574,19 +574,37 @@ _LAYOUT_DATASET = {
 }
 
 
+_LAYOUT_POINTS = """huge,tiny,mid,label
+3e16,2e-3,1.0,a
+-3e16,-2e-3,-1.0,a
+1e16,-4e-3,2.0,b
+-1e16,4e-3,-2.0,b
+1e-6,1e-9,1e-7,c
+"""
+_POINTS_FORMS = {"points": [], "aggregated": ["--aggregate-by", "label"],
+                 "standardized": ["--standardize"]}
+
+
 def test_orjson_csv_texts_are_the_repr_writers_bytes(tmp_path, capsys, monkeypatch):
-    # The trace CSVs and a dataset file's projection CSV take their float
-    # texts from orjson; with repr's _fields in its place, the bytes must be
-    # the same, on each range where orjson lays a float out otherwise.
+    # The trace CSVs and every projection CSV take their float texts from
+    # orjson; with repr's _fields in its place, the bytes must be the same,
+    # on each range where orjson lays a float out otherwise, and for the
+    # all-zero covariance columns of a points projection.
     data = tmp_path / "layout.json"
     data.write_text(json.dumps(_LAYOUT_DATASET), encoding="utf-8")
+    points = tmp_path / "layout.csv"
+    points.write_text(_LAYOUT_POINTS, encoding="utf-8")
 
     def csvs(tag: str) -> dict[str, bytes]:
         prefix = str(tmp_path / tag)
         assert main(["project", "--input", str(data), "--out-prefix", prefix]) == 0
         assert main(["trace", "--input", str(data), "--steps", "9", "--out-prefix", prefix]) == 0
+        for form, flags in _POINTS_FORMS.items():
+            assert main(["project", "--points", "--input", str(points), *flags,
+                         "--out-prefix", f"{prefix}.{form}"]) == 0
         return {name: (tmp_path / f"{tag}.{name}").read_bytes()
-                for name in ("projection.csv", "traces.csv", "eigvals.csv")}
+                for name in ("projection.csv", "traces.csv", "eigvals.csv",
+                             *(f"{form}.projection.csv" for form in _POINTS_FORMS))}
 
     fast = csvs("orjson")
     monkeypatch.setattr(uapca.io, "orjson_fields", uapca.io._fields)
@@ -603,6 +621,11 @@ def test_orjson_csv_texts_are_the_repr_writers_bytes(tmp_path, capsys, monkeypat
 
     every = {"below 1e-4", "1e16 or more", "zero", "negative"}
     assert cases(fast["projection.csv"], 1) == every
+    assert cases(fast["points.projection.csv"], 1) == every
+    assert {f for line in fast["points.projection.csv"].decode().splitlines()[1:]
+            for f in line.split(",")[3:]} == {"0.0"}  # a point has no covariance
+    assert cases(fast["aggregated.projection.csv"], 1) == every
+    assert cases(fast["standardized.projection.csv"], 1) == every - {"1e16 or more"}
     assert cases(fast["traces.csv"], 4) == every - {"1e16 or more"}  # unit loadings
     assert cases(fast["eigvals.csv"], 3) == {"below 1e-4", "1e16 or more"}
 
@@ -993,9 +1016,9 @@ def test_each_command_loads_only_its_own_modules(tmp_path, students_path, iris_p
     def command(*argv: str) -> str:
         return f"from uapca.cli import main\nassert main({list(argv)!r}) == 0"
 
-    # The points forms and compare-sampling keep repr for their CSV floats:
-    # importing orjson for them added about 0.5 MB (project --points) and
-    # 0.3 MB (compare-sampling) to the run's peak RSS.
+    # compare-sampling keeps repr for its CSV floats: importing orjson for
+    # it added about 0.3 MB to the run's peak RSS.  The points forms parse
+    # their input with orjson, which imports json.
     assert loaded("import uapca") == set()
     assert "project" not in loaded("import uapca.svg")
     assert not loaded("import uapca.cli") & {
@@ -1003,10 +1026,10 @@ def test_each_command_loads_only_its_own_modules(tmp_path, students_path, iris_p
         "orjson"}
     assert not loaded(command("project", "--points", "--input", str(iris_path),
                               "--out-prefix", str(tmp_path / "p"))) & {
-        "metrics", "sensitivity", "items", "dataset_json", "json", "orjson"}
+        "metrics", "sensitivity", "items", "dataset_json"}
     assert not loaded(command("project", "--points", "--input", str(iris_path),
                               "--aggregate-by", "label", "--out-prefix", str(tmp_path / "a"))) & {
-        "items", "dataset_json", "json", "orjson"}
+        "items", "dataset_json"}
     dataset_project = loaded(command("project", "--input", str(students_path),
                                      "--out-prefix", str(tmp_path / "d")))
     assert "items" not in dataset_project and {"dataset_json", "orjson"} <= dataset_project

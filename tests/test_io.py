@@ -25,6 +25,7 @@ from uapca.io import (
     write_projection_csv,
     write_traces_csv,
     _fields,
+    _parse_points,
     _read_text,
     orjson_fields,
 )
@@ -486,14 +487,20 @@ def _reference_load_points(path) -> PointsData:
 _CELLS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(-10**6, 10**6).map(str),
+    st.integers(-10**30, 10**30).map(str),
+    st.builds("{}{}e{}".format, st.integers(-999, 999), st.sampled_from(["", ".5", ".0"]),
+              st.sampled_from(["5", "-5", "+5", "-310", "308", "0"])),
     st.sampled_from([
-        "nan", "inf", "-Infinity", "1e400", "-1e400", "1e-400", " 1.5 ", "\t-2\t", "1_0",
+        "0", "-0", " -0 ", "-0.0", "-0e0", "0e5", "1E3", "-2.5e-3", "1e+2",
+        "+1", ".5", "1.", "1_0", " 2 ", "01", "true", "false", "null", "{}", "[1]",
+        "nan", "inf", "-Infinity", "1e400", "-1e400", "1e-400", " 1.5 ", "\t-2\t",
         "１２", "", " ", "abc", "1 5", "0x10", '"3.5"', '"1,5"', "+.5", "5.",
         "1.00000000000000000000001",
     ]),
 )
 _LABELS = st.sampled_from(
-    ["a", " padded ", '"x,y"', '"multi\nline"', '""', '"say ""hi"""', "#hash", "label"]
+    ["a", " padded ", '"x,y"', '"multi\nline"', '""', '"say ""hi"""', "#hash", "label",
+     "é", "\u2028x", "[x]"]
 )
 
 
@@ -529,8 +536,10 @@ def _outcome(parse, path):
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(text=_points_csv())
-def test_load_points_agrees_with_the_cell_by_cell_parser(tmp_path, text):
+@given(text=_points_csv(), block=st.sampled_from([1, 8, 1 << 15]))
+def test_load_points_agrees_with_the_cell_by_cell_parser(tmp_path, monkeypatch, text, block):
+    # A small block size cuts the rows into many blocks of one or a few rows.
+    monkeypatch.setattr(uapca.io, "_BLOCK", block)
     path = tmp_path / "pts.csv"
     path.write_bytes(text.encode("utf-8"))
     assert _outcome(load_points, path) == _outcome(_reference_load_points, path)
@@ -554,13 +563,56 @@ def test_load_points_agrees_with_the_cell_by_cell_parser(tmp_path, text):
     "\n\nx,y,label\n1,2,a\n", "\r\n\r\nx,y,label\r\n1,2,a\r\n",  # blank lines first
     "\ufeffx,y\n1,2\n3,5\n",                 # a byte order mark
     "x,y,label\n1,2," + "a" * 200_000 + "\n",  # a field over csv's size limit
-    # loadtxt strips U+001C-U+001F around a number, float() does not.
-    "x\n1\x1c\n", "x\n\x1c1\n", "x,label\n1\x1f,a\n",
+    # str.strip drops U+001C-U+001F around a label; float() rejects them around a number.
+    "x\n1\x1c\n", "x\n\x1c1\n", "x,label\n1\x1f,a\n", "x,label\n1,\x1ca\x1f\n",
+    "c0\n\n", "c0\n\n\n", "c0,label\n\n",     # a header and only blank lines
+    "x,y\r\n1,-0\r\n\r\n2.5e3,4\r\n",          # a CRLF file
+    "x,y\n1,2\r3,4\n", "x,label\r\n1,a\rb\r\n",  # a lone CR ends a row
+    "\ufeffx,label\r\n1,a\r\n",                  # CRLF after a byte order mark
+    "x,y,label\n1,2,é\n3,4,日本 \n5,6,\u2028\n",  # non-ASCII labels
+    "x,y,label\n1,2,a\xa0\n",                     # a label padded with U+00A0
+    "x,y\n1,\xa02\n",                              # a number padded with U+00A0
+    "x,y\n[[1]],2\n", "x,y\n{},2\n", "x\n{}\n", "x\n[1]\n", "x\n[]\n",
+    "x\n" + "[" * 50_000 + "]" * 50_000 + "\n",    # nesting past any C stack
+    "x,y\n1,true\n", "x,y\nfalse,2\n", "x,y\nnull,2\n",
+    "x,y\n1234567890123456789012345,-0\n",        # a 25-digit integer
+    "x,y\n18446744073709551615,-9223372036854775809\n0,-0.0\n",
+    "x,y\n-0,1\n0,2\n", "x,y\n0e0,-0e0\n", "x\n1e-400\n2.4703282292062328e-324\n",
+    "label\na\nb\n", "label,label\na,b\n", ",label\n,a\n",
+    "x,y,label\n1,2\n3,4,5,b\n",                  # two wrong field counts
+    "x,y,label\n1,2,a\n,b\n",                     # an empty cell, no comma left
 ])
 def test_load_points_edge_cases_match_the_cell_by_cell_parser(tmp_path, text):
     path = tmp_path / "pts.csv"
     path.write_bytes(text.encode("utf-8"))
     assert _outcome(load_points, path) == _outcome(_reference_load_points, path)
+
+
+def _long_points(rows: int, last: str) -> str:
+    """A labelled points file of rows rows: the same row, then last."""
+    return "x,y,label\n" + "1.5,-2e-3,a\n" * (rows - 1) + last + "\n"
+
+
+@pytest.mark.parametrize("last", [
+    "7,8,b", "-0,8,b", "0,8,b", "+7,8,b", "7,8", "7,nan,b", "7,8,\"b\"", "7,8,b\r", "7,[8],b",
+])
+def test_rows_over_several_blocks_match_the_cell_by_cell_parser(tmp_path, last):
+    # 4 000 rows of 12 bytes span two blocks; the last row decides the route.
+    path = tmp_path / "long.csv"
+    path.write_bytes(_long_points(4_000, last).encode("utf-8"))
+    assert path.stat().st_size > 1 << 15
+    assert _outcome(load_points, path) == _outcome(_reference_load_points, path)
+
+
+@pytest.mark.parametrize("text, plain", [
+    ("x,y,label\n1,2.5e3,a\n\n-3,4E-2,b\n", True),
+    ("\ufeffx,y\r\n 1 ,\t-0.0\r\n", True), ("\nx,y\n1,2\n", False),
+    (_long_points(4_000, "0,8,b"), True),
+    ("x,y\n-0,2\n", False), ("x,y\n+1,2\n", False), ("x,y,label\n1,2,\"a\"\n", False),
+    ("x,y\r1,2\r", False), ("x,y\n1,2,3\n", False), ("x,y\n", False),
+])
+def test_plain_files_take_the_orjson_route(text, plain):
+    assert (_parse_points(text.encode("utf-8")) is not None) == plain
 
 
 def test_loaded_tables_build_their_items_once(tmp_path, students_path):
