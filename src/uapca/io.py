@@ -9,10 +9,10 @@ on first use.
 
 A plain points file is parsed with orjson a block of rows at a time; any
 other file, and every error, goes to a cell-by-cell ``float()`` reader.  CSV
-floats are written as ``repr`` writes them.  The trace CSVs and every
-projection CSV get those texts from orjson (``orjson_fields``), which parsed
-the input; ``compare-sampling`` keeps ``repr``: importing orjson there added
-about 0.3 MB to peak RSS.
+floats are written as ``repr`` writes them, all through ``_fields``: a float
+array's texts come from orjson, which parsed the input of every command that
+writes one; the experiment CSV's medians are Python floats, whose ``str`` is
+their ``repr``, so ``compare-sampling`` never imports orjson.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 import re
 from dataclasses import dataclass
 from io import StringIO
-from itertools import islice, repeat
+from itertools import islice
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -300,12 +300,26 @@ _NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
 def _fields(column) -> list[str]:
-    """A column's CSV fields: a numpy array's floats by repr after + 0.0
-    folds -0.0, else str, quoted as csv.writer quotes (checked per column)."""
+    """A column's CSV fields.  A numpy array's floats are repr's texts after
+    + 0.0 folds -0.0, cut from one ``orjson.dumps``, about ten times faster
+    than repr: orjson writes repr's shortest round-trip digits, laid out as
+    repr does for 0.0 and for 1e-4 <= |x| < 1e16, and repr formats the rest
+    again (orjson writes ``0.00001`` for 1e-05, ``1e16`` for 1e+16 and
+    ``null`` for nan and inf).  An all-zero array is one shared ``"0.0"``.
+    Any other column is str, quoted as csv.writer quotes (checked per column).
+    """
     if isinstance(column, np.ndarray):
         if not column.any():  # NaN counts as non-zero
             return ["0.0"] * len(column)
-        return list(map(repr, (column + 0.0).tolist()))
+        import orjson
+
+        column = column + 0.0  # folds -0.0, into a new contiguous array as orjson needs
+        texts = orjson.dumps(column, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+        size = np.abs(column)
+        redo = np.flatnonzero(~((size >= 1e-4) & (size < 1e16)) & (column != 0.0))
+        for i, value in zip(redo.tolist(), column[redo].tolist()):
+            texts[i] = repr(value)
+        return texts
     texts = list(map(str, column))
     if _NEEDS_QUOTES.search("".join(texts)):
         texts = ['"' + t.replace('"', '""') + '"' if _NEEDS_QUOTES.search(t) else t
@@ -313,70 +327,44 @@ def _fields(column) -> list[str]:
     return texts
 
 
-def orjson_fields(column) -> list[str]:
-    """``_fields(column)``, with the texts of a float column that is not all
-    zeros cut from one ``orjson.dumps``, about ten times faster than repr.
-    orjson writes repr's shortest round-trip digits, laid out as repr does
-    for 0.0 and for 1e-4 <= |x| < 1e16; repr formats the rest again (orjson
-    writes ``0.00001`` for 1e-05, ``1e16`` for 1e+16 and ``null`` for nan
-    and inf).  An all-zero column is ``_fields``' one shared ``"0.0"``.
-    """
-    if not isinstance(column, np.ndarray) or not column.any():
-        return _fields(column)
-    import orjson
-
-    column = column + 0.0  # folds -0.0, into a new contiguous array as orjson needs
-    body = orjson.dumps(column, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
-    texts = body.decode().split(",") if body else []
-    size = np.abs(column)
-    redo = np.flatnonzero(~((size >= 1e-4) & (size < 1e16)) & (column != 0.0))
-    for i, value in zip(redo.tolist(), column[redo].tolist()):
-        texts[i] = repr(value)
-    return texts
-
-
-def _write_csv(path, header: list[str], columns: list, fields=_fields, prefixes=None) -> None:
+def _write_csv(path, header: list[str], columns: list, prefixes=None) -> None:
     """The header row, then one row per entry of the equal-length columns,
-    formatted by fields.  With prefixes, an iterator of texts that each end
-    in a comma, a row is one join of its prefix and its fields."""
-    commas = repeat(",")
+    each row its columns' ``_fields`` joined by commas.  With prefixes, an
+    iterator of texts, a row's next prefix leads the join as its first field."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(columns[0]), _CSV_ROWS):
-            texts = [fields(column[start:start + _CSV_ROWS]) for column in columns]
-            if prefixes is None:
-                rows = map(",".join, zip(*texts))
-            else:
-                parts = [part for column in texts for part in (commas, column)][1:]
-                rows = map("".join, zip(islice(prefixes, _CSV_ROWS), *parts))
-            fh.write("\n".join(rows) + "\n")
+            texts = [_fields(column[start:start + _CSV_ROWS]) for column in columns]
+            if prefixes is not None:
+                texts.insert(0, islice(prefixes, _CSV_ROWS))
+            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
 
 def write_traces_csv(
     path, traces: list[FactorTrace], schedule: SweepSchedule, dim_names: tuple[str, ...]
 ) -> None:
     """Per trace, per step, the + and the - orientation of its point: each
-    row is its ``step,s,axis,orientation,`` prefix, then x and y."""
+    row is its ``step,s,axis,orientation`` prefix, then x and y."""
     if traces and traces[0].points.shape[1] != 2:
         raise ValueError("trace CSV output is defined for q = 2")
     steps = len(traces[0].points) if traces else 0
     points = np.array([t.points for t in traces], dtype=float).reshape(len(traces), steps, 2)
     signed = np.stack([points, -points], axis=2).reshape(-1, 2)
-    heads = [f"{k},{s}," for k, s in enumerate(_fields(schedule.s_values()[:steps]))]
+    heads = [f"{k},{s}" for k, s in enumerate(_fields(schedule.s_values()[:steps]))]
     axes = _fields([dim_names[t.axis_index] for t in traces])
     _write_csv(path, ["step", "s", "axis", "orientation", "x", "y"],
-               [signed[:, 0], signed[:, 1]], orjson_fields,
-               (f"{head}{axis},{sign}," for axis in axes for head in heads for sign in "+-"))
+               [signed[:, 0], signed[:, 1]],
+               (f"{head},{axis},{sign}" for axis in axes for head in heads for sign in "+-"))
 
 
 def write_eigencurves_csv(path, curves: EigenCurves) -> None:
-    """Per step, each eigenvalue with its index, after the step's ``step,s,``."""
+    """Per step, each eigenvalue after its ``step,s,index`` prefix."""
     values = np.asarray(curves.values, dtype=float)
     steps, d = values.shape
-    heads = [f"{k},{s}," for k, s in
+    heads = [f"{k},{s}" for k, s in
              enumerate(_fields(np.asarray(curves.s_values, dtype=float)[:steps]))]
-    _write_csv(path, ["step", "s", "index", "lambda"], [values.ravel()], orjson_fields,
-               (f"{head}{i}," for head in heads for i in range(d)))
+    _write_csv(path, ["step", "s", "index", "lambda"], [values.ravel()],
+               (f"{head},{i}" for head in heads for i in range(d)))
 
 
 def write_projection_csv(path, labels: list[str], means, covs) -> None:
@@ -391,13 +379,11 @@ def write_projection_csv(path, labels: list[str], means, covs) -> None:
         + [f"mean_{i + 1}" for i in range(q)]
         + [f"cov_{i + 1}_{j + 1}" for i in range(q) for j in range(q)]
     )
-    _write_csv(path, header, [list(labels), *np.hstack([means, covs.reshape(n, q * q)]).T],
-               orjson_fields)
+    _write_csv(path, header, [list(labels), *np.hstack([means, covs.reshape(n, q * q)]).T])
 
 
 def write_experiment_csv(path, rows: list[ExperimentRow]) -> None:
     _write_csv(path, ["dim", "samples", "median_hellinger", "runs", "seed"], [
-        [r.dim for r in rows], [r.samples for r in rows],
-        np.array([r.median_hellinger for r in rows], dtype=float),
+        [r.dim for r in rows], [r.samples for r in rows], [r.median_hellinger for r in rows],
         [r.runs for r in rows], [r.seed for r in rows],
     ])

@@ -4,9 +4,10 @@ All documents are SVG 1.1 with a fixed 800x800 view box and a fixed color
 palette, so rendering the same inputs yields byte-identical files.  Each
 number in a document is the correctly rounded ``%.3f`` text of its binary
 value, with ``-0.000`` written ``0.000``.  Vertex and per-item numbers come
-from array passes over small chunks (``_vertex_texts``, ``_number_texts``):
-each number is a few uint32 words of text bytes (separator and sign, integer
-part, fraction), and one ``bytes.translate`` per pass drops their zero pads.
+from array passes over small chunks (``_vertex_texts``; a dot centre's
+numbers are one-value runs): each number is a few uint32 words of text bytes
+(separator and sign, integer part, fraction), and one ``bytes.translate``
+per pass drops their zero pads.
 A few fixed scalars in headers, axes and legends use ``_fmt``.
 
 Each ``*_svg_pieces`` generator yields its document a block of text at a
@@ -148,35 +149,31 @@ def _vertex_texts(values: np.ndarray, sizes) -> Iterator[str]:
 
     Run j is the next sizes[j] > 0 values of the flat array, read as x, y
     pairs: "x,y x,y ...".  A one-value run is that number alone.  The
-    separator words of all the runs are built once; each pass cuts its text
-    at the "|" that leads a run.
+    separator words of up to ``_CHUNK`` runs are built at once, so that
+    scratch is bounded too; each pass cuts its text at the "|" that leads a
+    run.
     """
     values = np.ravel(values)
-    sizes = np.asarray(sizes, dtype=np.int64)
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
     bar, comma, space = _digit_tables()[3][:3]
-    # Every value's lead word at once: "|" before the first of a run, then
-    # " " before an x and "," before a y.  A value is a y when (i - start) & 1,
-    # its run start's parity flipped at odd i; bytes keep the scratch small.
-    odd = np.repeat((starts & 1).astype(np.uint8), sizes)
-    odd[1::2] ^= 1
-    leads = np.where(odd, comma, space)
-    leads[starts] = bar
-    lo = 0
-    while lo < len(sizes):
-        start = int(starts[lo])
-        hi = max(int(np.searchsorted(ends, start + _CHUNK, side="right")), lo + 1)
-        stop = ends[hi - 1]
-        yield from _encode(values[start:stop], leads[start:stop]).split("|")[1:]
-        lo = hi
-
-
-def _number_texts(values: np.ndarray) -> Iterator[str]:
-    """The text of each value of a flat array, one ``_encode`` pass per chunk."""
-    for start in range(0, len(values), _CHUNK):
-        chunk = values[start:start + _CHUNK]
-        yield from _encode(chunk, np.full(len(chunk), _digit_tables()[3][2])).split(" ")[1:]
+    for first in range(0, len(sizes), _CHUNK):
+        group = np.asarray(sizes[first:first + _CHUNK], dtype=np.int64)
+        ends = np.cumsum(group)
+        starts = ends - group
+        # Each value's lead word: "|" before the first of a run, then " "
+        # before an x and "," before a y.  A value is a y when (i - start) & 1,
+        # its run start's parity flipped at odd i; bytes keep the scratch small.
+        odd = np.repeat((starts & 1).astype(np.uint8), group)
+        odd[1::2] ^= 1
+        leads = np.where(odd, comma, space)
+        leads[starts] = bar
+        lo = 0
+        while lo < len(group):
+            start = int(starts[lo])
+            hi = max(int(np.searchsorted(ends, start + _CHUNK, side="right")), lo + 1)
+            stop = ends[hi - 1]
+            yield from _encode(values[start:stop], leads[start:stop]).split("|")[1:]
+            lo = hi
+        values = values[ends[-1]:]
 
 
 def _document(parts: Iterable, texts: Iterable[str]) -> Iterator[str]:
@@ -411,7 +408,9 @@ def projection_svg_pieces(labels: list[str], means, covs) -> Iterator[str]:
     for j, (label, color) in enumerate(color_of.items()):
         legend.append(_at(_dot(color, 4.0), 24.0, 24.0 + 18.0 * j))
         legend.append(_at(_text(label), 34.0, 28.0 + 18.0 * j))
-    centres = _number_texts(to_px(np.array(means, dtype=float)).ravel())
+    # Each number a one-value run; uint8 sizes take an eighth of int64's memory.
+    centres = _vertex_texts(to_px(np.array(means, dtype=float)),
+                            np.ones(2 * len(means), np.uint8))
     # Each dot is joined into one short line at once: less work per dot
     # than leaving its two numbers as slots.
     dot_lines = ("".join((head, cx, between, cy, tail)) for (head, between, tail), cx, cy

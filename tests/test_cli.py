@@ -586,10 +586,11 @@ _POINTS_FORMS = {"points": [], "aggregated": ["--aggregate-by", "label"],
 
 
 def test_orjson_csv_texts_are_the_repr_writers_bytes(tmp_path, capsys, monkeypatch):
-    # The trace CSVs and every projection CSV take their float texts from
-    # orjson; with repr's _fields in its place, the bytes must be the same,
-    # on each range where orjson lays a float out otherwise, and for the
-    # all-zero covariance columns of a points projection.
+    # io._fields cuts the texts of a float array from orjson; with a repr
+    # writer in its place for float arrays, the bytes of the trace CSVs and
+    # every projection CSV must be the same, on each range where orjson lays
+    # a float out otherwise, and for the all-zero covariance columns of a
+    # points projection.
     data = tmp_path / "layout.json"
     data.write_text(json.dumps(_LAYOUT_DATASET), encoding="utf-8")
     points = tmp_path / "layout.csv"
@@ -607,7 +608,14 @@ def test_orjson_csv_texts_are_the_repr_writers_bytes(tmp_path, capsys, monkeypat
                              *(f"{form}.projection.csv" for form in _POINTS_FORMS))}
 
     fast = csvs("orjson")
-    monkeypatch.setattr(uapca.io, "orjson_fields", uapca.io._fields)
+    fields = uapca.io._fields
+
+    def repr_fields(column):
+        if isinstance(column, np.ndarray):
+            return [repr(v + 0.0) for v in column.tolist()]
+        return fields(column)
+
+    monkeypatch.setattr(uapca.io, "_fields", repr_fields)
     assert csvs("repr") == fast
 
     def cases(text: bytes, first: int) -> set[str]:
@@ -1016,9 +1024,9 @@ def test_each_command_loads_only_its_own_modules(tmp_path, students_path, iris_p
     def command(*argv: str) -> str:
         return f"from uapca.cli import main\nassert main({list(argv)!r}) == 0"
 
-    # compare-sampling keeps repr for its CSV floats: importing orjson for
-    # it added about 0.3 MB to the run's peak RSS.  The points forms parse
-    # their input with orjson, which imports json.
+    # compare-sampling's CSV has no float array, only Python floats, which
+    # _fields writes with str, so it never imports orjson.  The points forms
+    # parse their input with orjson, which imports json.
     assert loaded("import uapca") == set()
     assert "project" not in loaded("import uapca.svg")
     assert not loaded("import uapca.cli") & {

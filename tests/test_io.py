@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tracemalloc
+from itertools import zip_longest
 
 import numpy as np
 import orjson
@@ -22,12 +23,13 @@ from uapca.io import (
     standardize_dataset,
     standardize_points,
     write_eigencurves_csv,
+    write_experiment_csv,
     write_projection_csv,
     write_traces_csv,
+    _CSV_ROWS,
     _fields,
     _parse_points,
     _read_text,
-    orjson_fields,
 )
 import uapca.dataset_json
 from uapca.cov import global_cov
@@ -43,8 +45,9 @@ from uapca.items import (
     Scalar1D,
     Trapezoid,
 )
+from uapca.metrics import ExperimentRow
 from uapca.model import UncertainDataset, _cov_stack, _population_moments
-from uapca.sensitivity import SweepSchedule, factor_traces, sweep
+from uapca.sensitivity import EigenCurves, FactorTrace, SweepSchedule, factor_traces, sweep
 
 
 def test_bundled_students_dataset_loads(students_path):
@@ -372,15 +375,22 @@ def test_csv_numbers_fold_negative_zero(tmp_path):
     assert "-0.0" not in text
 
 
+def _reprs(column) -> list[str]:
+    """The CSV texts of a float column, one repr at a time, -0.0 folded."""
+    return [repr(v + 0.0) for v in column.tolist()]
+
+
 @pytest.mark.parametrize("column", [
     [0.0, 0.0, 0.0], [-0.0, -0.0], [0.0, math.nan, -0.0], [-0.0, 1.5, 0.0, -2.25e-300],
 ], ids=["zeros", "negative-zeros", "nan", "mixed"])
 def test_fields_of_a_float_column_are_its_reprs(column):
     column = np.array(column)
-    assert _fields(column) == orjson_fields(column) == [repr(v + 0.0) for v in column.tolist()]
+    assert _fields(column) == _reprs(column)
 
 
-# Where repr changes layout (1e-4, 1e16), the float edges, and exact integers.
+# _fields cuts a float column's texts from orjson and formats again with repr
+# the values orjson lays out otherwise.  Where repr changes layout (1e-4,
+# 1e16), the float edges, and exact integers.
 _NAMED_FLOATS = [
     np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e-4, 1.0),
     np.nextafter(1e16, 0.0), 1e16, np.nextafter(1e16, math.inf),
@@ -391,20 +401,20 @@ _NAMED_FLOATS = [
 
 def test_orjson_fields_equal_fields_on_named_values():
     column = np.array([*_NAMED_FLOATS, *(-v for v in _NAMED_FLOATS)])
-    assert orjson_fields(column) == _fields(column)
+    assert _fields(column) == _reprs(column)
     for v in column:
-        assert orjson_fields(np.array([v])) == _fields(np.array([v]))
+        assert _fields(np.array([v])) == _reprs(np.array([v]))
 
 
 def test_orjson_fields_equal_fields_on_short_and_strided_columns():
     # _write_csv passes each pass's slice of a column, which may be strided.
     table = np.random.default_rng(3).normal(size=(9, 4)) * [1e-6, 1.0, 1e17, 1e3]
-    assert orjson_fields(np.empty(0)) == _fields(np.empty(0)) == []
-    assert orjson_fields(table[0, :1]) == _fields(table[0, :1])
+    assert _fields(np.empty(0)) == []
+    assert _fields(table[0, :1]) == _reprs(table[0, :1])
     for column in (table[:, 0], table[:, 2], table[::2, 1], table.T[1], table[::-1, 3],
                    table.ravel()[3::5]):
         assert not column.flags.c_contiguous
-        assert orjson_fields(column) == _fields(column)
+        assert _fields(column) == _reprs(column)
 
 
 @pytest.mark.parametrize("band", [False, True], ids=["any-exponent", "orjson-layout-band"])
@@ -421,7 +431,7 @@ def test_orjson_fields_equal_fields_on_random_bit_patterns(band):
     with np.errstate(invalid="ignore"):  # + 0.0 on a signalling NaN
         for start in range(0, column.size, 4096):
             chunk = column[start:start + 4096]
-            assert orjson_fields(chunk) == _fields(chunk)
+            assert _fields(chunk) == _reprs(chunk)
 
 
 @settings(max_examples=300, deadline=None)
@@ -429,12 +439,66 @@ def test_orjson_fields_equal_fields_on_random_bit_patterns(band):
                 max_size=40))
 def test_orjson_fields_equal_fields_on_any_floats(values):
     column = np.array(values, dtype=float)
-    assert orjson_fields(column) == _fields(column)
+    assert _fields(column) == _reprs(column)
 
 
 def test_orjson_fields_pass_text_columns_to_fields():
+    # A column that is not a numpy array is str, quoted as csv.writer quotes.
     for column in (["a", "b,c", 'd"e'], [0, 12, -3]):
-        assert orjson_fields(column) == _fields(column)
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerow(column)
+        assert ",".join(_fields(column)) + "\n" == out.getvalue()
+
+
+def _first_difference(path, rows):
+    """The first line of the file that differs from csv.writer's text of
+    rows, as (index, file line, csv.writer line), or None."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    lines = zip_longest(path.read_text(encoding="utf-8").split("\n"), out.getvalue().split("\n"))
+    return next(((i, a, b) for i, (a, b) in enumerate(lines) if a != b), None)
+
+
+def test_prefixed_csv_rows_keep_their_prefixes_across_passes(tmp_path):
+    # More than one pass of rows, each led by its own prefix: 4 traces of
+    # 600 steps are 4 800 rows, 1 100 steps of 4 eigenvalues 4 400.
+    steps, d = 600, 4
+    rng = np.random.default_rng(31)
+    points = rng.normal(size=(d, steps, 2)) * [1.0, 1e-5]
+    points[:, ::7] = -0.0
+    schedule = SweepSchedule(steps)
+    names = ("a", "b,c", 'd"e', "f")
+    traces = [FactorTrace(i, points[i], schedule.region_split) for i in range(d)]
+    path = tmp_path / "t.csv"
+    write_traces_csv(path, traces, schedule, names)
+    s = _reprs(schedule.s_values())
+    rows = [[k, s[k], names[i], sign, *_reprs(sign_of * points[i, k])]
+            for i in range(d) for k in range(steps)
+            for sign, sign_of in (("+", 1.0), ("-", -1.0))]
+    assert len(rows) > _CSV_ROWS
+    assert _first_difference(path, [["step", "s", "axis", "orientation", "x", "y"], *rows]) is None
+
+    schedule = SweepSchedule(1100)
+    values = rng.lognormal(0.0, 20.0, size=(1100, d))
+    values[::5, -1] = 0.0
+    path = tmp_path / "e.csv"
+    write_eigencurves_csv(path, EigenCurves(schedule.s_values(), values))
+    s = _reprs(schedule.s_values())
+    rows = [[k, s[k], i, text]
+            for k, row in enumerate(values) for i, text in enumerate(_reprs(row))]
+    assert len(rows) > _CSV_ROWS
+    assert _first_difference(path, [["step", "s", "index", "lambda"], *rows]) is None
+
+
+def test_experiment_csv_writes_its_python_float_medians_as_repr_does(tmp_path):
+    medians = [math.nan, 1e-05, 0.1, 0.0, 1.0]
+    path = tmp_path / "x.csv"
+    write_experiment_csv(path, [ExperimentRow(2, 8 * j + 1, m, 3, 11)
+                                for j, m in enumerate(medians)])
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "dim,samples,median_hellinger,runs,seed"
+    assert [line.split(",")[2] for line in lines[1:]] == ["nan", "1e-05", "0.1", "0.0", "1.0"]
+    assert lines[2] == "2,9,1e-05,3,11"
 
 
 def test_label_column_name():

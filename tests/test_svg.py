@@ -17,7 +17,6 @@ from uapca.svg import (
     _digit_tables,
     _encode,
     _fmt,
-    _number_texts,
     _vertex_texts,
     eigencurves_svg_pieces,
     projection_svg_pieces,
@@ -258,10 +257,11 @@ def test_vertex_texts_span_many_chunks():
 def test_vertex_texts_match_percent_formatting_over_many_passes():
     # Rings of 130 numbers over many passes, one run longer than a pass (4 200
     # numbers, a trace polyline of 2 100 steps) and runs of odd length, which
-    # shift the x, y parity of every run after them.  Negative values, -0.0
-    # and exact %.3f ties (k/16) check the sign and separator words.
-    sizes = [130] * 60 + [4200] + [1, 3, 130, 7, 2] * 12 + [130] * 60 + [1]
-    assert max(sizes) > _CHUNK and sum(sizes) > 4 * _CHUNK
+    # shift the x, y parity of every run after them, more runs than a group
+    # whose separator words are built at once.  Negative values, -0.0 and
+    # exact %.3f ties (k/16) check the sign and separator words.
+    sizes = [130] * 60 + [4200] + [1, 3, 130, 7, 2] * 12 + [130] * 60 + [3, 1, 2] * 1400 + [1]
+    assert max(sizes) > _CHUNK and sum(sizes) > 4 * _CHUNK and len(sizes) > _CHUNK
     values = np.random.default_rng(13).uniform(-900.0, 900.0, sum(sizes))
     specials = [-0.0, 0.0, 0.0625, -0.1875, -2.5625, 0.0005, -0.0005, -0.0004, -9999.9995,
                 -12345.6785]
@@ -276,14 +276,16 @@ def test_vertex_texts_match_percent_formatting_over_many_passes():
 
 
 def test_number_texts_match_percent_formatting_over_chunks():
-    # -0.0, exact %.3f ties (k/16) and values past the first 4-digit group,
-    # spread over four chunks.
+    # Single numbers, such as dot centres, are one-value runs.  -0.0, exact
+    # %.3f ties (k/16) and values past the first 4-digit group, spread over
+    # four chunks.
     specials = [0.0, -0.0, 0.0625, -0.1875, 2.5625, 0.0005, -0.0005, 9999.9995, 1e4,
                 -12345.6785, 3.0e7, 2.0**49, -1e20]
     values = np.random.default_rng(5).uniform(-900.0, 900.0, 3 * _CHUNK + 1)
     values[:1000 * len(specials):1000] = specials
     values[-1] = -0.0  # alone in the last chunk
-    assert list(_number_texts(values)) == [_fmt(v) for v in values.tolist()]
+    texts = list(_vertex_texts(values, np.ones(len(values), np.int64)))
+    assert texts == [_fmt(v) for v in values.tolist()]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
