@@ -333,17 +333,20 @@ def entry_point() -> NoReturn:
     """``main()`` for a process that ends when it returns: ``python -m uapca``
     and the ``uapca`` script.
 
-    Once ``main()`` returns, the atexit handlers run, stdout and stderr are
-    flushed and ``os._exit`` ends the process with main's exit code, so the
-    interpreter does not tear down the modules (numpy's included), whose
-    memory the OS reclaims anyway.  Output files are closed before main
-    returns.  A stdout that cannot take what is left in its buffer, such as
-    a closed pipe, is a one-line error and exit code 1.  A ``SystemExit``
-    from argparse (a usage error, ``--help``), and any exception main does
-    not handle, leave the normal way.  ``main()`` itself does none of this:
-    tests and library callers run it in-process.
+    Once ``main()`` returns, or raises the ``SystemExit`` of argparse (a
+    usage error, ``--help``), the atexit handlers run, stdout and stderr
+    are flushed and ``os._exit`` ends the process with main's exit code, so
+    the interpreter does not tear down the modules (numpy's included),
+    whose memory the OS reclaims anyway.  Output files are closed before
+    main returns.  A stdout that cannot take what is left in its buffer,
+    such as a closed pipe, is a one-line error and exit code 1.  Any other
+    exception main does not handle leaves the normal way.  ``main()``
+    itself does none of this: tests and library callers run it in-process.
     """
-    code = main()
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse's codes are ints: 0 for --help, 2 for usage
+        code = exc.code
     atexit._run_exitfuncs()
     try:
         if sys.stdout is not None:

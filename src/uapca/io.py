@@ -294,7 +294,9 @@ def standardize_dataset(ds: UncertainDataset) -> UncertainDataset:
 # ---------------------------------------------------------------------------
 # CSV output, by column.  repr() keeps full float precision and round-trips.
 
-_CSV_ROWS = 4096  # rows per pass, which bounds the texts held at once
+# Rows per pass, which bounds the texts held at once: a pass's fields, its
+# rows and their join, about 0.8 MB for a 2-d projection's six float columns.
+_CSV_ROWS = 1024
 # What csv.writer(lineterminator="\n") quotes; CR as from Python 3.13 on.
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
 
@@ -330,14 +332,17 @@ def _fields(column) -> list[str]:
 def _write_csv(path, header: list[str], columns: list, prefixes=None) -> None:
     """The header row, then one row per entry of the equal-length columns,
     each row its columns' ``_fields`` joined by commas.  With prefixes, an
-    iterator of texts, a row's next prefix leads the join as its first field."""
+    iterator of texts, a row's next prefix leads the join as its first field.
+    A pass's rows are one write, and its last line break another, so that
+    the joined text is not copied."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(columns[0]), _CSV_ROWS):
             texts = [_fields(column[start:start + _CSV_ROWS]) for column in columns]
             if prefixes is not None:
                 texts.insert(0, islice(prefixes, _CSV_ROWS))
-            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
+            fh.write("\n".join(map(",".join, zip(*texts))))
+            fh.write("\n")
 
 
 def write_traces_csv(
@@ -379,7 +384,8 @@ def write_projection_csv(path, labels: list[str], means, covs) -> None:
         + [f"mean_{i + 1}" for i in range(q)]
         + [f"cov_{i + 1}_{j + 1}" for i in range(q) for j in range(q)]
     )
-    _write_csv(path, header, [list(labels), *np.hstack([means, covs.reshape(n, q * q)]).T])
+    # Views: a pass copies only its own rows of each column.
+    _write_csv(path, header, [labels, *means.T, *covs.reshape(n, q * q).T])
 
 
 def write_experiment_csv(path, rows: list[ExperimentRow]) -> None:

@@ -12,7 +12,12 @@ A few fixed scalars in headers, axes and legends use ``_fmt``.
 
 Each ``*_svg_pieces`` generator yields its document a block of text at a
 time, to be written out as it comes, so memory does not grow with the
-drawing; ``"".join`` of the blocks is the document as one string.
+drawing; ``"".join`` of the blocks is the document as one string.  Three
+constants bound what a document holds at once, each to about 200 KB: the
+numbers of a formatting pass (``_CHUNK``), the items of a projection's
+outline chunk (``_OUTLINE_ITEMS``) and the pieces of a block (``_BLOCK``).
+Beside them, a projection holds arrays over its items, about 220 bytes an
+item at the peak.
 """
 
 from __future__ import annotations
@@ -42,15 +47,17 @@ _HEADER = (
 )
 
 # Numbers per array pass: whole runs are taken until a pass holds this many.
-# This bounds the pass's scratch arrays to a few hundred kilobytes; one pass
+# This bounds the pass's scratch arrays and texts to about 220 KB; one pass
 # over all of a document's numbers costs tens of megabytes of peak memory.
 _CHUNK = 4096
-# Items per outline pass of a projection: a few hundred kilobytes of rings.
-_OUTLINE_ITEMS = 256
+# Items per outline chunk of a projection: their 128 rings are 133 KB of
+# vertices, and the separator words of their numbers 66 KB more.
+_OUTLINE_ITEMS = 64
 # Pieces per block of a streamed document: one write each, not one per piece.
 # A block's pieces, its text and the encoded write are all held at once, so
-# its size adds to peak memory: 128 rings of a projection are about 140 KB.
-_BLOCK = 256
+# its size adds to peak memory: 64 rings of a projection are about 73 KB of
+# text, so about 220 KB.
+_BLOCK = 128
 
 
 def _fmt(v: float) -> str:
@@ -98,13 +105,21 @@ def _encode(values: np.ndarray, leads: np.ndarray) -> str:
     deleted by one ``bytes.translate``, many times faster than a mask.
     """
     right, padded, frac, lead = _digit_tables()
+    # In place where it can be, so that a pass holds fewer arrays at once.
     with np.errstate(over="ignore", invalid="ignore"):
         m = values * 1000.0
         r = np.rint(m)
-        exact = ~(np.abs(m - r) + np.abs(m) * 2.0**-50 < 0.5)
+        tie = np.subtract(m, r)
+        np.abs(tie, out=tie)
+        np.abs(m, out=m)
+        m *= 2.0**-50
+        tie += m
+        exact = ~(tie < 0.5)
+    del m, tie
     r[exact] = 0.0
     neg = r < 0.0
-    milli = np.abs(r).astype(np.int64)
+    milli = np.abs(r, out=r).astype(np.int64)
+    del r
     wide = {}  # index -> |milli-units| beyond int64
     for i in np.flatnonzero(exact).tolist():
         v = float(values[i])
@@ -117,7 +132,7 @@ def _encode(values: np.ndarray, leads: np.ndarray) -> str:
         else:
             wide[i] = abs(e)
     whole = milli // 1000  # division by a constant: far faster than np.divmod
-    f = milli - 1000 * whole
+    milli -= 1000 * whole  # now the fraction's digits
     top = max([int(whole.max(initial=0)), *(e // 1000 for e in wide.values())])
     k = (len(str(top)) + 3) // 4
 
@@ -140,40 +155,45 @@ def _encode(values: np.ndarray, leads: np.ndarray) -> str:
         col = np.arange(k)
         words[:, 1:k + 1] = np.where(col < lead_group, 0,
                                      np.where(col == lead_group, right[groups], padded[groups]))
-    words[:, k + 1] = frac[f]
+    words[:, k + 1] = frac[milli]
     return words.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _vertex_texts(values: np.ndarray, sizes) -> Iterator[str]:
-    """The texts of consecutive runs of values, formatted a chunk at a time.
+    """The texts of consecutive runs of values, formatted a pass at a time.
 
     Run j is the next sizes[j] > 0 values of the flat array, read as x, y
-    pairs: "x,y x,y ...".  A one-value run is that number alone.  The
-    separator words of up to ``_CHUNK`` runs are built at once, so that
-    scratch is bounded too; each pass cuts its text at the "|" that leads a
-    run.
+    pairs: "x,y x,y ...".  A one-value run is that number alone.  A pass
+    takes whole runs until it holds ``_CHUNK`` numbers, and cuts its text at
+    the "|" that leads a run.  The separator words of up to ``_CHUNK`` runs
+    are built at once, beside one int64 start per run, so that scratch is
+    bounded too.
     """
-    values = np.ravel(values)
+    return chain.from_iterable(_passes(np.ravel(values), sizes))
+
+
+def _passes(values: np.ndarray, sizes) -> Iterator[list[str]]:
+    """The run texts of ``_vertex_texts``, a list per pass."""
     bar, comma, space = _digit_tables()[3][:3]
     for first in range(0, len(sizes), _CHUNK):
-        group = np.asarray(sizes[first:first + _CHUNK], dtype=np.int64)
-        ends = np.cumsum(group)
-        starts = ends - group
+        group = np.asarray(sizes[first:first + _CHUNK])
+        starts = np.cumsum(group, dtype=np.int64)
+        starts -= group  # each run's first index in values
+        end = int(starts[-1] + group[-1])
         # Each value's lead word: "|" before the first of a run, then " "
         # before an x and "," before a y.  A value is a y when (i - start) & 1,
         # its run start's parity flipped at odd i; bytes keep the scratch small.
-        odd = np.repeat((starts & 1).astype(np.uint8), group)
-        odd[1::2] ^= 1
-        leads = np.where(odd, comma, space)
+        leads = np.repeat((starts & 1).astype(np.uint8), group)
+        leads[1::2] ^= 1
+        leads = np.where(leads, comma, space)
         leads[starts] = bar
         lo = 0
         while lo < len(group):
-            start = int(starts[lo])
-            hi = max(int(np.searchsorted(ends, start + _CHUNK, side="right")), lo + 1)
-            stop = ends[hi - 1]
-            yield from _encode(values[start:stop], leads[start:stop]).split("|")[1:]
+            hi = int(np.searchsorted(starts, starts[lo] + _CHUNK))
+            a, b = starts[lo], starts[hi] if hi < len(group) else end
+            yield _encode(values[a:b], leads[a:b]).split("|")[1:]
             lo = hi
-        values = values[ends[-1]:]
+        values = values[end:]
 
 
 def _document(parts: Iterable, texts: Iterable[str]) -> Iterator[str]:
@@ -185,9 +205,11 @@ def _document(parts: Iterable, texts: Iterable[str]) -> Iterator[str]:
         out.append("\n")
         if isinstance(part, str):
             out.append(part)
-        else:
-            out.append(part[0])
-            out += chain.from_iterable(zip(islice(texts, len(part) - 1), part[1:]))
+        else:  # two slice copies place the strings and texts, with no Python step per text
+            line = [None] * (2 * len(part) - 1)
+            line[::2] = part
+            line[1::2] = islice(texts, len(part) - 1)
+            out += line
         if len(out) >= _BLOCK:
             yield "".join(out)
             out.clear()
@@ -391,7 +413,8 @@ def projection_svg_pieces(labels: list[str], means, covs) -> Iterator[str]:
 
     def to_px(p: np.ndarray) -> np.ndarray:
         """(..., 2) coordinates to pixels, in place."""
-        p -= mid
+        for c in (0, 1):  # mid broadcast over the last axis loops over 2 values at a time
+            p[..., c] -= mid[c]
         p *= scale
         p[..., 0] += SIZE / 2.0
         np.subtract(SIZE / 2.0, p[..., 1], out=p[..., 1])
@@ -403,24 +426,32 @@ def projection_svg_pieces(labels: list[str], means, covs) -> Iterator[str]:
     # before it, so that a run of rings is one part with a slot per ring.
     rings = {label: ['"/>\n' + _polyline(color, 1.5, opacity=o)[0] for o in (0.9, 0.45)]
              for label, color in color_of.items()}
-    dots = {label: _dot(color, 3.5) for label, color in color_of.items()}
+    # A dot's strings after its x and after its y, the last one led into
+    # the next dot, so that a run of dots is one part with a slot per number.
+    head, between, _ = _dot("", 3.5)
+    dots = {label: (between, _dot(color, 3.5)[2] + "\n" + head)
+            for label, color in color_of.items()}
     legend = []
     for j, (label, color) in enumerate(color_of.items()):
         legend.append(_at(_dot(color, 4.0), 24.0, 24.0 + 18.0 * j))
         legend.append(_at(_text(label), 34.0, 28.0 + 18.0 * j))
-    # Each number a one-value run; uint8 sizes take an eighth of int64's memory.
+    # _BLOCK / 2 slots per part, two pieces each: one block per part, and no
+    # Python step per ring or dot.
+    step = _BLOCK // 2
+    joints = [ring for i in drawn.tolist() for ring in rings[labels[i]]]
+
+    def dot_parts() -> Iterator[list[str]]:
+        for a in range(0, len(labels), step // 2):
+            part = [head, *chain.from_iterable(map(dots.__getitem__, labels[a:a + step // 2]))]
+            part[-1] = part[-1][:-len(head) - 1]
+            yield part
+
+    parts = chain(((joints[a][4:], *joints[a + 1:a + step], '"/>')
+                   for a in range(0, len(joints), step)), dot_parts(), legend)
+    # Each centre number a one-value run; uint8 sizes take an eighth of
+    # int64's memory.
     centres = _vertex_texts(to_px(np.array(means, dtype=float)),
                             np.ones(2 * len(means), np.uint8))
-    # Each dot is joined into one short line at once: less work per dot
-    # than leaving its two numbers as slots.
-    dot_lines = ("".join((head, cx, between, cy, tail)) for (head, between, tail), cx, cy
-                 in zip(map(dots.__getitem__, labels), centres, centres))
-    # _BLOCK / 2 rings per part, two pieces each: one block per part, and no
-    # Python step per ring.
-    joints = [ring for i in drawn.tolist() for ring in rings[labels[i]]]
-    step = _BLOCK // 2
-    parts = chain(((joints[a][4:], *joints[a + 1:a + step], '"/>')
-                   for a in range(0, len(joints), step)), dot_lines, legend)
-    yield from _document(parts, chain.from_iterable(
+    yield from _document(parts, chain(chain.from_iterable(
         _vertex_texts(to_px(chunk), np.full(2 * len(chunk), 2 * chunk.shape[2]))
-        for chunk in outlines()))
+        for chunk in outlines()), centres))

@@ -790,7 +790,7 @@ def test_streamed_projection_svg_matches_the_joined_document(tmp_path, capsys):
 
 
 def test_many_ellipses_svg_bytes_are_pinned(tmp_path, capsys):
-    # 600 items with covariance, three outline chunks: every ring, including
+    # 600 items with covariance, ten outline chunks: every ring, including
     # those on each side of a chunk boundary, keeps its bytes.
     data = tmp_path / "many.json"
     _write_many_ellipses(data)
@@ -1142,6 +1142,22 @@ def test_closed_stdout_is_a_one_line_error(tmp_path, students_path, unbuffered):
              "--out-prefix", str(tmp_path / "p")],
             env=_fresh_env(PYTHONUNBUFFERED=unbuffered), stdout=write_end,
             stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert result.stderr == f"uapca: error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["project", "--help"]])
+def test_help_into_a_closed_stdout_is_a_one_line_error(argv):
+    # argparse's SystemExit ends the run through the same flush as a
+    # returned main(), where the block-buffered help text meets the pipe.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run([sys.executable, "-m", "uapca", *argv],
+                                env=_fresh_env(PYTHONUNBUFFERED=None), stdout=write_end,
+                                stderr=subprocess.PIPE, text=True)
     finally:
         os.close(write_end)
     assert result.returncode == 1

@@ -490,6 +490,44 @@ def test_prefixed_csv_rows_keep_their_prefixes_across_passes(tmp_path):
     assert _first_difference(path, [["step", "s", "index", "lambda"], *rows]) is None
 
 
+def _traced_peak(write) -> int:
+    """tracemalloc's peak bytes while write() runs, after one untraced call
+    for the imports and first-use caches."""
+    write()
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_projection_csv_of_1e4_points_holds_under_900_kb(tmp_path):
+    # A bench-size points projection: 1e4 rows of a label, 2 means and 4 zero
+    # covariances.  Passes of _CSV_ROWS rows bound the texts held at once,
+    # and the columns are views: no copy of the table is made.
+    n = 10_000
+    rng = np.random.default_rng(n)
+    labels = [f"c{i % 5 + 1}" for i in range(n)]
+    means, covs = rng.normal(3.0, 2.0, size=(n, 2)), np.zeros((n, 2, 2))
+    path = tmp_path / "p.csv"
+    assert _traced_peak(lambda: write_projection_csv(path, labels, means, covs)) < 900_000
+    assert path.stat().st_size > 400_000
+
+
+def test_traces_csv_of_4096_rows_holds_under_900_kb(tmp_path):
+    # The bench's trace-sweep CSV: 16 traces of 128 steps, each point in both
+    # orientations.
+    d, steps = 16, 128
+    schedule = SweepSchedule(steps)
+    points = np.random.default_rng(4096).normal(size=(d, steps, 2))
+    traces = [FactorTrace(i, points[i], schedule.region_split) for i in range(d)]
+    names = tuple(f"x{i + 1}" for i in range(d))
+    path = tmp_path / "t.csv"
+    assert _traced_peak(lambda: write_traces_csv(path, traces, schedule, names)) < 900_000
+    assert len(path.read_text(encoding="utf-8").splitlines()) == 1 + 2 * d * steps
+
+
 def test_experiment_csv_writes_its_python_float_medians_as_repr_does(tmp_path):
     medians = [math.nan, 1e-05, 0.1, 0.0, 1.0]
     path = tmp_path / "x.csv"

@@ -257,7 +257,7 @@ def test_outline_bounds_carry_an_overflow():
 
 
 def test_items_spanning_more_than_the_float_range_are_an_error():
-    # 600 items with covariance over three outline chunks; the last chunk
+    # 600 items with covariance over ten outline chunks; the last chunk
     # holds the two items at -1e308 and 1e308.
     rng = np.random.default_rng(23)
     means = rng.normal(size=(600, 2))

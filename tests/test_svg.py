@@ -160,20 +160,25 @@ def test_projection_svg_of_points_only_has_no_outlines():
     assert '<circle cx="730.000" cy="235.000" r="3.500"' in doc
 
 
+def _streamed(path, pieces) -> tuple[int, int]:
+    """Traced peak bytes of writing pieces into a file, and the file's size."""
+    tracemalloc.start()
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(pieces)
+            size = fh.tell()
+        return tracemalloc.get_traced_memory()[1], size
+    finally:
+        tracemalloc.stop()
+
+
 def test_streamed_projection_memory_does_not_grow_with_the_document(tmp_path):
     def streamed(n: int) -> tuple[int, int]:
         """Traced peak bytes of streaming n ellipses into a file, and the file's size."""
         rng = np.random.default_rng(n)
         a = rng.normal(size=(n, 2, 2))
         args = [f"k{i % 4}" for i in range(n)], rng.normal(size=(n, 2)), a @ a.swapaxes(1, 2)
-        tracemalloc.start()
-        try:
-            with open(tmp_path / "p.svg", "w", encoding="utf-8", newline="\n") as fh:
-                fh.writelines(projection_svg_pieces(*args))
-                size = fh.tell()
-            return tracemalloc.get_traced_memory()[1], size
-        finally:
-            tracemalloc.stop()
+        return _streamed(tmp_path / "p.svg", projection_svg_pieces(*args))
 
     streamed(10)  # the formatter's tables are built once, on first use
     (peak, size), (peak4, size4) = streamed(1000), streamed(4000)
@@ -181,6 +186,23 @@ def test_streamed_projection_memory_does_not_grow_with_the_document(tmp_path):
     # its size again; streamed, the peak grows by a small share of it.
     assert size4 - size > 6_000_000
     assert peak4 - peak < 0.1 * (size4 - size)
+
+
+def test_projection_svg_of_1500_mixed_items_holds_under_900_kb(tmp_path):
+    # 1 500 items in 6 labels, a fifth of them with zero covariance (a dot
+    # alone), as many as the bench's project-items input: the outline chunk,
+    # the formatting pass and the block each bound what the stream holds, a
+    # small share of the 2.8 MB document.
+    n = 1500
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, 2, 2))
+    covs = a @ a.swapaxes(1, 2)
+    covs[::5] = 0.0
+    args = [f"g{i % 6 + 1}" for i in range(n)], rng.normal(3.0, 2.0, size=(n, 2)), covs
+    _streamed(tmp_path / "p.svg", projection_svg_pieces(*args))  # first-use tables
+    peak, size = _streamed(tmp_path / "p.svg", projection_svg_pieces(*args))
+    assert size > 2_500_000
+    assert peak < 900_000, peak
 
 
 def test_projection_svg_validation():
