@@ -90,8 +90,19 @@ def _scale_value(text: str) -> float:
     return v
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose failed write to stdout (``--help``) raises
+    its OSError for ``main`` to report; argparse itself drops it."""
+
+    def _print_message(self, message, file=None):
+        if file is not None and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="uapca",
         description="Principal component analysis over probability distributions.",
     )
@@ -179,7 +190,7 @@ def _outputs():
 
 def _cmd_project(args) -> int:
     from .cov import global_cov
-    from .eigen import eig_sym, select_components
+    from .eigen import select_components
     from .io import (PointsData, aggregate_by_label, load_points, points_dataset,
                      standardize_dataset, standardize_points, write_projection_csv)
     from .project import project_items
@@ -219,7 +230,7 @@ def _cmd_project(args) -> int:
 
     s = args.scale
     g = global_cov(ds)
-    pairs = eig_sym(g.at(s))
+    pairs = g.eig(s)
     model = select_components(pairs, g.mean, args.dims)
 
     labels = list(ds.labels or (f"item{i + 1}" for i in range(len(ds))))
@@ -314,9 +325,8 @@ def _cmd_compare_sampling(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"uapca: error: {exc}", file=sys.stderr)

@@ -17,10 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .model import UncertainDataset, _readonly
+
+if TYPE_CHECKING:
+    from .eigen import EigenPairs
 
 
 @dataclass(eq=False, repr=False)
@@ -55,6 +59,26 @@ class GlobalCov:
                 f"s = inf gives the uncertainty-only limit"
             )
         return _readonly(k)
+
+    def eig(self, s) -> EigenPairs:
+        """``eig_sym`` of K(s), or of the stack of K(s) over an array of s.
+
+        The PSD rule judges K(s) against at least 2 s^2 tr(term_uncertainty)
+        (tr alone at s = inf), and its error names s.  An item covariance
+        that passes the rule has no eigenvalue below -PSD_RTOL times its
+        largest, which its trace bounds; so their weighted mean has none
+        below -PSD_RTOL tr(term_uncertainty), though that can be far below
+        the rule against K's own largest eigenvalue, as when items have zero
+        variance on different axes.  The factor 2 leaves room for rounding.
+        """
+        from .eigen import eig_sym  # here, so that compare-sampling does not load it
+
+        flat = np.ravel(s).tolist()
+        tr = float(np.trace(self.term_uncertainty))
+        floor = [2.0 * tr * (1.0 if math.isinf(v) else v * v) if 0.0 < tr < math.inf else 0.0
+                 for v in flat]
+        k = np.reshape([self.at(v) for v in flat], np.shape(s) + self.term_means.shape)
+        return eig_sym(k, floor, lambda i: f"K(s) at s = {flat[i]!r}")
 
 
 def _symmetric(a: np.ndarray) -> np.ndarray:

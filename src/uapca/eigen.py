@@ -37,7 +37,7 @@ class PcaModel:
     q: int
 
 
-def eig_sym(k) -> EigenPairs:
+def eig_sym(k, floor=0.0, name=None) -> EigenPairs:
     """Eigendecompose a symmetric PSD matrix, or a (..., D, D) stack of them,
     with LAPACK ``eigh``.
 
@@ -59,6 +59,11 @@ def eig_sym(k) -> EigenPairs:
     alone.  The result is stacked the same way: values (..., D), vectors
     (..., D, D).  The non-PSD error of a stack names the first bad matrix by
     its index in the flattened stack.
+
+    A caller that knows a bound on the scale of a matrix's terms passes it
+    as floor, one per matrix or one for all: the PSD rule then takes the
+    larger of it and the largest eigenvalue magnitude as the scale.
+    name(i), given the flat index, words the non-PSD error.
     """
     a = np.asarray(k, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
@@ -78,7 +83,8 @@ def eig_sym(k) -> EigenPairs:
 
     # Sorted descending: the last eigenvalue is the lowest, the first the highest.
     _require_psd_spectra(values[:, -1], values[:, 0],
-                         lambda i: f"matrix{f' {i}' if a.ndim > 2 else ''}")
+                         name or (lambda i: f"matrix{f' {i}' if a.ndim > 2 else ''}"),
+                         np.ravel(floor))
     values[values < 0.0] = 0.0
 
     lead = rows[stack, np.arange(d), np.argmax(np.abs(rows), axis=2)]

@@ -114,18 +114,21 @@ def _cov_stack(k: np.ndarray, name) -> np.ndarray:
     return _readonly(sym)
 
 
-def _require_psd(k: np.ndarray, name) -> None:
+def _require_psd(k: np.ndarray, name, floor=0.0) -> tuple[np.ndarray, np.ndarray]:
     """``_require_psd_spectra`` on each matrix of the symmetric (..., D, D)
-    stack k, from one eigvalsh; ``name`` takes the flat index."""
+    stack k, from one eigvalsh; ``name`` takes the flat index.  Returns each
+    matrix's lowest and highest eigenvalue."""
     evals = np.linalg.eigvalsh(k).reshape(-1, k.shape[-1])
-    _require_psd_spectra(evals[:, 0], evals[:, -1], name)
+    _require_psd_spectra(evals[:, 0], evals[:, -1], name, floor)
+    return evals[:, 0], evals[:, -1]
 
 
-def _require_psd_spectra(lo: np.ndarray, hi: np.ndarray, name) -> None:
+def _require_psd_spectra(lo: np.ndarray, hi: np.ndarray, name, floor=0.0) -> None:
     """The PSD rule, given each matrix's lowest and highest eigenvalue: raise
     unless lo >= -PSD_RTOL * max(|lo|, |hi|), the largest eigenvalue
-    magnitude.  The error names the first bad matrix as ``name(index)``."""
-    lam_scale = np.maximum(np.abs(lo), np.abs(hi))
+    magnitude, or times floor where that is larger.  The error names the
+    first bad matrix as ``name(index)``."""
+    lam_scale = np.maximum(np.maximum(np.abs(lo), np.abs(hi)), floor)
     bad = np.flatnonzero(lo < -PSD_RTOL * lam_scale)
     if bad.size:
         i = int(bad[0])

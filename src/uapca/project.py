@@ -8,7 +8,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .eigen import PcaModel, eig_sym
-from .model import UncertainDataset, _require_psd
+from .model import PSD_RTOL, UncertainDataset, _require_psd
 
 if TYPE_CHECKING:
     from .items import Distribution
@@ -27,7 +27,11 @@ def project_items(
     A^T F A, the diagonal block as (A^T scaled by each row of variances) A,
     with no D x D matrix per item, and points give exact zeros.  The
     arithmetic runs under ``np.errstate``, and the result is checked once:
-    finite, and each block row's covariance PSD up to ``PSD_RTOL``.
+    finite, and each block row's covariance PSD up to ``PSD_RTOL`` times
+    the larger of its own scale and 2 cov_scale tr(Cov[d]).  A row inside
+    that but outside ``eig_sym``'s own rule has its negative eigenvalues
+    set to zero, so that the renderer's solve takes it; no other row
+    changes.
     """
     if not isinstance(ds, UncertainDataset):
         ds = UncertainDataset(ds)
@@ -51,7 +55,21 @@ def project_items(
         raise ValueError("projected moments contain non-finite entries")
     # Point rows are exact zeros; the two blocks' rows are disjoint.
     blocks = np.sort(np.concatenate([ds.full_index, ds.diag_index]))
-    _require_psd(covs[blocks], lambda i: f"projected covariance of item {blocks[i]}")
+    # A^T Psi A has no eigenvalue below Psi's lowest, which the PSD rule and
+    # Psi's trace bound: see GlobalCov.eig.
+    own = np.zeros(len(covs))
+    own[ds.full_index] = np.trace(ds.full_covs, axis1=1, axis2=2)
+    own[ds.diag_index] = ds.diag_vars.sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        floor = 2.0 * cov_scale * own[blocks]
+    lo, hi = _require_psd(covs[blocks], lambda i: f"projected covariance of item {blocks[i]}",
+                          floor)
+    # The rows that eig_sym would refuse get their negative eigenvalues as zeros.
+    clamp = blocks[lo < -PSD_RTOL * np.maximum(np.abs(lo), np.abs(hi))]
+    if clamp.size:
+        values, vectors = np.linalg.eigh(covs[clamp])
+        fixed = (vectors * np.maximum(values, 0.0)[:, None, :]) @ vectors.swapaxes(1, 2)
+        covs[clamp] = (fixed + fixed.swapaxes(1, 2)) / 2.0 + 0.0
     return out_means, covs
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cov import global_cov
-from .eigen import EigenPairs, PcaModel, eig_sym, select_components
+from .eigen import EigenPairs, PcaModel, select_components
 from .model import UncertainDataset, _median, _readonly
 
 
@@ -87,14 +87,15 @@ def sweep(
     The dataset is accumulated once; per step the covariance is formed from
     the stored terms by :meth:`GlobalCov.at`, K(s) = term_means +
     s^2 * term_uncertainty, with the final step using term_uncertainty
-    alone.  The (steps, D, D) stack is solved in one ``eig_sym`` call, and
-    each slice has the bits of a call on that matrix alone.  Eigenvalue
-    curves across all steps are returned alongside the models, with
-    avoided-crossing flags filled in for schedules of at least three steps.
+    alone.  The (steps, D, D) stack is solved in one ``eig_sym`` call by
+    :meth:`GlobalCov.eig`, and each slice has the bits of a call on that
+    matrix alone.  Eigenvalue curves across all steps are returned
+    alongside the models, with avoided-crossing flags filled in for
+    schedules of at least three steps.
     """
     g = global_cov(ds)
     s_values = schedule.s_values()
-    pairs = eig_sym(np.stack([g.at(s) for s in s_values]))
+    pairs = g.eig(s_values)
     models = [select_components(EigenPairs(values, vectors), g.mean, q)
               for values, vectors in zip(pairs.values, pairs.vectors)]
     curves = EigenCurves(s_values=_readonly(s_values), values=pairs.values)

@@ -5,10 +5,10 @@ palette, so rendering the same inputs yields byte-identical files.  Each
 number in a document is the correctly rounded ``%.3f`` text of its binary
 value, with ``-0.000`` written ``0.000``.  Vertex and per-item numbers come
 from array passes over small chunks (``_vertex_texts``; a dot centre's
-numbers are one-value runs): each number is a few uint32 words of text bytes
-(separator and sign, integer part, fraction), and one ``bytes.translate``
-per pass drops their zero pads.
-A few fixed scalars in headers, axes and legends use ``_fmt``.
+numbers are one-value runs): each is three uint32 words of text bytes (lead,
+an integer part of up to four digits, fraction), whose zero pads one
+``bytes.translate`` per pass drops.  A pass holding a number of 10 000 or
+more, beyond the 800-px canvas, takes ``_fmt``, as do a few fixed scalars.
 
 Each ``*_svg_pieces`` generator yields its document a block of text at a
 time, to be written out as it comes, so memory does not grow with the
@@ -70,9 +70,9 @@ def _digit_tables() -> tuple[np.ndarray, ...]:
     """Byte words for the array formatter, built on first use.
 
     Each text fragment is one uint32 word of four bytes; zero bytes are pads
-    that the formatter drops.  Returns the integers 0-9999 right-aligned and
-    zero-padded, the fractions ".000"-".999", and the words that can lead
-    a number: the separators "|", "," and " ", and the sign "-".
+    that the formatter drops.  Returns the integers 0-9999 right-aligned,
+    the fractions ".000"-".999", and the words that can lead a number: the
+    separators "|", "," and " ", and the sign "-".
     """
     digit = np.frombuffer(b"0123456789", np.uint8)
     digits = np.empty((10, 10, 10, 10, 4), np.uint8)  # digits[a, b, c, d] = "abcd"
@@ -81,15 +81,13 @@ def _digit_tables() -> tuple[np.ndarray, ...]:
     frac = np.empty((1000, 4), np.uint8)
     frac[:, 0] = ord(".")
     frac[:, 1:] = digits[0, ..., 1:].reshape(1000, 3)
-    padded = digits.reshape(10_000, 4).view(np.uint32).ravel().copy()
     digits[0, ..., 0] = 0
     digits[0, 0, ..., 1] = 0
     digits[0, 0, 0, :, 2] = 0
-    right = digits.reshape(10_000, 4).view(np.uint32).ravel()
     # A separator sits in a lead word's first byte, the sign in its last, so
     # a negative number's lead word is its separator's word OR the sign's.
     lead = np.frombuffer(b"|\0\0\0,\0\0\0 \0\0\0\0\0\0-", np.uint32)
-    return right, padded, frac.view(np.uint32).ravel(), lead
+    return digits.reshape(10_000, 4).view(np.uint32).ravel(), frac.view(np.uint32).ravel(), lead
 
 
 def _encode(values: np.ndarray, leads: np.ndarray) -> str:
@@ -100,11 +98,13 @@ def _encode(values: np.ndarray, leads: np.ndarray) -> str:
     m = 1000 x is within half an ulp of the exact product, so rint(m) is
     the printf digit string unless m lies within a few ulps of a tie; those
     values, any with |m| >= 2**49 and non-finite ones take the exact integer
-    from ``%`` formatting instead.  Integer parts beyond 9999 take more
-    4-digit groups.  The text is the words' bytes with the zero pads
-    deleted by one ``bytes.translate``, many times faster than a mask.
+    from ``%`` formatting instead.  Each number is three words: lead,
+    integer part and fraction.  A pass with a number of 10 000 or more,
+    which no drawing on the 800-px canvas holds, is formatted whole with
+    ``_fmt``.  The text is the words' bytes with the zero pads deleted by
+    one ``bytes.translate``, many times faster than a mask.
     """
-    right, padded, frac, lead = _digit_tables()
+    right, frac, lead = _digit_tables()
     # In place where it can be, so that a pass holds fewer arrays at once.
     with np.errstate(over="ignore", invalid="ignore"):
         m = values * 1000.0
@@ -120,42 +120,22 @@ def _encode(values: np.ndarray, leads: np.ndarray) -> str:
     neg = r < 0.0
     milli = np.abs(r, out=r).astype(np.int64)
     del r
-    wide = {}  # index -> |milli-units| beyond int64
     for i in np.flatnonzero(exact).tolist():
         v = float(values[i])
         if not math.isfinite(v):
             raise ValueError(f"cannot draw the non-finite coordinate {v!r}")
         e = int(("%.3f" % v).replace(".", ""))
         neg[i] = e < 0
-        if abs(e) < 2**63:
-            milli[i] = abs(e)
-        else:
-            wide[i] = abs(e)
+        milli[i] = min(abs(e), 10**7)  # 10**7 and up: the pass takes _fmt
+    if milli.max(initial=0) >= 10**7:
+        seps = np.asarray(leads, np.uint32).tobytes()[::4].decode("ascii")
+        return "".join(map(str.__add__, seps, map(_fmt, values.tolist()))).replace("\0", "")
     whole = milli // 1000  # division by a constant: far faster than np.divmod
     milli -= 1000 * whole  # now the fraction's digits
-    top = max([int(whole.max(initial=0)), *(e // 1000 for e in wide.values())])
-    k = (len(str(top)) + 3) // 4
-
-    n = len(values)
-    words = np.empty((n, k + 2), np.uint32)
+    words = np.empty((len(values), 3), np.uint32)
     words[:, 0] = leads | lead[3] * neg
-    if k == 1:
-        words[:, 1] = right[whole]
-    else:
-        groups = np.empty((n, k), np.int64)
-        for j in range(k - 1, -1, -1):
-            whole, groups[:, j] = np.divmod(whole, 10_000)
-        for i, e in wide.items():
-            rest = e // 1000
-            for j in range(k - 1, -1, -1):
-                rest, groups[i, j] = divmod(rest, 10_000)
-        nonzero = groups != 0
-        nonzero[:, -1] = True
-        lead_group = nonzero.argmax(axis=1)[:, None]
-        col = np.arange(k)
-        words[:, 1:k + 1] = np.where(col < lead_group, 0,
-                                     np.where(col == lead_group, right[groups], padded[groups]))
-    words[:, k + 1] = frac[milli]
+    words[:, 1] = right[whole]
+    words[:, 2] = frac[milli]
     return words.tobytes().translate(None, b"\0").decode("ascii")
 
 
@@ -174,7 +154,7 @@ def _vertex_texts(values: np.ndarray, sizes) -> Iterator[str]:
 
 def _passes(values: np.ndarray, sizes) -> Iterator[list[str]]:
     """The run texts of ``_vertex_texts``, a list per pass."""
-    bar, comma, space = _digit_tables()[3][:3]
+    bar, comma, space = _digit_tables()[2][:3]
     for first in range(0, len(sizes), _CHUNK):
         group = np.asarray(sizes[first:first + _CHUNK])
         starts = np.cumsum(group, dtype=np.int64)

@@ -1130,38 +1130,47 @@ def test_module_run_writes_all_its_output_and_runs_atexit_handlers(
     assert result.stderr == expected.err
 
 
+def _into_closed_pipe(argv: list[str], unbuffered: str | None) -> subprocess.CompletedProcess:
+    """A fresh ``python -m uapca`` run whose stdout is a pipe with its read end closed."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run([sys.executable, "-m", "uapca", *argv],
+                              env=_fresh_env(PYTHONUNBUFFERED=unbuffered), stdout=write_end,
+                              stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+
+
+_BROKEN_PIPE = f"uapca: error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
+
+
 @pytest.mark.parametrize("unbuffered", [None, "1"])
 def test_closed_stdout_is_a_one_line_error(tmp_path, students_path, unbuffered):
     # Block-buffered, the summary lines reach the closed pipe only in the
     # flush after main() returns; unbuffered, in main()'s own print.
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        result = subprocess.run(
-            [sys.executable, "-m", "uapca", "project", "--input", str(students_path),
-             "--out-prefix", str(tmp_path / "p")],
-            env=_fresh_env(PYTHONUNBUFFERED=unbuffered), stdout=write_end,
-            stderr=subprocess.PIPE, text=True)
-    finally:
-        os.close(write_end)
+    result = _into_closed_pipe(["project", "--input", str(students_path),
+                                "--out-prefix", str(tmp_path / "p")], unbuffered)
     assert result.returncode == 1
-    assert result.stderr == f"uapca: error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
+    assert result.stderr == _BROKEN_PIPE
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["project", "--help"]])
 def test_help_into_a_closed_stdout_is_a_one_line_error(argv):
     # argparse's SystemExit ends the run through the same flush as a
     # returned main(), where the block-buffered help text meets the pipe.
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        result = subprocess.run([sys.executable, "-m", "uapca", *argv],
-                                env=_fresh_env(PYTHONUNBUFFERED=None), stdout=write_end,
-                                stderr=subprocess.PIPE, text=True)
-    finally:
-        os.close(write_end)
+    result = _into_closed_pipe(argv, None)
     assert result.returncode == 1
-    assert result.stderr == f"uapca: error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
+    assert result.stderr == _BROKEN_PIPE
+
+
+def test_help_into_a_closed_unbuffered_stdout_is_a_one_line_error():
+    # Unbuffered, the help text meets the pipe in the parser's own write,
+    # whose OSError reaches main() instead of being dropped.
+    for argv in (["--help"], ["project", "--help"]):
+        result = _into_closed_pipe(argv, "1")
+        assert result.returncode == 1
+        assert result.stderr == _BROKEN_PIPE
 
 
 _NON_UTF8_DATASET = b'{"dims": ["a"], "items": [{"label": "x\xff", "values": [{"number": 1}]}]}'
@@ -1254,3 +1263,71 @@ def test_lone_surrogates_are_a_one_line_error(tmp_path, capsys, command, dims, l
     assert len(err) == 1 and err[0].startswith("uapca: error:"), err
     assert fragment in err[0]
     assert list(out.iterdir()) == []
+
+
+# Each item covariance is PSD up to the rule against its own largest
+# eigenvalue.  Their mean, K(inf), has -9e-10 beside 0.5: outside the rule
+# against its own scale, inside it against the items'.
+_PSD_EDGE_MEAN = (
+    '{"dims":["a","b","c"],"items":['
+    '{"mvn":{"mean":[0,0,0],"cov":[[1,0,0],[0,0,0],[0,0,-9e-10]]}},'
+    '{"mvn":{"mean":[1,1,1],"cov":[[0,0,0],[0,1,0],[0,0,-9e-10]]}}]}')
+# Item 0 projected onto the plane of the means keeps its -1e-10 and loses
+# the 1 beside it: outside the rule against the projection's own scale.
+_PSD_EDGE_PROJECTED = (
+    '{"dims":["a","b","c"],"items":['
+    '{"mvn":{"mean":[0,0,0],"cov":[[-1e-10,0,0],[0,0,0],[0,0,1]]}},'
+    '{"values":[{"number":5},{"number":0},{"number":0}]},'
+    '{"values":[{"number":0},{"number":3},{"number":0}]},'
+    '{"values":[{"number":-5},{"number":-3},{"number":0}]}]}')
+
+
+@pytest.mark.parametrize("text", [_PSD_EDGE_MEAN, _PSD_EDGE_PROJECTED], ids=["mean", "projected"])
+def test_covariances_the_loader_accepts_run_through_every_command(tmp_path, capsys, text):
+    data = tmp_path / "edge.json"
+    data.write_text(text, encoding="utf-8")
+    runs = {"t": ["trace"], "p": ["project"], "i": ["project", "--scale", "inf"]}
+    for prefix, argv in runs.items():
+        assert main([*argv, "--input", str(data), "--out-prefix", str(tmp_path / prefix)]) == 0
+    assert capsys.readouterr().err == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "edge.json", "i.projection.csv", "i.projection.svg", "p.projection.csv",
+        "p.projection.svg", "t.eigvals.csv", "t.eigvals.svg", "t.traces.csv", "t.traces.svg"]
+    for prefix in ("p", "i"):
+        with open(tmp_path / f"{prefix}.projection.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        eig_sym(np.array([[float(v) for v in row[3:]] for row in rows]).reshape(-1, 2, 2))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cli_svg_numbers_stay_inside_the_canvas(tmp_path, capsys, seed):
+    # Every renderer maps into the 800-px canvas, so each number the CLI
+    # draws has at most three integer digits and takes the formatter's one
+    # array layout, never its printf fallback for 10 000 and up.  Datasets
+    # of 2 to 16 dimensions, coincident items (zero span of the means) every
+    # third seed, item covariances from 1e-150 to 1e150 wide, and sweeps of
+    # 2 to 129 steps.
+    rng = np.random.default_rng(seed)
+    dim, n = int(rng.integers(2, 17)), int(rng.integers(2, 30))
+    means = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-3.0, 3.0)
+    if seed % 3 == 0:
+        means[:] = means[0]
+    items = []
+    for i in range(n):
+        doc = {"label": f"g{i % 5}", "mvn": {"mean": means[i].tolist(),
+                                              "cov": np.zeros((dim, dim)).tolist()}}
+        if i % 4:
+            doc["mvn"]["cov"] = (random_psd(rng, dim) * 10.0 ** rng.uniform(-150, 150)).tolist()
+        items.append(doc)
+    data = tmp_path / "d.json"
+    data.write_text(json.dumps({"dims": [f"x{j}" for j in range(dim)], "items": items}),
+                    encoding="utf-8")
+    scale = ["0", "1", "inf", "0.001"][seed % 4]
+    assert main(["project", "--input", str(data), "--scale", scale,
+                 "--out-prefix", str(tmp_path / "p")]) == 0
+    assert main(["trace", "--input", str(data), "--steps", str(int(rng.integers(2, 130))),
+                 "--out-prefix", str(tmp_path / "t")]) == 0
+    for name in ("p.projection.svg", "t.traces.svg", "t.eigvals.svg"):
+        numbers = [float(v) for v in
+                   re.findall(r"-?\d+\.\d+", (tmp_path / name).read_text(encoding="utf-8"))]
+        assert numbers and 0.0 <= min(numbers) and max(numbers) <= 800.0, name

@@ -214,6 +214,17 @@ def test_scale_at_which_k_overflows_raises():
     assert not np.isfinite(inf_terms.at(1.0)).all()
 
 
+def test_a_k_outside_the_psd_rule_is_an_error_naming_s():
+    g = global_cov(UncertainDataset((Point([0.0, 0.0]), Gaussian([1.0, 0.0], np.eye(2)))))
+    bad = GlobalCov(g.mean, np.diag([1.0, -1.0]), g.term_uncertainty)  # term_uncertainty I / 2
+    with pytest.raises(ValueError, match=r"^K\(s\) at s = 0\.5 is not positive semi-definite "
+                                         r"\(min eigenvalue -8\.750e-01, scale 1\.125e\+00\)$"):
+        bad.eig(0.5)
+    with pytest.raises(ValueError, match=r"^K\(s\) at s = 0\.0 is not positive"):
+        bad.eig([2.0, 0.0, math.inf])
+    assert np.array_equal(bad.eig(2.0).values, [3.0, 1.0])
+
+
 @pytest.mark.parametrize("s", [0.0, 1.0, math.inf])
 def test_skipping_points_keeps_the_matrix_bits(s):
     # Points interleaved with the other three kinds; the reference adds every

@@ -146,6 +146,30 @@ def test_batched_projection_checks_the_stack():
             project_items(model, [Point([0.0, 1.0])], cov_scale=math.inf)
 
 
+def test_projected_covariance_is_judged_against_the_item_scale():
+    # Item 0's covariance has -1e-10 beside 1, inside the PSD rule.  The
+    # means span the (a, b) plane, and there it keeps the -1e-10 and loses
+    # the 1: far outside the rule against its own scale, inside it against
+    # the item's.  Its negative eigenvalue is taken as zero, so the
+    # renderer's solve takes it; no other row changes.
+    items = [Gaussian(np.zeros(3), np.diag([-1e-10, 0.0, 1.0])),
+             Gaussian([1.0, 1.0, 0.0], np.diag([0.1, 0.2, 0.1])),
+             Point([5.0, 0.0, 0.0]), Point([0.0, 3.0, 0.0]), Point([-5.0, -3.0, 0.0])]
+    model = _fitted_model(UncertainDataset(tuple(items)), 2)
+    a = model.components
+    raw = a.T @ items[0].cov() @ a
+    assert np.linalg.eigvalsh(raw)[0] < -1e-9 * np.abs(np.linalg.eigvalsh(raw)).max()
+    means, covs = project_items(model, items)
+    eig_sym(covs)
+    assert np.abs(covs[0] - raw).max() <= 1e-10
+    rest_means, rest_covs = project_items(model, items[1:])
+    assert np.array_equal(means[1:], rest_means) and np.array_equal(covs[1:], rest_covs)
+    # In three dimensions it keeps the 1, so it passes against its own scale
+    # and stays as it is.
+    full = _fitted_model(UncertainDataset(tuple(items)), 3)
+    raw = full.components.T @ items[0].cov() @ full.components
+    assert np.array_equal(project_items(full, items)[1][0], (raw + raw.T) / 2.0)
+
 def _outline(g: Gaussian, k_sigma: float, segments: int) -> np.ndarray:
     """One item's ring from the stacked outline kernel: (segments + 1, 2)."""
     _, outlines = _ellipse_outlines(g.mean()[None], g.cov()[None], (k_sigma,), segments, 1)
@@ -271,8 +295,13 @@ def test_psd_check_runs_on_block_rows_only(monkeypatch):
     import uapca.project
 
     seen = []
-    monkeypatch.setattr(uapca.project, "_require_psd",
-                        lambda k, name: seen.append((k.shape, name(0) if len(k) else None)))
+    check = uapca.project._require_psd
+
+    def spy(k, name, floor):
+        seen.append((k.shape, name(0) if len(k) else None))
+        return check(k, name, floor)
+
+    monkeypatch.setattr(uapca.project, "_require_psd", spy)
     points = UncertainDataset((Point([0.0, 0.0]), Point([1.0, 2.0]), Point([2.0, 1.0])))
     model = _fitted_model(points, 2)
     project_items(model, points)

@@ -285,14 +285,36 @@ def test_nan_cutoff_skips_nothing():
 
 
 def test_sweep_solves_the_whole_stack_in_one_call(monkeypatch):
-    import uapca.sensitivity
+    import uapca.eigen
 
     calls = []
 
-    def counting(k):
+    def counting(k, *rule):
         calls.append(np.shape(k))
-        return eig_sym(k)
+        return eig_sym(k, *rule)
 
-    monkeypatch.setattr(uapca.sensitivity, "eig_sym", counting)
+    monkeypatch.setattr(uapca.eigen, "eig_sym", counting)  # GlobalCov.eig imports it per call
     sweep(near_crossing_dataset(), q=2, schedule=SweepSchedule(steps=16))
     assert calls == [(16, 3, 3)]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_items_inside_the_psd_rule_sweep_without_error(seed):
+    # Each item's covariance has an eigenvalue at -0.9e-9 of its largest on
+    # the last axis, where no item has a positive variance: the mean of them
+    # takes the sum of those, far below the rule against its own scale.  In
+    # a shared random basis for odd seeds, so the blocks are full.
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(3, 9))
+    basis = np.linalg.qr(rng.normal(size=(dim, dim)))[0] if seed % 2 else np.eye(dim)
+    items = []
+    for i in range(int(rng.integers(2, dim))):
+        values = np.zeros(dim)
+        values[:-1] = np.where(rng.uniform(size=dim - 1) < 0.5, 0.0, rng.uniform(size=dim - 1))
+        values[i] = 1.0
+        values *= 10.0 ** rng.uniform(-1.0, 1.0)
+        values[-1] = -0.9e-9 * values.max()
+        cov = basis @ np.diag(values) @ basis.T
+        items.append(Gaussian(rng.normal(size=dim) * 1e-3, (cov + cov.T) / 2.0))
+    models, _ = sweep(UncertainDataset(tuple(items)), q=2, schedule=SweepSchedule(steps=33))
+    assert len(models) == 33

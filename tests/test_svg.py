@@ -257,7 +257,7 @@ def test_array_formatter_matches_percent_formatting(values, run):
     # Each piece is the fixed three-decimal text of its value, after its
     # lead word; with no lead words the texts are joined as they are.
     texts = [_fmt(v) for v in values]
-    space = _digit_tables()[3][2]
+    space = _digit_tables()[2][2]
     assert _encode(np.array(values), np.full(len(values), space)).split(" ")[1:] == texts
     assert _encode(np.array(values), np.zeros(len(values), dtype=int)) == "".join(texts)
     # Vertex lists: runs of `run` numbers read as "x,y x,y ...".
